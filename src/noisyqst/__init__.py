@@ -17,7 +17,7 @@ from .gates import (
     canonical_two_qubit,
     entangling_time,
     heisenberg_two_qubit,
-    ising_two_qubit,
+    measurement_layers,
     measurement_unitary,
     nine_pauli_bases,
     single_qubit_gate,
@@ -32,6 +32,7 @@ from .noise import (
     average_gate_fidelity,
     depolarizing_q,
     effective_povm,
+    povm_stack,
     ideal_povm,
     kraus_depolarizing,
     kraus_ou_heisenberg,
@@ -54,6 +55,7 @@ from .quality import (
     analytic_beta_max,
     estimate_log_coefficient,
     geometric_quality,
+    neg_log_qn,
     noisy_quality,
     quality_report,
     single_qubit_optimal_angle,

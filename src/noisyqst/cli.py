@@ -17,15 +17,29 @@ import numpy as np
 
 from . import optimize as opt
 from . import tomography as tomo
-from .gates import HEISENBERG, INTERACTIONS, QuorumParams, standard_mub_params
+from .gates import (
+    HEISENBERG,
+    INTERACTIONS,
+    CanonicalParams,
+    Entangler,
+    HeisenbergTimes,
+    MeasurementParams,
+    QuorumParams,
+    SingleQubitParams,
+    entangling_time,
+    standard_mub_params,
+)
 from .noise import (
     CHANNELS,
     DEPOLARIZING,
     NoiseModel,
     average_gate_fidelity,
+    depolarizing_q,
     kraus_depolarizing,
     kraus_ou_heisenberg,
     kraus_ou_ising,
+    ou_gammas_heisenberg,
+    ou_gammas_ising,
 )
 from .quality import (
     estimate_log_coefficient,
@@ -189,17 +203,20 @@ def cmd_gate_fidelity(args) -> int:
     if args.gate != "cnot":
         raise SystemExit2(f"unknown gate {args.gate!r} (only 'cnot' is built in)")
     noise = _noise_from_args(args)
-    if noise.channel == DEPOLARIZING:
-        time = 1.0 if noise.interaction == HEISENBERG else 0.25
-        q = float(np.exp(-noise.strength * np.pi * time))
-        fid = average_gate_fidelity(kraus_depolarizing(q))
-    elif noise.interaction == HEISENBERG:
-        gammas = np.exp(-noise.strength * np.pi * np.array([0.5, 0.0, 0.5]))
-        fid = average_gate_fidelity(kraus_ou_heisenberg(gammas))
+    # The CNOT-class entangler: SWAP^(1/2) pulses, or one beta_z = pi/4 coupling.
+    if noise.interaction == HEISENBERG:
+        ent: Entangler = HeisenbergTimes(0.5, 0.0, 0.5)
     else:
-        gammas = np.exp(-2.0 * noise.strength * np.array([0.0, 0.0, np.pi / 4]))
-        fid = average_gate_fidelity(kraus_ou_ising(gammas))
-    _emit(args, f"{fid:.12g}")
+        ent = CanonicalParams(0.0, 0.0, np.pi / 4)
+    if noise.channel == DEPOLARIZING:
+        ident = SingleQubitParams()
+        cnot = MeasurementParams(ident, ident, ent, ident, ident)
+        ops = kraus_depolarizing(depolarizing_q(noise.strength, entangling_time(cnot)))
+    elif noise.interaction == HEISENBERG:
+        ops = kraus_ou_heisenberg(ou_gammas_heisenberg(noise.strength, ent))
+    else:
+        ops = kraus_ou_ising(ou_gammas_ising(noise.strength, ent))
+    _emit(args, f"{average_gate_fidelity(ops):.12g}")
     return 0
 
 

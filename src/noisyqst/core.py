@@ -42,6 +42,11 @@ def _build_traceless_basis(d: int) -> np.ndarray:
 # Orthonormal traceless Hermitian bases, Tr(B_i B_j) = delta_ij.
 TRACELESS_BASIS = {2: _build_traceless_basis(2), 4: _build_traceless_basis(4)}
 
+# Tr(B_i A) = sum_{mn} B_i[m,n] A[n,m], as a matrix acting on A flattened.
+_COORDINATE_MAP = {
+    d: b.transpose(0, 2, 1).reshape(len(b), d * d).T for d, b in TRACELESS_BASIS.items()
+}
+
 
 # ---------------------------------------------------------------------------
 # validation helpers
@@ -160,12 +165,11 @@ def traceless_part(op: np.ndarray) -> np.ndarray:
     The coordinates live in the orthonormal basis ``TRACELESS_BASIS[d]``;
     the identity component is discarded, so ``op`` and ``op + c*eye`` map to
     the same vector and Tr(A B) of traceless parts equals the dot product.
+    A stack of operators (..., d, d) maps to coordinates (..., d*d - 1).
     """
-    d = op.shape[0]
+    d = op.shape[-1]
     _check_dim(d)
-    basis = TRACELESS_BASIS[d]
-    # Tr(B_i A) = sum_{mn} B_i[m,n] A[n,m]
-    return np.einsum("kij,ji->k", basis, op).real
+    return (op.reshape(*op.shape[:-2], d * d) @ _COORDINATE_MAP[d]).real
 
 
 def hermitian_from_traceless(coords: np.ndarray) -> np.ndarray:

@@ -7,10 +7,11 @@ entangler:
     U = (pre1 x pre2) . U_tq . (post1 x post2)
 
 where ``post`` acts first on the state and ``pre`` acts right before
-readout.  The entangler is either the canonical 4x4 gate exp(-i sum_k
-beta_k sigma_k x sigma_k), the Heisenberg-exchange realization built from
-SWAP^alpha pulses, or the Ising realization built from conjugated ZZ
-evolutions.  The corresponding parameter bundles carry the interaction tag.
+readout.  The entangler is either the Heisenberg-exchange gate of three
+SWAP^alpha pulses or the Ising realization of the canonical 4x4 gate
+exp(-i sum_k beta_k sigma_k x sigma_k) by conjugated ZZ evolutions; both are
+built spectrally in their Bell frame.  The corresponding parameter bundles
+carry the interaction tag.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PAULI_I, PAULI_X, PAULI_Z
+from .core import PAULI_I
 
 HEISENBERG = "heisenberg"
 ISING = "ising"
@@ -103,6 +104,24 @@ class MeasurementParams:
     def interaction(self) -> str:
         return HEISENBERG if isinstance(self.entangler, HeisenbergTimes) else ISING
 
+    def to_array(self) -> np.ndarray:
+        """The 15 reals in slot order pre1, pre2, entangler, post1, post2."""
+        fields = (self.pre1, self.pre2, self.entangler, self.post1, self.post2)
+        return np.array([v for f in fields for v in f.as_tuple()])
+
+    @classmethod
+    def from_array(cls, row, interaction: str) -> "MeasurementParams":
+        """Inverse of :meth:`to_array`; Heisenberg durations are reduced mod 2."""
+        row = [float(v) for v in row]
+        ent_type = HeisenbergTimes if interaction == HEISENBERG else CanonicalParams
+        return cls(
+            pre1=SingleQubitParams(*row[0:3]),
+            pre2=SingleQubitParams(*row[3:6]),
+            entangler=ent_type(*row[6:9]),
+            post1=SingleQubitParams(*row[9:12]),
+            post2=SingleQubitParams(*row[12:15]),
+        )
+
 
 @dataclass(frozen=True)
 class QuorumParams:
@@ -120,6 +139,15 @@ class QuorumParams:
     @property
     def interaction(self) -> str:
         return self.measurements[0].interaction
+
+    def to_array(self) -> np.ndarray:
+        """(5, 15) parameter rows, one :meth:`MeasurementParams.to_array` per measurement."""
+        return np.stack([m.to_array() for m in self.measurements])
+
+    @classmethod
+    def from_array(cls, params, interaction: str) -> "QuorumParams":
+        return cls(measurements=tuple(MeasurementParams.from_array(row, interaction)
+                                      for row in params))
 
     def to_dict(self) -> dict:
         return {
@@ -147,29 +175,16 @@ class QuorumParams:
         entries = data["measurements"]
         if len(entries) != 5:
             raise ValueError(f"expected 5 measurements, got {len(entries)}")
-        ms = []
+        rows = []
         for e in entries:
-            fields = {}
+            row = []
             for key in ("pre1", "pre2", "entangler", "post1", "post2"):
                 vals = [float(x) for x in e[key]]
                 if len(vals) != 3:
                     raise ValueError(f"field {key!r} must hold 3 reals")
-                fields[key] = vals
-            ent: Entangler
-            if interaction == HEISENBERG:
-                ent = HeisenbergTimes(*fields["entangler"])
-            else:
-                ent = CanonicalParams(*fields["entangler"])
-            ms.append(
-                MeasurementParams(
-                    pre1=SingleQubitParams(*fields["pre1"]),
-                    pre2=SingleQubitParams(*fields["pre2"]),
-                    entangler=ent,
-                    post1=SingleQubitParams(*fields["post1"]),
-                    post2=SingleQubitParams(*fields["post2"]),
-                )
-            )
-        return cls(measurements=tuple(ms))
+                row += vals
+            rows.append(row)
+        return cls.from_array(rows, interaction)
 
     @classmethod
     def from_json(cls, text: str) -> "QuorumParams":
@@ -179,85 +194,140 @@ class QuorumParams:
 # ---------------------------------------------------------------------------
 # gate construction
 # ---------------------------------------------------------------------------
+#
+# The builders work on stacked parameter arrays, so one call constructs the
+# gates of every measurement of a quorum; the single-gate functions below
+# them are the one-element case.
+
+# Bell frame in which each interaction's entangler is diagonal, and the
+# coefficients of its eigenphases: the Heisenberg gate has phases
+# e^(i pi S alpha), the canonical (Ising) gate e^(-i S beta).
+BELL_FRAMES = {HEISENBERG: BELL_SORTED, ISING: BELL_CONVENTIONAL}
+EIGENPHASE_COEFFS = {
+    HEISENBERG: np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    ISING: np.array([[1.0, -1.0, 1.0], [1.0, 1.0, -1.0], [-1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]]),
+}
+
+_FRAMES_INVERSE = {name: frame.conj().T for name, frame in BELL_FRAMES.items()}
+
+# Positions of the 4 single-qubit gates (pre1, pre2, post1, post2) and of
+# the entangler within the 15 parameters of a measurement.
+_SINGLE_SLOTS = np.array([[0, 1, 2], [3, 4, 5], [9, 10, 11], [12, 13, 14]])
+ENTANGLER_SLOTS = slice(6, 9)
+
+
+def single_qubit_gates(angles) -> np.ndarray:
+    """Single-qubit gates of angles (..., 3) = (phi, psi, chi), shape (..., 2, 2).
+
+    Each is [[cos(phi) e^(i psi), sin(phi) e^(i chi)],
+             [-sin(phi) e^(-i chi), cos(phi) e^(-i psi)]].
+    """
+    angles = np.asarray(angles, dtype=float)
+    c, s = np.cos(angles[..., 0]), np.sin(angles[..., 0])
+    phases = np.exp(1j * angles[..., 1:])
+    e_psi, e_chi = phases[..., 0], phases[..., 1]
+    out = np.empty(angles.shape[:-1] + (2, 2), dtype=complex)
+    out[..., 0, 0] = c * e_psi
+    out[..., 0, 1] = s * e_chi
+    out[..., 1, 0] = -s * e_chi.conj()
+    out[..., 1, 1] = c * e_psi.conj()
+    return out
+
 
 def single_qubit_gate(p: SingleQubitParams) -> np.ndarray:
-    """2x2 gate [[cos(phi) e^(i psi), sin(phi) e^(i chi)], [-sin(phi) e^(-i chi), cos(phi) e^(-i psi)]]."""
-    c, s = np.cos(p.phi), np.sin(p.phi)
-    return np.array(
-        [
-            [c * np.exp(1j * p.psi), s * np.exp(1j * p.chi)],
-            [-s * np.exp(-1j * p.chi), c * np.exp(-1j * p.psi)],
-        ]
-    )
+    """2x2 gate of one parameter triple; see :func:`single_qubit_gates`."""
+    return single_qubit_gates(p.as_tuple())
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of stacked 2x2 matrices, shape (..., 4, 4)."""
+    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(*a.shape[:-2], 4, 4)
+
+
+def entanglers(ent, interaction: str) -> np.ndarray:
+    """Entangling gates built spectrally in their Bell frame.
+
+    ``ent`` has shape (..., 3): SWAP^alpha durations (Heisenberg, taken as
+    given, i.e. already canonicalized) or canonical couplings beta (Ising,
+    exp(-i sum_k beta_k sigma_k x sigma_k)).  The result has shape (..., 4, 4).
+    """
+    eta = np.asarray(ent, dtype=float) @ EIGENPHASE_COEFFS[interaction].T
+    phases = np.exp(1j * np.pi * eta) if interaction == HEISENBERG else np.exp(-1j * eta)
+    frame = BELL_FRAMES[interaction]
+    return (frame * phases[..., None, :]) @ _FRAMES_INVERSE[interaction]
 
 
 def canonical_two_qubit(b: CanonicalParams) -> np.ndarray:
     """exp(-i sum_k beta_k sigma_k x sigma_k), built spectrally in the Bell basis."""
-    bx, by, bz = b.as_tuple()
-    eta = np.array([bx - by + bz, bx + by - bz, -bx + by + bz, -bx - by - bz])
-    return (BELL_CONVENTIONAL * np.exp(-1j * eta)) @ BELL_CONVENTIONAL.conj().T
-
-
-def swap_alpha(alpha: float) -> np.ndarray:
-    """Fractional SWAP: identity on the triplet space, phase e^(i alpha pi) on the singlet."""
-    p = np.outer(_PSI_M, _PSI_M.conj())
-    return np.eye(4, dtype=complex) + (np.exp(1j * alpha * np.pi) - 1.0) * p
+    return entanglers(b.as_tuple(), ISING)
 
 
 def heisenberg_two_qubit(a: HeisenbergTimes) -> np.ndarray:
     """Heisenberg entangler diag(1, e^(i a1 pi), e^(i a2 pi), e^(i a3 pi)) in the resorted Bell basis."""
-    phases = np.exp(1j * np.pi * np.array([0.0, a.alpha1, a.alpha2, a.alpha3]))
-    return (BELL_SORTED * phases) @ BELL_SORTED.conj().T
-
-
-def heisenberg_two_qubit_sequence(a: HeisenbergTimes) -> np.ndarray:
-    """Same gate via the explicit pulse sequence zx . S^a1 . z1 . S^a2 . x2 . S^a3."""
-    zx = np.kron(PAULI_Z, PAULI_X)
-    z1 = np.kron(PAULI_Z, PAULI_I)
-    x2 = np.kron(PAULI_I, PAULI_X)
-    return zx @ swap_alpha(a.alpha1) @ z1 @ swap_alpha(a.alpha2) @ x2 @ swap_alpha(a.alpha3)
-
-
-# Single-qubit frames that rotate each ZZ evolution onto XX, YY, ZZ; the
-# three conjugated factors commute, so their product is the canonical gate.
-_FRAME_X = np.array([[1, -1], [1, 1]], dtype=complex) / np.sqrt(2.0)  # exp(-i pi sigma_y / 4)
-_FRAME_Y = np.array([[1, 1j], [1j, 1]], dtype=complex) / np.sqrt(2.0)  # exp(+i pi sigma_x / 4)
-_FRAME_Z = PAULI_I
-_ZZ_DIAG = np.array([1.0, -1.0, -1.0, 1.0])
-
-
-def ising_two_qubit(b: CanonicalParams) -> np.ndarray:
-    """Canonical gate realized as three conjugated ZZ evolutions."""
-    out = np.eye(4, dtype=complex)
-    for beta, frame in zip(b.as_tuple(), (_FRAME_X, _FRAME_Y, _FRAME_Z)):
-        local = np.kron(frame, frame)
-        zz = np.diag(np.exp(-1j * beta * _ZZ_DIAG))
-        out = out @ (local.conj().T @ zz @ local)
-    return out
+    return entanglers(a.as_tuple(), HEISENBERG)
 
 
 def entangler_matrix(ent: Entangler) -> np.ndarray:
-    if isinstance(ent, HeisenbergTimes):
-        return heisenberg_two_qubit(ent)
-    return ising_two_qubit(ent)
+    interaction = HEISENBERG if isinstance(ent, HeisenbergTimes) else ISING
+    return entanglers(ent.as_tuple(), interaction)
+
+
+def measurement_layers(params, interaction: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three factors (pre1 x pre2, entangler, post1 x post2) of stacked measurements.
+
+    ``params`` has shape (..., 15) in the slot order of
+    :meth:`MeasurementParams.to_array`; each factor has shape (..., 4, 4).
+    """
+    params = np.asarray(params, dtype=float)
+    gates = single_qubit_gates(params[..., _SINGLE_SLOTS])
+    layers = _kron(gates[..., 0::2, :, :], gates[..., 1::2, :, :])
+    pre, post = layers[..., 0, :, :], layers[..., 1, :, :]
+    return pre, entanglers(params[..., ENTANGLER_SLOTS], interaction), post
 
 
 def measurement_unitary(m: MeasurementParams) -> np.ndarray:
     """Full measurement unitary (pre1 x pre2) . entangler . (post1 x post2)."""
-    pre = np.kron(single_qubit_gate(m.pre1), single_qubit_gate(m.pre2))
-    post = np.kron(single_qubit_gate(m.post1), single_qubit_gate(m.post2))
+    pre = _kron(single_qubit_gate(m.pre1), single_qubit_gate(m.pre2))
+    post = _kron(single_qubit_gate(m.post1), single_qubit_gate(m.post2))
     return pre @ entangler_matrix(m.entangler) @ post
 
 
-def entangling_time(m: MeasurementParams) -> float:
-    """Normalized time the two-qubit interaction is on for this measurement.
+def entangling_times(ent, interaction: str) -> np.ndarray:
+    """Normalized time the interaction is on, for entangler parameters of shape (..., 3).
 
     Heisenberg pulses contribute their alpha directly; each Ising coupling
     beta is a phase, so its normalized duration is |beta| / pi.
     """
-    if isinstance(m.entangler, HeisenbergTimes):
-        return float(sum(m.entangler.as_tuple()))
-    return float(sum(abs(x) for x in m.entangler.as_tuple()) / np.pi)
+    ent = np.asarray(ent, dtype=float)
+    if interaction == HEISENBERG:
+        return ent.sum(axis=-1)
+    return np.abs(ent).sum(axis=-1) / np.pi
+
+
+def entangling_time(m: MeasurementParams) -> float:
+    """Normalized time the two-qubit interaction is on for this measurement."""
+    return float(entangling_times(m.entangler.as_tuple(), m.interaction))
+
+
+def _reflect_unit(x):
+    """Triangle wave mapping the real line onto [0, 2] with period 4."""
+    return 2.0 - np.abs(2.0 - (x % 4.0))
+
+
+def quorum_array(x, interaction: str) -> np.ndarray:
+    """(5, 15) parameter rows of a flat 75-vector.
+
+    Heisenberg entangler slots are reflected into [0, 2] and then reduced
+    mod 2, as :class:`HeisenbergTimes` does, so a bounded optimizer sees a
+    continuous parametrization of the pulse durations.
+    """
+    params = np.array(x, dtype=float)
+    if params.shape != (75,):
+        raise ValueError(f"expected 75 parameters, got shape {params.shape}")
+    params = params.reshape(5, 15)
+    if interaction == HEISENBERG:
+        params[:, ENTANGLER_SLOTS] = _reflect_unit(params[:, ENTANGLER_SLOTS]) % 2.0
+    return params
 
 
 # ---------------------------------------------------------------------------

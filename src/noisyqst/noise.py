@@ -23,17 +23,18 @@ import numpy as np
 from .core import PAULIS
 from .gates import (
     BELL_CONVENTIONAL,
+    BELL_FRAMES,
     BELL_SORTED,
+    EIGENPHASE_COEFFS,
+    ENTANGLER_SLOTS,
     HEISENBERG,
     INTERACTIONS,
     ISING,
     CanonicalParams,
     HeisenbergTimes,
     MeasurementParams,
-    entangler_matrix,
-    entangling_time,
-    measurement_unitary,
-    single_qubit_gate,
+    entangling_times,
+    measurement_layers,
 )
 
 DEPOLARIZING = "depolarizing"
@@ -85,19 +86,22 @@ class NoiseModel:
 # depolarizing channel
 # ---------------------------------------------------------------------------
 
-def depolarizing_q(zeta: float, entangling_time: float) -> float:
-    """Survival probability exp(-zeta pi T) of the traceless part."""
-    if zeta < 0 or entangling_time < 0:
+def depolarizing_q(zeta: float, entangling_time):
+    """Survival probability exp(-zeta pi T) of the traceless part; T may be an array."""
+    entangling_time = np.asarray(entangling_time, dtype=float)
+    if zeta < 0 or np.any(entangling_time < 0):
         raise ValueError("zeta and entangling time must be >= 0")
-    return float(np.exp(-zeta * np.pi * entangling_time))
+    return np.exp(-zeta * np.pi * entangling_time)
 
 
-def apply_depolarizing(rho: np.ndarray, q: float) -> np.ndarray:
-    """q rho + (1 - q) Tr(rho) 1/4."""
-    if not 0.0 <= q <= 1.0:
+def apply_depolarizing(rho: np.ndarray, q) -> np.ndarray:
+    """q rho + (1 - q) Tr(rho) 1/d, for stacked rho (..., d, d) and q broadcast over the stack."""
+    q = np.asarray(q, dtype=float)
+    if not np.all((0.0 <= q) & (q <= 1.0)):
         raise ValueError(f"q must lie in [0, 1], got {q}")
-    d = rho.shape[0]
-    return q * rho + (1.0 - q) * np.trace(rho) * np.eye(d) / d
+    d = rho.shape[-1]
+    mixed = (1.0 - q) * np.einsum("...ii->...", rho)
+    return q[..., None, None] * rho + mixed[..., None, None] * np.eye(d) / d
 
 
 def kraus_depolarizing(q: float) -> KrausSet:
@@ -118,55 +122,57 @@ def kraus_depolarizing(q: float) -> KrausSet:
 # over-/under-rotation channel
 # ---------------------------------------------------------------------------
 
+def ou_gammas(r: float, ent, interaction: str) -> np.ndarray:
+    """Dephasing factors of entangler parameters of shape (..., 3).
+
+    exp(-r alpha_k pi) per Heisenberg pulse, exp(-2 r |beta_k|) per Ising
+    coupling.
+    """
+    ent = np.asarray(ent, dtype=float)
+    if interaction == HEISENBERG:
+        return np.exp(-r * np.pi * ent)
+    return np.exp(-2.0 * r * np.abs(ent))
+
+
 def ou_gammas_heisenberg(r: float, a: HeisenbergTimes) -> np.ndarray:
     """Per-pulse dephasing factors exp(-r alpha_k pi)."""
-    return np.exp(-r * np.pi * np.array(a.as_tuple()))
+    return ou_gammas(r, a.as_tuple(), HEISENBERG)
 
 
 def ou_gammas_ising(r: float, b: CanonicalParams) -> np.ndarray:
     """Per-coupling dephasing factors exp(-2 r |beta_k|)."""
-    return np.exp(-2.0 * r * np.abs(np.array(b.as_tuple())))
+    return ou_gammas(r, b.as_tuple(), ISING)
 
 
-def _gamma_pattern_heisenberg(g: np.ndarray) -> np.ndarray:
-    """Entrywise decay pattern in the resorted Bell basis (Psi+, Phi+, Phi-, Psi-)."""
-    g1, g2, g3 = g
-    return np.array(
-        [
-            [1.0, g1, g2, g3],
-            [g1, 1.0, g1 * g2, g1 * g3],
-            [g2, g1 * g2, 1.0, g2 * g3],
-            [g3, g1 * g3, g2 * g3, 1.0],
-        ]
-    )
+# Entry [a, b] of the state in the entangler's Bell frame decays by gamma_k
+# for every pulse or coupling k whose phase differs between Bell vectors a
+# and b; table [a, b, k] marks those k.
+_DEPHASED_BY = {
+    name: coeffs[:, None, :] != coeffs[None, :, :] for name, coeffs in EIGENPHASE_COEFFS.items()
+}
 
 
-def _gamma_pattern_ising(g: np.ndarray) -> np.ndarray:
-    """Entrywise decay pattern in the conventional Bell basis (Phi+, Psi+, Phi-, Psi-)."""
-    gx, gy, gz = g
-    return np.array(
-        [
-            [1.0, gy * gz, gx * gy, gx * gz],
-            [gy * gz, 1.0, gx * gz, gx * gy],
-            [gx * gy, gx * gz, 1.0, gy * gz],
-            [gx * gz, gx * gy, gy * gz, 1.0],
-        ]
-    )
+def apply_ou(rho: np.ndarray, gammas, interaction: str) -> np.ndarray:
+    """Dephase stacked rho (..., 4, 4) in the entangler's Bell frame.
 
-
-def _apply_bell_dephasing(rho: np.ndarray, pattern: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    ``gammas`` (..., 3) broadcasts against the stack.  The Bell-diagonal
+    part is untouched; off-diagonal entries decay by products of gammas.
+    """
+    g = np.asarray(gammas, dtype=float)[..., None, None, :]
+    pattern = np.prod(np.where(_DEPHASED_BY[interaction], g, 1.0), axis=-1)
+    frame = BELL_FRAMES[interaction]
     rb = frame.conj().T @ rho @ frame
     return frame @ (pattern * rb) @ frame.conj().T
 
 
 def apply_ou_heisenberg(rho: np.ndarray, gammas: np.ndarray) -> np.ndarray:
     """Dephase off-diagonals in the resorted Bell frame; Bell-diagonal part is untouched."""
-    return _apply_bell_dephasing(rho, _gamma_pattern_heisenberg(np.asarray(gammas)), BELL_SORTED)
+    return apply_ou(rho, gammas, HEISENBERG)
 
 
 def apply_ou_ising(rho: np.ndarray, gammas: np.ndarray) -> np.ndarray:
     """Dephase off-diagonals in the conventional Bell frame with the Ising gamma products."""
-    return _apply_bell_dephasing(rho, _gamma_pattern_ising(np.asarray(gammas)), BELL_CONVENTIONAL)
+    return apply_ou(rho, gammas, ISING)
 
 
 def kraus_ou_heisenberg(gammas: np.ndarray) -> KrausSet:
@@ -197,14 +203,6 @@ def kraus_ou_ising(gammas: np.ndarray) -> KrausSet:
             signs = np.array([1.0, (-1.0) ** k, (-1.0) ** l, (-1.0) ** (k + l)])
             ops.append(np.sqrt(max(w, 0.0)) * (BELL_CONVENTIONAL * signs) @ BELL_CONVENTIONAL.conj().T)
     return ops
-
-
-def apply_kraus(rho: np.ndarray, ops: KrausSet) -> np.ndarray:
-    """rho -> sum_k M_k rho M_k'."""
-    out = np.zeros_like(rho, dtype=complex)
-    for m in ops:
-        out += m @ rho @ m.conj().T
-    return out
 
 
 def assert_kraus_complete(ops: KrausSet, tol: float = 1e-10) -> None:
@@ -244,72 +242,79 @@ class Povm:
 
     def projector_defect(self) -> float:
         """max_k ||P_k^2 - P_k||_max; zero iff the nominal operators are projectors."""
-        return float(
-            max(np.max(np.abs(p @ p - p)) for p in self.nominal_projectors)
-        )
+        p = self.nominal_projectors
+        return float(np.max(np.abs(p @ p - p)))
+
+
+def _row_projectors(unitaries: np.ndarray) -> np.ndarray:
+    """Projectors onto the conjugated rows of stacked unitaries (..., 4, 4), shape (..., 4, 4, 4)."""
+    return unitaries.conj()[..., :, :, None] * unitaries[..., :, None, :]
 
 
 def ideal_povm(unitary: np.ndarray) -> Povm:
     """Noise-free POVM of a standard-basis readout after ``unitary``."""
-    effects = np.stack([np.outer(unitary[k, :].conj(), unitary[k, :]) for k in range(4)])
+    effects = _row_projectors(np.asarray(unitary))
     return Povm(effects=effects, qs=np.ones(4), nominal_projectors=effects.copy())
 
 
-def _extract_q_and_nominal(effects: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    qs = np.empty(4)
-    nominal = np.empty_like(effects)
-    for k in range(4):
-        t = effects[k] - _EYE4 / 4.0
-        q = np.sqrt(max((4.0 / 3.0) * np.trace(t @ t).real, 0.0))
-        if q <= 1e-12:
-            raise DegeneratePovmError(f"effect {k} is fully depolarized (q={q:.3e})")
-        qs[k] = q
-        nominal[k] = t / q + _EYE4 / 4.0
-    return qs, nominal
+def _require_nondegenerate(qs: np.ndarray) -> None:
+    if np.any(qs <= 1e-12):
+        j, k = np.argwhere(qs <= 1e-12)[0]
+        raise DegeneratePovmError(
+            f"effect {k} of measurement {j} is fully depolarized (q={qs[j, k]:.3e})"
+        )
 
 
-def effective_povm(m: MeasurementParams, noise: NoiseModel) -> Povm:
-    """Heisenberg-picture POVM of a measurement with a noisy entangler.
+def povm_stack(params, noise: NoiseModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Effective POVMs of stacked measurements with a noisy entangler.
+
+    ``params`` has shape (n, 15) in the slot order of
+    :meth:`~noisyqst.gates.MeasurementParams.to_array`, with Heisenberg
+    durations already canonicalized.  Returns the effects (n, 4, 4, 4), the
+    per-effect scales q (n, 4) and the nominal projectors (n, 4, 4, 4) of
+    the decomposition F_k = q_k (P_k - 1/4) + 1/4.
 
     Readout projectors are pulled back through the pre-readout single-qubit
     layer, passed through the (self-adjoint) noise channel sitting at the
     entangler, then pulled back through the ideal entangler and the first
-    single-qubit layer.  Single-qubit gates are taken error-free.
+    single-qubit layer.  Single-qubit gates are taken error-free.  The
+    depolarizing channel commutes with every unitary, so its nominal
+    projectors are the ideal ones and its q is one scalar per measurement.
     """
-    if m.interaction != noise.interaction:
-        raise ValueError(
-            f"measurement uses {m.interaction!r} but noise model is {noise.interaction!r}"
-        )
-    pre = np.kron(single_qubit_gate(m.pre1), single_qubit_gate(m.pre2))
-    post = np.kron(single_qubit_gate(m.post1), single_qubit_gate(m.post2))
-    tail = entangler_matrix(m.entangler) @ post
-
+    params = np.asarray(params, dtype=float)
+    ent = params[..., ENTANGLER_SLOTS]
+    pre, entangler, post = measurement_layers(params, noise.interaction)
     if noise.channel == DEPOLARIZING:
-        q = depolarizing_q(noise.strength, entangling_time(m))
+        q = depolarizing_q(noise.strength, entangling_times(ent, noise.interaction))
+        qs = np.repeat(q[..., None], 4, axis=-1)
+        _require_nondegenerate(qs)
+        nominal = _row_projectors(pre @ entangler @ post)
+        return apply_depolarizing(nominal, qs), qs, nominal
+    tail = (entangler @ post)[..., None, :, :]
+    gammas = ou_gammas(noise.strength, ent, noise.interaction)[..., None, :]
+    dephased = apply_ou(_row_projectors(pre), gammas, noise.interaction)
+    effects = tail.conj().swapaxes(-1, -2) @ dephased @ tail
+    traceless = effects - _EYE4 / 4.0
+    qs = np.sqrt((4.0 / 3.0) * np.sum(np.abs(traceless) ** 2, axis=(-2, -1)))
+    _require_nondegenerate(qs)
+    return effects, qs, traceless / qs[..., None, None] + _EYE4 / 4.0
 
-        def channel(a: np.ndarray) -> np.ndarray:
-            return apply_depolarizing(a, q)
 
-    elif noise.interaction == HEISENBERG:
-        pattern = _gamma_pattern_heisenberg(ou_gammas_heisenberg(noise.strength, m.entangler))
+def _require_interaction(interaction: str, noise: NoiseModel) -> None:
+    if interaction != noise.interaction:
+        raise ValueError(
+            f"measurement uses {interaction!r} but noise model is {noise.interaction!r}"
+        )
 
-        def channel(a: np.ndarray) -> np.ndarray:
-            return _apply_bell_dephasing(a, pattern, BELL_SORTED)
 
-    else:
-        pattern = _gamma_pattern_ising(ou_gammas_ising(noise.strength, m.entangler))
-
-        def channel(a: np.ndarray) -> np.ndarray:
-            return _apply_bell_dephasing(a, pattern, BELL_CONVENTIONAL)
-
-    effects = np.empty((4, 4, 4), dtype=complex)
-    for k in range(4):
-        pulled = np.outer(pre[k, :].conj(), pre[k, :])
-        effects[k] = tail.conj().T @ channel(pulled) @ tail
-    qs, nominal = _extract_q_and_nominal(effects)
-    return Povm(effects=effects, qs=qs, nominal_projectors=nominal)
+def effective_povm(m: MeasurementParams, noise: NoiseModel) -> Povm:
+    """Heisenberg-picture POVM of one measurement; see :func:`povm_stack`."""
+    _require_interaction(m.interaction, noise)
+    effects, qs, nominal = povm_stack(m.to_array()[None, :], noise)
+    return Povm(effects=effects[0], qs=qs[0], nominal_projectors=nominal[0])
 
 
 def quorum_povms(quorum, noise: NoiseModel) -> list[Povm]:
     """Effective POVMs of all five measurements of a quorum."""
-    return [effective_povm(m, noise) for m in quorum.measurements]
+    _require_interaction(quorum.interaction, noise)
+    return [Povm(*povm) for povm in zip(*povm_stack(quorum.to_array(), noise))]

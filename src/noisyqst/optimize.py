@@ -11,6 +11,7 @@ as Q_N and avoids underflow for small volumes.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 from concurrent.futures import ProcessPoolExecutor
@@ -19,24 +20,18 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize as spopt
 
-from .core import traceless_part
 from .gates import (
     HEISENBERG,
-    CanonicalParams,
-    HeisenbergTimes,
-    MeasurementParams,
     QuorumParams,
-    SingleQubitParams,
     entangling_time,
-    measurement_unitary,
+    measurement_layers,
+    quorum_array,
     standard_mub_params,
 )
 from .noise import NoiseModel
-from .quality import quality_report
+from .quality import neg_log_qn, quality_report
 
 logger = logging.getLogger(__name__)
-
-_QN_FLOOR = 1e-300
 
 STRATEGIES = ("mub-seeded", "multistart", "annealing")
 
@@ -171,45 +166,13 @@ def simulated_annealing(f, x0, opts: OptimizerOptions, rng: np.random.Generator)
 # quorum <-> parameter vector
 # ---------------------------------------------------------------------------
 
-def _reflect_unit(x: float) -> float:
-    """Triangle wave mapping the real line onto [0, 2] with period 4."""
-    return 2.0 - abs(2.0 - (x % 4.0))
-
-
 def vector_to_quorum(x: np.ndarray, interaction: str) -> QuorumParams:
     """Unpack 75 reals; Heisenberg entangler slots are reflected into [0, 2)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (75,):
-        raise ValueError(f"expected 75 parameters, got shape {x.shape}")
-    ms = []
-    for j in range(5):
-        chunk = x[15 * j : 15 * (j + 1)]
-        ent_raw = chunk[6:9]
-        if interaction == HEISENBERG:
-            ent = HeisenbergTimes(*(_reflect_unit(v) for v in ent_raw))
-        else:
-            ent = CanonicalParams(*ent_raw)
-        ms.append(
-            MeasurementParams(
-                pre1=SingleQubitParams(*chunk[0:3]),
-                pre2=SingleQubitParams(*chunk[3:6]),
-                entangler=ent,
-                post1=SingleQubitParams(*chunk[9:12]),
-                post2=SingleQubitParams(*chunk[12:15]),
-            )
-        )
-    return QuorumParams(measurements=tuple(ms))
+    return QuorumParams.from_array(quorum_array(x, interaction), interaction)
 
 
 def quorum_to_vector(q: QuorumParams) -> np.ndarray:
-    out = np.empty(75)
-    for j, m in enumerate(q.measurements):
-        out[15 * j : 15 * j + 3] = m.pre1.as_tuple()
-        out[15 * j + 3 : 15 * j + 6] = m.pre2.as_tuple()
-        out[15 * j + 6 : 15 * j + 9] = m.entangler.as_tuple()
-        out[15 * j + 9 : 15 * j + 12] = m.post1.as_tuple()
-        out[15 * j + 12 : 15 * j + 15] = m.post2.as_tuple()
-    return out
+    return q.to_array().ravel()
 
 
 def random_quorum(interaction: str, rng: np.random.Generator) -> QuorumParams:
@@ -232,21 +195,24 @@ _BIN_EDGES = np.arange(-0.25, 0.75 + _BIN_WIDTH / 2, _BIN_WIDTH)
 _N_BINS = len(_BIN_EDGES) - 1  # 20 bins over [-1/4, 3/4]
 
 
+# Row i of the 20 projectors counts the bins of its dot products with the
+# 19 others: flat bincount index n_bins * i + bin over the off-diagonal.
+_OFF_DIAGONAL = ~np.eye(20, dtype=bool)
+_HIST_ROW = _N_BINS * np.nonzero(_OFF_DIAGONAL)[0]
+
+
 def _projector_histograms(q: QuorumParams) -> np.ndarray:
-    """Per-projector histogram of its dot products with the other 19 projectors."""
-    vecs = []
-    for m in q.measurements:
-        u = measurement_unitary(m)
-        for k in range(4):
-            vecs.append(traceless_part(np.outer(u[k, :].conj(), u[k, :])))
-    v = np.array(vecs)
-    dots = v @ v.T
-    hists = np.empty((20, _N_BINS), dtype=np.int64)
+    """Per-projector histogram of its dot products with the other 19 projectors.
+
+    The dot product of the traceless parts of |u_a><u_a| and |u_b><u_b| is
+    |<u_a|u_b>|^2 - 1/4, taken over the rows of the five measurement unitaries.
+    """
+    pre, ent, post = measurement_layers(q.to_array(), q.interaction)
+    rows = (pre @ ent @ post).reshape(20, 4)
+    dots = np.abs(rows.conj() @ rows.T) ** 2 - 0.25
     idx = np.clip(((dots + 0.25) / _BIN_WIDTH).astype(int), 0, _N_BINS - 1)
-    for i in range(20):
-        others = np.delete(idx[i], i)
-        hists[i] = np.bincount(others, minlength=_N_BINS)
-    return hists
+    counts = np.bincount(_HIST_ROW + idx[_OFF_DIAGONAL], minlength=20 * _N_BINS)
+    return counts.reshape(20, _N_BINS)
 
 
 def _jaccard_matrix(ha: np.ndarray, hb: np.ndarray) -> np.ndarray:
@@ -319,16 +285,10 @@ def diverse_starts(
 # quorum optimization
 # ---------------------------------------------------------------------------
 
-def _neg_log_qn(x: np.ndarray, noise: NoiseModel) -> float:
-    qp = vector_to_quorum(x, noise.interaction)
-    qn = quality_report(qp, noise).q_noisy
-    return -float(np.log(max(qn, _QN_FLOOR)))
-
-
 def _finish(x: np.ndarray, noise: NoiseModel, trajectory, label: str) -> OptimizationResult:
     qp = vector_to_quorum(x, noise.interaction)
     rep = quality_report(qp, noise)
-    total = float(sum(entangling_time(m) for m in qp.measurements))
+    total = float(sum(rep.entangling_times))
     return OptimizationResult(
         params=qp,
         q_noisy=rep.q_noisy,
@@ -341,7 +301,7 @@ def _finish(x: np.ndarray, noise: NoiseModel, trajectory, label: str) -> Optimiz
 
 def _run_powell_start(args) -> OptimizationResult:
     noise, x0, opts, label = args
-    x, _, traj = powell_minimize(lambda v: _neg_log_qn(v, noise), x0, opts)
+    x, _, traj = powell_minimize(lambda v: neg_log_qn(v, noise), x0, opts)
     return _finish(x, noise, traj, label)
 
 
@@ -349,9 +309,34 @@ def _run_annealing(args) -> OptimizationResult:
     noise, x0, opts, seed, label = args
     rng = np.random.default_rng(seed)
     x, _, traj = simulated_annealing(
-        lambda v: _neg_log_qn(v, noise), x0, opts, rng
+        lambda v: neg_log_qn(v, noise), x0, opts, rng
     )
     return _finish(x, noise, traj, label)
+
+
+def _attempt(runner, job):
+    """Run one start; a non-finite objective becomes a (label, message) failure record."""
+    try:
+        return runner(job), None
+    except ObjectiveError as exc:
+        return None, (job[-1], str(exc))
+
+
+def _run_starts(runner, jobs: list, threads: int):
+    """Run every start, in a process pool when threads > 1; failures are recorded, not raised.
+
+    Returns the successful results and the failure records, both in job
+    order, so the outcome does not depend on ``threads``.
+    """
+    attempt = functools.partial(_attempt, runner)
+    if threads > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            outcomes = list(pool.map(attempt, jobs))
+    else:
+        outcomes = [attempt(job) for job in jobs]
+    results = [result for result, _ in outcomes if result is not None]
+    failures = [failure for _, failure in outcomes if failure is not None]
+    return results, failures
 
 
 def optimize_quorum(
@@ -395,19 +380,14 @@ def optimize_quorum(
         ]
         runner = _run_annealing
 
-    failures = []
-    results: list[OptimizationResult] = []
-    if threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(runner, jobs))
-    else:
-        for job in jobs:
-            try:
-                results.append(runner(job))
-            except ObjectiveError as exc:
-                failures.append(f"{job[-1]}: {exc}")
+    results, failures = _run_starts(runner, jobs, threads)
+    for label, message in failures:
+        logger.warning("start %s failed: %s", label, message)
     if not results:
-        raise RuntimeError("all optimization starts failed: " + "; ".join(failures))
+        raise RuntimeError(
+            "all optimization starts failed: "
+            + "; ".join(f"{label}: {message}" for label, message in failures)
+        )
     results.sort(key=lambda r: r.q_noisy, reverse=True)
     return results
 

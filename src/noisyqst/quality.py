@@ -19,14 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    bloch_gram_volume,
     gram_volume,
     haar_random_unitaries,
     random_eigenvalues,
     traceless_part,
 )
-from .gates import QuorumParams, entangling_time
-from .noise import NoiseModel, Povm, ideal_povm, quorum_povms
+from .gates import ENTANGLER_SLOTS, QuorumParams, entangling_times, quorum_array
+from .noise import NoiseModel, Povm, ideal_povm, povm_stack, quorum_povms
 
 # Linear coefficient of the Haar-averaged log outcome probability and the
 # per-measurement exponents derived from it.
@@ -34,6 +33,9 @@ LOG_COEFF_4D = 1.195
 PER_EFFECT_EXPONENT = LOG_COEFF_4D / 2.0
 NOISE_EXPONENT_4D = 4.0 * PER_EFFECT_EXPONENT  # s = 2.39
 NOISE_EXPONENT_2D = 1.5
+
+# Q_N below this is treated as this, so -ln Q_N stays finite.
+_QN_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -57,46 +59,66 @@ class QualityReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
+def _qualities(nominal: np.ndarray, qs: np.ndarray) -> tuple[float, float]:
+    """(Q, Q_N) from nominal projectors (5, 4, 4, 4) and effect scales q (5, 4).
+
+    Q is the Gram volume of the first three nominal projectors of each
+    measurement.  Dropping the fourth is immaterial for orthonormal bases
+    since the four traceless parts sum to zero.
+    """
+    q_geometric = gram_volume(traceless_part(nominal[:, :3].reshape(15, 4, 4)))
+    return q_geometric, q_geometric * float(np.prod(qs ** PER_EFFECT_EXPONENT))
+
+
 def _as_povm(entry) -> Povm:
     if isinstance(entry, Povm):
         return entry
     return ideal_povm(np.asarray(entry))
 
 
+def _stacked(quorum: list) -> tuple[np.ndarray, np.ndarray]:
+    povms = [_as_povm(p) for p in quorum]
+    if len(povms) != 5:
+        raise ValueError(f"expected 5 measurements, got {len(povms)}")
+    return np.stack([p.nominal_projectors for p in povms]), np.stack([p.qs for p in povms])
+
+
 def geometric_quality(quorum: list) -> float:
     """Gram volume of the first three nominal projectors of each measurement.
 
     Accepts five :class:`~noisyqst.noise.Povm` objects or five measurement
-    unitaries (treated as noise-free).  The drop of the fourth projector is
-    immaterial for orthonormal bases since the four traceless parts sum to
-    zero.
+    unitaries (treated as noise-free).
     """
-    povms = [_as_povm(p) for p in quorum]
-    if len(povms) != 5:
-        raise ValueError(f"expected 5 measurements, got {len(povms)}")
-    vecs = [traceless_part(p.nominal_projectors[k]) for p in povms for k in range(3)]
-    return gram_volume(vecs)
+    return _qualities(*_stacked(quorum))[0]
 
 
 def noisy_quality(quorum: list) -> float:
     """Geometric quality times the per-effect noise penalty prod q_jk^(1.195/2)."""
-    povms = [_as_povm(p) for p in quorum]
-    penalty = 1.0
-    for p in povms:
-        penalty *= float(np.prod(p.qs ** PER_EFFECT_EXPONENT))
-    return geometric_quality(povms) * penalty
+    return _qualities(*_stacked(quorum))[1]
 
 
 def quality_report(quorum: QuorumParams, noise: NoiseModel) -> QualityReport:
     """Evaluate a parametrized quorum under a noise model."""
-    povms = quorum_povms(quorum, noise)
-    qg = geometric_quality(povms)
-    qs = np.stack([p.qs for p in povms])
-    qn = qg * float(np.prod(qs ** PER_EFFECT_EXPONENT))
-    times = np.array([entangling_time(m) for m in quorum.measurements])
+    nominal, qs = _stacked(quorum_povms(quorum, noise))
+    q_geometric, q_noisy = _qualities(nominal, qs)
+    times = entangling_times(quorum.to_array()[:, ENTANGLER_SLOTS], quorum.interaction)
     return QualityReport(
-        q_geometric=qg, q_noisy=qn, per_measurement_q=qs, entangling_times=times
+        q_geometric=q_geometric, q_noisy=q_noisy, per_measurement_q=qs, entangling_times=times
     )
+
+
+def neg_log_qn(x: np.ndarray, noise: NoiseModel) -> float:
+    """-ln Q_N of the quorum encoded by a flat 75-vector.
+
+    The vector is read by :func:`~noisyqst.gates.quorum_array`.  This is the
+    optimizers' objective: it has the argmax of Q_N and avoids underflow for
+    small volumes.  It is NaN where a parameter is not finite.
+    """
+    params = quorum_array(x, noise.interaction)
+    if not np.all(np.isfinite(params)):
+        return float("nan")
+    _, qs, nominal = povm_stack(params, noise)
+    return -float(np.log(max(_qualities(nominal, qs)[1], _QN_FLOOR)))
 
 
 # ---------------------------------------------------------------------------
@@ -160,32 +182,11 @@ def log_average_qubit_exact(c: float) -> float:
 # single-qubit model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SingleQubitScheme:
-    """Three equal-polar-angle Bloch measurements with phases 0, 2pi/3, 4pi/3."""
-
-    theta: float
-    r: float = 0.0
-    phases: tuple[float, float, float] = (0.0, 2.0 * np.pi / 3.0, 4.0 * np.pi / 3.0)
-
-    def bloch_vectors(self) -> np.ndarray:
-        s, c = np.sin(self.theta), np.cos(self.theta)
-        return np.array([[s * np.cos(p), s * np.sin(p), c] for p in self.phases])
-
-
 def single_qubit_quality(theta: float, r: float) -> float:
     """(3 sqrt(3) / 2) exp(-9 r |theta| / 2) cos(theta) sin^2(theta)."""
     return float(
         1.5 * np.sqrt(3.0) * np.exp(-4.5 * r * abs(theta)) * np.cos(theta) * np.sin(theta) ** 2
     )
-
-
-def single_qubit_quality_decomposed(theta: float, r: float) -> float:
-    """Same quantity via the Bloch-convention Gram volume times three q^(3/2) factors."""
-    scheme = SingleQubitScheme(theta, r)
-    vol = bloch_gram_volume(scheme.bloch_vectors() / np.sqrt(2.0))
-    q = np.exp(-r * abs(theta))
-    return float(vol * q ** (3.0 * NOISE_EXPONENT_2D))
 
 
 def single_qubit_optimal_angle(r: float) -> float:

@@ -11,6 +11,7 @@ nominal projectors instead, for sensitivity studies.
 from __future__ import annotations
 
 import json
+import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -19,6 +20,8 @@ import numpy as np
 from .core import assert_density, random_density, state_fidelity
 from .gates import QuorumParams, nine_pauli_bases, standard_mub_params
 from .noise import NoiseModel, Povm, ideal_povm, quorum_povms
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -118,7 +121,8 @@ def ml_reconstruct(
 
     Iterates rho <- R rho R / Tr(R rho R) with R = sum (n_k / p_k) F_k / N
     until the log-likelihood improvement drops below ``ll_tol`` relative to
-    its magnitude, starting from the maximally mixed state.
+    its magnitude, starting from the maximally mixed state.  Stopping at
+    ``max_iter`` before that is logged as a warning.
     """
     effects = _effect_stack(povms, noise_aware)
     _assert_informationally_complete(effects)
@@ -138,6 +142,10 @@ def ml_reconstruct(
         rho = r @ rho @ r
         rho = (rho + rho.conj().T) / 2.0
         rho /= np.trace(rho).real
+    else:
+        logger.warning(
+            "ml_reconstruct stopped at max_iter=%d before the log-likelihood converged", max_iter
+        )
     return rho
 
 

@@ -1,0 +1,216 @@
+"""Per-matrix reference implementations that the batched package code is tested against.
+
+Each function builds one gate, one effect or one projector at a time, along
+a route independent of the package's batched kernel: entanglers from their
+pulse or ZZ sequences, channels from their explicit Kraus sets, q and the
+nominal projectors from each effect separately.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from noisyqst.core import (
+    PAULI_I,
+    PAULI_X,
+    PAULI_Z,
+    TRACELESS_BASIS,
+    bloch_gram_volume,
+    gram_volume,
+)
+from noisyqst.gates import (
+    BELL_SORTED,
+    CanonicalParams,
+    HeisenbergTimes,
+    MeasurementParams,
+    QuorumParams,
+    SingleQubitParams,
+)
+from noisyqst.noise import (
+    DEPOLARIZING,
+    DegeneratePovmError,
+    NoiseModel,
+    kraus_depolarizing,
+    kraus_ou_heisenberg,
+    kraus_ou_ising,
+)
+from noisyqst.quality import NOISE_EXPONENT_2D, PER_EFFECT_EXPONENT
+
+_EYE4 = np.eye(4, dtype=complex)
+
+
+# ---------------------------------------------------------------------------
+# gates
+# ---------------------------------------------------------------------------
+
+def single_qubit_gate(p: SingleQubitParams) -> np.ndarray:
+    c, s = np.cos(p.phi), np.sin(p.phi)
+    return np.array(
+        [
+            [c * np.exp(1j * p.psi), s * np.exp(1j * p.chi)],
+            [-s * np.exp(-1j * p.chi), c * np.exp(-1j * p.psi)],
+        ]
+    )
+
+
+def swap_alpha(alpha: float) -> np.ndarray:
+    """Fractional SWAP: identity on the triplet space, phase e^(i alpha pi) on the singlet."""
+    psi_m = BELL_SORTED[:, 3]
+    singlet = np.outer(psi_m, psi_m.conj())
+    return np.eye(4, dtype=complex) + (np.exp(1j * alpha * np.pi) - 1.0) * singlet
+
+
+def heisenberg_two_qubit_sequence(a: HeisenbergTimes) -> np.ndarray:
+    """Heisenberg entangler via the explicit pulse sequence zx . S^a1 . z1 . S^a2 . x2 . S^a3."""
+    zx = np.kron(PAULI_Z, PAULI_X)
+    z1 = np.kron(PAULI_Z, PAULI_I)
+    x2 = np.kron(PAULI_I, PAULI_X)
+    return zx @ swap_alpha(a.alpha1) @ z1 @ swap_alpha(a.alpha2) @ x2 @ swap_alpha(a.alpha3)
+
+
+# Single-qubit frames that rotate each ZZ evolution onto XX, YY, ZZ; the
+# three conjugated factors commute, so their product is the canonical gate.
+_FRAME_X = np.array([[1, -1], [1, 1]], dtype=complex) / np.sqrt(2.0)  # exp(-i pi sigma_y / 4)
+_FRAME_Y = np.array([[1, 1j], [1j, 1]], dtype=complex) / np.sqrt(2.0)  # exp(+i pi sigma_x / 4)
+_ZZ_DIAG = np.array([1.0, -1.0, -1.0, 1.0])
+
+
+def ising_two_qubit(b: CanonicalParams) -> np.ndarray:
+    """Canonical gate realized as three conjugated ZZ evolutions."""
+    out = np.eye(4, dtype=complex)
+    for beta, frame in zip(b.as_tuple(), (_FRAME_X, _FRAME_Y, PAULI_I)):
+        local = np.kron(frame, frame)
+        zz = np.diag(np.exp(-1j * beta * _ZZ_DIAG))
+        out = out @ (local.conj().T @ zz @ local)
+    return out
+
+
+def _entangler(ent) -> np.ndarray:
+    if isinstance(ent, HeisenbergTimes):
+        return heisenberg_two_qubit_sequence(ent)
+    return ising_two_qubit(ent)
+
+
+def measurement_unitary(m: MeasurementParams) -> np.ndarray:
+    pre = np.kron(single_qubit_gate(m.pre1), single_qubit_gate(m.pre2))
+    post = np.kron(single_qubit_gate(m.post1), single_qubit_gate(m.post2))
+    return pre @ _entangler(m.entangler) @ post
+
+
+# ---------------------------------------------------------------------------
+# channels and effective POVMs
+# ---------------------------------------------------------------------------
+
+def apply_kraus(rho: np.ndarray, ops) -> np.ndarray:
+    """rho -> sum_k M_k rho M_k'."""
+    out = np.zeros_like(rho, dtype=complex)
+    for m in ops:
+        out += m @ rho @ m.conj().T
+    return out
+
+
+def _kraus_set(m: MeasurementParams, noise: NoiseModel):
+    vals = np.array(m.entangler.as_tuple())
+    r = noise.strength
+    if isinstance(m.entangler, HeisenbergTimes):
+        time, gammas = vals.sum(), np.exp(-r * np.pi * vals)
+        kraus_ou = kraus_ou_heisenberg
+    else:
+        time, gammas = np.abs(vals).sum() / np.pi, np.exp(-2.0 * r * np.abs(vals))
+        kraus_ou = kraus_ou_ising
+    if noise.channel == DEPOLARIZING:
+        return kraus_depolarizing(np.exp(-r * np.pi * time))
+    return kraus_ou(gammas)
+
+
+def extract_q_and_nominal(effects: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Invert F_k = q_k (P_k - 1/4) + 1/4 one effect at a time."""
+    qs = np.empty(4)
+    nominal = np.empty_like(effects)
+    for k in range(4):
+        t = effects[k] - _EYE4 / 4.0
+        q = np.sqrt(max((4.0 / 3.0) * np.trace(t @ t).real, 0.0))
+        if q <= 1e-12:
+            raise DegeneratePovmError(f"effect {k} is fully depolarized (q={q:.3e})")
+        qs[k] = q
+        nominal[k] = t / q + _EYE4 / 4.0
+    return qs, nominal
+
+
+def effective_povm(m: MeasurementParams, noise: NoiseModel):
+    """(effects, qs, nominal projectors) of one measurement, one effect at a time."""
+    pre = np.kron(single_qubit_gate(m.pre1), single_qubit_gate(m.pre2))
+    post = np.kron(single_qubit_gate(m.post1), single_qubit_gate(m.post2))
+    tail = _entangler(m.entangler) @ post
+    ops = _kraus_set(m, noise)
+    effects = np.empty((4, 4, 4), dtype=complex)
+    for k in range(4):
+        pulled = np.outer(pre[k, :].conj(), pre[k, :])
+        effects[k] = tail.conj().T @ apply_kraus(pulled, ops) @ tail
+    qs, nominal = extract_q_and_nominal(effects)
+    return effects, qs, nominal
+
+
+# ---------------------------------------------------------------------------
+# quality and diversity
+# ---------------------------------------------------------------------------
+
+def traceless_coords(op: np.ndarray) -> np.ndarray:
+    return np.einsum("kij,ji->k", TRACELESS_BASIS[4], op).real
+
+
+def quality(quorum: QuorumParams, noise: NoiseModel) -> tuple[float, np.ndarray, float]:
+    """(Q, q per effect (5, 4), Q_N), one measurement and one projector at a time."""
+    povms = [effective_povm(m, noise) for m in quorum.measurements]
+    q_geometric = gram_volume([traceless_coords(n[k]) for _, _, n in povms for k in range(3)])
+    penalty = 1.0
+    for _, qs, _ in povms:
+        penalty *= float(np.prod(qs ** PER_EFFECT_EXPONENT))
+    return q_geometric, np.stack([qs for _, qs, _ in povms]), q_geometric * penalty
+
+
+def projector_dots(q: QuorumParams) -> np.ndarray:
+    """Dot products of the traceless parts of all 20 ideal projectors, (20, 20)."""
+    vecs = []
+    for m in q.measurements:
+        u = measurement_unitary(m)
+        for k in range(4):
+            vecs.append(traceless_coords(np.outer(u[k, :].conj(), u[k, :])))
+    v = np.array(vecs)
+    return v @ v.T
+
+
+def projector_histograms(q: QuorumParams, bin_width: float = 0.05, n_bins: int = 20) -> np.ndarray:
+    """Per-projector histogram of its dot products with the other 19 projectors."""
+    idx = np.clip(((projector_dots(q) + 0.25) / bin_width).astype(int), 0, n_bins - 1)
+    hists = np.empty((20, n_bins), dtype=np.int64)
+    for i in range(20):
+        hists[i] = np.bincount(np.delete(idx[i], i), minlength=n_bins)
+    return hists
+
+
+# ---------------------------------------------------------------------------
+# single-qubit model
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SingleQubitScheme:
+    """Three equal-polar-angle Bloch measurements with phases 0, 2pi/3, 4pi/3."""
+
+    theta: float
+    r: float = 0.0
+    phases: tuple[float, float, float] = (0.0, 2.0 * np.pi / 3.0, 4.0 * np.pi / 3.0)
+
+    def bloch_vectors(self) -> np.ndarray:
+        s, c = np.sin(self.theta), np.cos(self.theta)
+        return np.array([[s * np.cos(p), s * np.sin(p), c] for p in self.phases])
+
+
+def single_qubit_quality_decomposed(theta: float, r: float) -> float:
+    """Single-qubit quality via the Bloch-convention Gram volume times three q^(3/2) factors."""
+    scheme = SingleQubitScheme(theta, r)
+    vol = bloch_gram_volume(scheme.bloch_vectors() / np.sqrt(2.0))
+    q = np.exp(-r * abs(theta))
+    return float(vol * q ** (3.0 * NOISE_EXPONENT_2D))

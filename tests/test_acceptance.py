@@ -17,7 +17,6 @@ from noisyqst.gates import measurement_unitary, standard_mub_params
 from noisyqst.noise import (
     NoiseModel,
     apply_depolarizing,
-    apply_kraus,
     apply_ou_heisenberg,
     apply_ou_ising,
     assert_kraus_complete,
@@ -39,6 +38,7 @@ from noisyqst.quality import (
     single_qubit_quality,
 )
 from noisyqst.tomography import mub_scheme, pauli9_scheme, run_experiment
+from oracles import apply_kraus
 
 
 class _Timer:

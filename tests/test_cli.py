@@ -68,6 +68,31 @@ def test_gate_fidelity_values():
         assert float(proc.stdout) == pytest.approx(expected, abs=tol)
 
 
+def test_gate_fidelity_matches_inline_closed_forms_bytewise(capsys):
+    from noisyqst.cli import main
+    from noisyqst.noise import (
+        average_gate_fidelity,
+        kraus_depolarizing,
+        kraus_ou_heisenberg,
+        kraus_ou_ising,
+    )
+
+    # The CNOT entangler: time 1 (Heisenberg) or 1/4 (Ising); OU gammas of
+    # pulses (1/2, 0, 1/2) or of the single coupling beta_z = pi/4.
+    for s in (0.0, 0.034, 0.2, 1.3):
+        expected = {
+            ("depolarizing", "heisenberg"): kraus_depolarizing(np.exp(-s * np.pi * 1.0)),
+            ("depolarizing", "ising"): kraus_depolarizing(np.exp(-s * np.pi * 0.25)),
+            ("ou", "heisenberg"): kraus_ou_heisenberg(np.exp(-s * np.pi * np.array([0.5, 0, 0.5]))),
+            ("ou", "ising"): kraus_ou_ising(np.exp(-2.0 * s * np.array([0, 0, np.pi / 4]))),
+        }
+        for (channel, interaction), ops in expected.items():
+            code = main(["gate-fidelity", "--channel", channel, "--interaction", interaction,
+                         "--zeta", str(s)])
+            assert code == 0
+            assert capsys.readouterr().out == f"{average_gate_fidelity(ops):.12g}\n"
+
+
 def test_single_qubit_command():
     proc = run_cli("single-qubit", "-r", "0")
     doc = json.loads(proc.stdout)

@@ -16,13 +16,13 @@ from noisyqst.gates import (
     canonical_two_qubit,
     entangling_time,
     heisenberg_two_qubit,
-    heisenberg_two_qubit_sequence,
-    ising_two_qubit,
     measurement_unitary,
     nine_pauli_bases,
     single_qubit_gate,
     standard_mub_params,
 )
+
+from oracles import heisenberg_two_qubit_sequence, ising_two_qubit
 
 MAGIC = np.array(
     [[1, 0, 0, 1j], [0, 1j, 1, 0], [0, 1j, -1, 0], [1, 0, 0, -1j]], dtype=complex

@@ -15,7 +15,6 @@ from noisyqst.noise import (
     DegeneratePovmError,
     NoiseModel,
     apply_depolarizing,
-    apply_kraus,
     apply_ou_heisenberg,
     apply_ou_ising,
     assert_kraus_complete,
@@ -29,6 +28,8 @@ from noisyqst.noise import (
     ou_gammas_heisenberg,
     ou_gammas_ising,
 )
+
+from oracles import apply_kraus
 
 _IDENT = SingleQubitParams()
 

@@ -8,6 +8,8 @@ from noisyqst.optimize import (
     ObjectiveError,
     OptimizerOptions,
     SaSchedule,
+    _run_powell_start,
+    _run_starts,
     diverse_starts,
     diversity_threshold,
     optimize_quorum,
@@ -196,3 +198,21 @@ def test_mub_seeded_entangling_time_decreases_with_noise():
         totals.append(res.entangling_time_total)
     # mirrors the analytic trend 4 * alpha_max(zeta), monotone in zeta
     assert all(a > b - 1e-6 for a, b in zip(totals, totals[1:]))
+
+
+def test_failed_start_recorded_alike_serially_and_in_the_pool():
+    noise = NoiseModel("depolarizing", "heisenberg", 0.02)
+    opts = OptimizerOptions(max_iters=1)
+    x0 = quorum_to_vector(standard_mub_params("heisenberg"))
+    jobs = [
+        (noise, x0, opts, "mub"),
+        (noise, np.full(75, np.nan), opts, "nan"),
+        (noise, x0 + 0.05, opts, "shifted"),
+    ]
+    serial = _run_starts(_run_powell_start, jobs, threads=1)
+    pooled = _run_starts(_run_powell_start, jobs, threads=2)
+    assert serial == pooled
+    results, failures = serial
+    assert [r.start_label for r in results] == ["mub", "shifted"]
+    assert [label for label, _ in failures] == ["nan"]
+    assert failures[0][1].startswith("objective returned nan")

@@ -15,7 +15,6 @@ from noisyqst.quality import (
     NOISE_EXPONENT_2D,
     NOISE_EXPONENT_4D,
     PER_EFFECT_EXPONENT,
-    SingleQubitScheme,
     analytic_alpha_max,
     analytic_beta_max,
     analytic_heisenberg_qn,
@@ -27,8 +26,8 @@ from noisyqst.quality import (
     quality_report,
     single_qubit_optimal_angle,
     single_qubit_quality,
-    single_qubit_quality_decomposed,
 )
+from oracles import SingleQubitScheme, single_qubit_quality_decomposed
 
 
 def test_geometric_quality_mub_is_one_over_32():

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -179,3 +181,16 @@ def test_scheme_validation():
         Scheme("bad", [ideal_povm(np.eye(4, dtype=complex))], 0)
     with pytest.raises(ValueError):
         run_experiment([pauli9_scheme(1)], _NOISELESS, 2, 5, rng_seed=0)  # 5 // 9 == 0
+
+
+def test_ml_reconstruct_warns_only_when_stopped_at_max_iter(caplog):
+    rng = np.random.default_rng(6)
+    scheme = mub_scheme(_NOISELESS, 1)
+    rho = random_density(4, rng)
+    counts = [sample_measurement(rho, p, 1000, rng) for p in scheme.measurements]
+    with caplog.at_level(logging.WARNING, logger="noisyqst.tomography"):
+        ml_reconstruct(counts, scheme.measurements)
+        assert caplog.records == []
+        ml_reconstruct(counts, scheme.measurements, max_iter=1)
+    assert len(caplog.records) == 1
+    assert "max_iter=1" in caplog.records[0].getMessage()
