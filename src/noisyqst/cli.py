@@ -172,6 +172,8 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
+    if args.states < 1 or args.shots < 1:
+        raise SystemExit2("--states and --shots must be >= 1")
     grid = _parse_grid(args.grid)
     scheme_names = [s.strip() for s in args.schemes.split(",") if s.strip()]
     rows = []
@@ -180,19 +182,17 @@ def cmd_sweep(args) -> int:
         schemes = []
         for name in scheme_names:
             if name == "mub":
-                schemes.append(tomo.mub_scheme(noise, 1))
+                schemes.append(tomo.mub_scheme(noise))
             elif name == "pauli9":
-                schemes.append(tomo.pauli9_scheme(1))
+                schemes.append(tomo.pauli9_scheme())
             elif name == "optimized":
                 best = opt.optimize_quorum(
                     noise, strategy="mub-seeded", opts=opt.OptimizerOptions(seed=args.seed)
                 )[0]
-                schemes.append(tomo.quorum_scheme(best.params, noise, 1, "optimized"))
+                schemes.append(tomo.quorum_scheme(best.params, noise, "optimized"))
             else:
                 raise SystemExit2(f"unknown scheme {name!r} (expected mub, pauli9, optimized)")
-        reports = tomo.run_experiment(
-            schemes, noise, args.states, args.shots, args.seed, threads=args.threads
-        )
+        reports = tomo.run_experiment(schemes, args.states, args.shots, args.seed)
         rows.extend((rep, strength) for rep in reports)
     config_line = "# config: " + json.dumps(_effective_config(args), sort_keys=True) + "\n"
     _emit(args, config_line + tomo.reports_to_csv(rows))
@@ -256,7 +256,8 @@ def _add_common(p: argparse.ArgumentParser, *, noise: bool = True) -> None:
                        help="noise strength (zeta for depolarizing, r for ou)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output path (atomic write)")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                   help="worker processes for multistart optimization")
     p.add_argument("--config", default=None, help="JSON file of flag defaults")
 
 
@@ -312,13 +313,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    if "--config" not in argv:
+    for idx, arg in enumerate(argv):
+        if arg == "--config":
+            if idx + 1 == len(argv):
+                raise SystemExit2("--config requires a path")
+            path = argv[idx + 1]
+            break
+        if arg.startswith("--config="):
+            path = arg.split("=", 1)[1]
+            break
+    else:
         return argv
-    idx = argv.index("--config")
-    try:
-        path = argv[idx + 1]
-    except IndexError:
-        raise SystemExit2("--config requires a path")
     try:
         with open(path) as fh:
             cfg = json.load(fh)

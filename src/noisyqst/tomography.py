@@ -3,16 +3,16 @@
 Outcome counts are multinomial draws from the noisy effect probabilities
 Tr(F_jk rho).  Reconstruction maximizes the multinomial log-likelihood with
 the iterative R rho R fixed point, which keeps the iterate a valid density
-matrix throughout.  By default the reconstruction uses the true noisy
-effects (noise-aware likelihood); passing ``noise_aware=False`` uses the
-nominal projectors instead, for sensitivity studies.
+matrix throughout, on a whole stack of states at once.  By default the
+reconstruction uses the true noisy effects (noise-aware likelihood);
+passing ``noise_aware=False`` uses the nominal projectors instead, for
+sensitivity studies.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,15 +26,14 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class Scheme:
-    """A named measurement set with its per-measurement shot budget."""
+    """A named measurement set; run_experiment splits the shot budget over it."""
 
     label: str
     measurements: list[Povm]
-    shots_per_measurement: int
 
     def __post_init__(self):
-        if self.shots_per_measurement < 1:
-            raise ValueError("shots_per_measurement must be >= 1")
+        if not self.measurements:
+            raise ValueError("a scheme needs at least one measurement")
 
 
 @dataclass(frozen=True)
@@ -57,21 +56,18 @@ class ExperimentReport:
         }
 
 
-def mub_scheme(noise: NoiseModel, shots_per_measurement: int, label: str = "mub") -> Scheme:
+def mub_scheme(noise: NoiseModel, *, label: str = "mub") -> Scheme:
     """Standard MUB quorum under the given noise model."""
-    quorum = standard_mub_params(noise.interaction)
-    return Scheme(label, quorum_povms(quorum, noise), shots_per_measurement)
+    return quorum_scheme(standard_mub_params(noise.interaction), noise, label)
 
 
-def pauli9_scheme(shots_per_measurement: int, label: str = "pauli9") -> Scheme:
+def pauli9_scheme(*, label: str = "pauli9") -> Scheme:
     """Nine entanglement-free Pauli product bases; unaffected by entangler noise."""
-    return Scheme(label, [ideal_povm(u) for u in nine_pauli_bases()], shots_per_measurement)
+    return Scheme(label, [ideal_povm(u) for u in nine_pauli_bases()])
 
 
-def quorum_scheme(
-    quorum: QuorumParams, noise: NoiseModel, shots_per_measurement: int, label: str
-) -> Scheme:
-    return Scheme(label, quorum_povms(quorum, noise), shots_per_measurement)
+def quorum_scheme(quorum: QuorumParams, noise: NoiseModel, label: str) -> Scheme:
+    return Scheme(label, quorum_povms(quorum, noise))
 
 
 # ---------------------------------------------------------------------------
@@ -117,103 +113,106 @@ def ml_reconstruct(
     ll_tol: float = 1e-12,
     max_iter: int = 5000,
 ) -> np.ndarray:
-    """Maximum-likelihood density matrix from per-measurement outcome counts.
+    """Maximum-likelihood density matrices of a stack of states.
 
-    Iterates rho <- R rho R / Tr(R rho R) with R = sum (n_k / p_k) F_k / N
-    until the log-likelihood improvement drops below ``ll_tol`` relative to
-    its magnitude, starting from the maximally mixed state.  Stopping at
-    ``max_iter`` before that is logged as a warning.
+    ``counts`` has shape (n_states, n_effects): one row per state over the
+    effects of ``povms`` in order.  The result has shape (n_states, 4, 4).
+    A list of per-measurement count arrays is the one-state case and gives
+    one 4x4 matrix.
+
+    Each state iterates rho <- R rho R / Tr(R rho R) with
+    R = sum (n_k / p_k) F_k / N from the maximally mixed state, and leaves
+    the stack once its log-likelihood improvement drops below ``ll_tol``
+    relative to its magnitude.  One warning reports how many states were
+    still iterating at ``max_iter``.  Every contraction is a stacked matrix
+    product or a row sum, so a state's estimate does not depend on the
+    other states in the stack, bit for bit.
     """
+    stacked = isinstance(counts, np.ndarray) and counts.ndim == 2
     effects = _effect_stack(povms, noise_aware)
     _assert_informationally_complete(effects)
-    n = np.concatenate([np.asarray(c, dtype=float) for c in counts])
-    if n.shape[0] != effects.shape[0]:
-        raise ValueError("counts do not match the number of effects")
-    total = n.sum()
-    rho = np.eye(4, dtype=complex) / 4.0
-    ll_old = -np.inf
-    for _ in range(max_iter):
-        p = np.clip(np.einsum("kij,ji->k", effects, rho).real, 1e-12, None)
-        ll = float(np.dot(n, np.log(p)))
-        if ll - ll_old < ll_tol * max(1.0, abs(ll)):
-            break
-        ll_old = ll
-        r = np.einsum("k,kij->ij", n / (total * p), effects)
-        rho = r @ rho @ r
-        rho = (rho + rho.conj().T) / 2.0
-        rho /= np.trace(rho).real
+    if stacked:
+        n = np.asarray(counts, dtype=float)
     else:
+        n = np.concatenate([np.asarray(c, dtype=float) for c in counts])[None, :]
+    if n.shape[1] != effects.shape[0]:
+        raise ValueError("counts do not match the number of effects")
+    if not len(n):
+        raise ValueError("no states to reconstruct")
+    flat = effects.reshape(len(effects), 16)
+    total = n.sum(axis=1, keepdims=True)
+    estimates = np.empty((len(n), 4, 4), dtype=complex)
+    active = np.arange(len(n))
+    rho = np.tile(np.eye(4, dtype=complex) / 4.0, (len(n), 1, 1))
+    ll_old = np.full(len(n), -np.inf)
+    for _ in range(max_iter):
+        # Tr(F_k rho) as the product of vec(rho^T) with the flattened effects
+        p = np.clip((rho.mT.reshape(-1, 1, 16) @ flat.T)[:, 0].real, 1e-12, None)
+        # a stacked dot product, rounded like the one-state np.dot
+        ll = (n[:, None, :] @ np.log(p)[:, :, None])[:, 0, 0]
+        done = ll - ll_old < ll_tol * np.maximum(1.0, np.abs(ll))
+        if done.any():
+            estimates[active[done]] = rho[done]
+            keep = ~done
+            active, rho, n, total, p, ll = (a[keep] for a in (active, rho, n, total, p, ll))
+            if not len(active):
+                break
+        ll_old = ll
+        r = ((n / (total * p))[:, None, :] @ flat).reshape(-1, 4, 4)
+        rho = r @ rho @ r
+        rho = (rho + rho.conj().mT) / 2.0
+        rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+    if len(active):
+        estimates[active] = rho
         logger.warning(
-            "ml_reconstruct stopped at max_iter=%d before the log-likelihood converged", max_iter
+            "ml_reconstruct: %d of %d states stopped at max_iter=%d before the "
+            "log-likelihood converged", len(active), len(estimates), max_iter,
         )
-    return rho
-
-
-def log_likelihood(counts, povms: list[Povm], rho: np.ndarray, noise_aware: bool = True) -> float:
-    effects = _effect_stack(povms, noise_aware)
-    n = np.concatenate([np.asarray(c, dtype=float) for c in counts])
-    p = np.clip(np.einsum("kij,ji->k", effects, rho).real, 1e-12, None)
-    return float(np.dot(n, np.log(p)))
+    return estimates if stacked else estimates[0]
 
 
 # ---------------------------------------------------------------------------
 # experiment driver
 # ---------------------------------------------------------------------------
 
-def _simulate_state(args) -> float:
-    scheme, state_seed, sampling_seed, noise_aware = args
-    rho = random_density(4, np.random.default_rng(state_seed))
-    rng = np.random.default_rng(sampling_seed)
-    counts = [
-        sample_measurement(rho, povm, scheme.shots_per_measurement, rng)
-        for povm in scheme.measurements
-    ]
-    rho_hat = ml_reconstruct(counts, scheme.measurements, noise_aware=noise_aware)
-    assert_density(rho_hat, tol=1e-8)
-    return 1.0 - state_fidelity(rho, rho_hat)
-
-
 def run_experiment(
     schemes: list[Scheme],
-    noise: NoiseModel,
     n_states: int,
     total_shots: int,
     rng_seed: int,
     noise_aware: bool = True,
-    threads: int = 1,
 ) -> list[ExperimentReport]:
     """Average reconstruction infidelity of each scheme over random states.
 
     ``total_shots`` is split equally across a scheme's measurements (floor
     division; any remainder is dropped).  All schemes see the same random
     states, and per-state sampling streams depend only on the master seed,
-    the scheme index, and the state index, so reports are reproducible and
-    independent of ``threads``.
+    the scheme index, and the state index, so reports are reproducible.
+    Each scheme's states are reconstructed as one stack.
     """
-    _ = noise  # noise enters through the schemes' POVMs; kept for provenance
-    state_seeds = [
-        np.random.SeedSequence(entropy=rng_seed, spawn_key=(0, i)) for i in range(n_states)
+    if n_states < 1:
+        raise ValueError("n_states must be >= 1")
+    states = [
+        random_density(4, np.random.default_rng(
+            np.random.SeedSequence(entropy=rng_seed, spawn_key=(0, i))))
+        for i in range(n_states)
     ]
     reports = []
     for s_idx, scheme in enumerate(schemes):
         shots = total_shots // len(scheme.measurements)
         if shots < 1:
             raise ValueError(f"budget {total_shots} too small for scheme {scheme.label!r}")
-        sized = Scheme(scheme.label, scheme.measurements, shots)
-        jobs = [
-            (
-                sized,
-                state_seeds[i],
-                np.random.SeedSequence(entropy=rng_seed, spawn_key=(1 + s_idx, i)),
-                noise_aware,
-            )
-            for i in range(n_states)
-        ]
-        if threads > 1:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                infids = np.fromiter(pool.map(_simulate_state, jobs, chunksize=8), float, n_states)
-        else:
-            infids = np.fromiter((_simulate_state(j) for j in jobs), float, n_states)
+        counts = []
+        for i, rho in enumerate(states):
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=rng_seed, spawn_key=(1 + s_idx, i)))
+            counts.append(np.concatenate(
+                [sample_measurement(rho, povm, shots, rng) for povm in scheme.measurements]))
+        estimates = ml_reconstruct(np.array(counts), scheme.measurements, noise_aware=noise_aware)
+        infids = np.empty(n_states)
+        for i, (rho, rho_hat) in enumerate(zip(states, estimates)):
+            assert_density(rho_hat, tol=1e-8)
+            infids[i] = 1.0 - state_fidelity(rho, rho_hat)
         reports.append(
             ExperimentReport(
                 scheme_label=scheme.label,

@@ -168,8 +168,8 @@ def test_criterion_6_reconstruction_experiment():
         runs = {}
         for zeta in (0.0, 0.04, 0.15):
             noise = NoiseModel("depolarizing", "heisenberg", zeta)
-            schemes = [mub_scheme(noise, 1), pauli9_scheme(1)]
-            runs[zeta] = run_experiment(schemes, noise, n_states, shots, rng_seed=seed)
+            schemes = [mub_scheme(noise), pauli9_scheme()]
+            runs[zeta] = run_experiment(schemes, n_states, shots, rng_seed=seed)
 
         # (a) zero noise: MUB beats the nine Pauli bases by > 2 combined sems
         mub0, pauli0 = runs[0.0]

@@ -194,6 +194,38 @@ def test_config_file_equivalent_to_flags(tmp_path):
     assert "config" in json.loads(via_cfg)
 
 
+def test_config_equals_form_matches_separate_form(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"interaction": "ising", "strength": 0.05, "threads": 1}))
+    separate = run_cli("quality", "--mub", "ising", "--config", cfg).stdout
+    joined = run_cli("quality", "--mub", "ising", f"--config={cfg}").stdout
+    assert joined == separate
+    assert json.loads(joined)["noise"]["strength"] == 0.05
+
+
+@pytest.mark.parametrize("flag", ["--states", "--shots"])
+def test_sweep_rejects_nonpositive_states_and_shots(flag):
+    for value in ("0", "-3"):
+        proc = run_cli("sweep", "--grid", "0", flag, value, check=False)
+        assert proc.returncode == 2
+        assert "--states and --shots must be >= 1" in proc.stderr
+
+
+def test_optimize_output_does_not_depend_on_threads(tmp_path):
+    results = []
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}.csv"
+        run_cli(
+            "optimize", "--zeta", "0.02", "--strategy", "multistart", "--starts", "2",
+            "--max-iters", "1", "--threshold-pairs", "50", "--seed", "4",
+            "--threads", threads, "--out", out,
+        )
+        doc = json.loads((tmp_path / f"threads{threads}.csv.json").read_text())
+        assert doc.pop("config")["threads"] == threads
+        results.append((out.read_bytes(), json.dumps(doc, sort_keys=True)))
+    assert results[0] == results[1]
+
+
 def test_unknown_subcommand_exits_2():
     proc = run_cli("frobnicate", check=False)
     assert proc.returncode == 2

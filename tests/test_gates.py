@@ -2,12 +2,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 from noisyqst.core import PAULI_X, PAULI_Y, PAULI_Z, assert_unitary
 from noisyqst.gates import (
     BELL_CONVENTIONAL,
+    INTERACTIONS,
     CanonicalParams,
     HeisenbergTimes,
     MeasurementParams,
@@ -21,6 +25,7 @@ from noisyqst.gates import (
     single_qubit_gate,
     standard_mub_params,
 )
+from noisyqst.optimize import vector_to_quorum
 
 from oracles import heisenberg_two_qubit_sequence, ising_two_qubit
 
@@ -186,13 +191,17 @@ def test_nine_pauli_bases_shape_and_product_structure():
             assert s[1] < 1e-12  # Schmidt rank 1: product state
 
 
-def test_quorum_json_round_trip():
-    quorum = standard_mub_params("ising")
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(x=arrays(np.float64, 75, elements=st.floats(-2 * np.pi, 2 * np.pi)),
+       interaction=st.sampled_from(INTERACTIONS))
+def test_quorum_json_round_trip(x, interaction):
+    quorum = vector_to_quorum(x, interaction)
     text = quorum.to_json()
     back = QuorumParams.from_json(text)
     assert back == quorum
+    assert np.array_equal(back.to_array(), quorum.to_array())
     data = json.loads(text)
-    assert data["interaction"] == "ising"
+    assert data["interaction"] == interaction
     assert len(data["measurements"]) == 5
     assert set(data["measurements"][0]) == {"pre1", "pre2", "entangler", "post1", "post2"}
 

@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import minimize_scalar
 
 from noisyqst.core import bloch_gram_volume
 from noisyqst.gates import (
+    INTERACTIONS,
     HeisenbergTimes,
     MeasurementParams,
     QuorumParams,
     measurement_unitary,
     standard_mub_params,
 )
-from noisyqst.noise import NoiseModel, ideal_povm, quorum_povms
+from noisyqst.noise import CHANNELS, NoiseModel, ideal_povm, quorum_povms
+from noisyqst.optimize import vector_to_quorum
 from noisyqst.quality import (
     NOISE_EXPONENT_2D,
     NOISE_EXPONENT_4D,
@@ -80,6 +85,20 @@ def test_quality_report_invariants_and_json():
     doc = rep.to_dict()
     assert set(doc) == {"q_geometric", "q_noisy", "per_measurement_q", "entangling_times"}
     assert np.asarray(doc["per_measurement_q"]).shape == (5, 4)
+
+
+# Rounding can lift an undamped q a few ulps above 1 (sampled OU quorums
+# reach 1 + 4e-16), hence the relative slack on both bounds.
+@pytest.mark.parametrize("channel", CHANNELS)
+@pytest.mark.parametrize("interaction", INTERACTIONS)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(x=arrays(np.float64, 75, elements=st.floats(-2 * np.pi, 2 * np.pi)),
+       strength=st.floats(0.0, 1.0))
+def test_noise_only_shrinks_q_and_quality(channel, interaction, x, strength):
+    rep = quality_report(vector_to_quorum(x, interaction), NoiseModel(channel, interaction, strength))
+    assert np.all(rep.per_measurement_q > 0.0)
+    assert np.all(rep.per_measurement_q <= 1.0 + 1e-12)
+    assert rep.q_noisy <= rep.q_geometric * (1.0 + 1e-12)
 
 
 def test_quality_invariant_under_diagonal_phase_postrotation():

@@ -3,12 +3,12 @@ import logging
 import numpy as np
 import pytest
 
+import oracles
 from noisyqst.core import assert_density, random_density, state_fidelity
 from noisyqst.noise import NoiseModel, ideal_povm
 from noisyqst.tomography import (
     ExperimentReport,
     Scheme,
-    log_likelihood,
     ml_reconstruct,
     mub_scheme,
     outcome_probabilities,
@@ -29,7 +29,7 @@ def test_sample_measurement_pure_state_standard_basis():
 
 def test_outcome_probabilities_sum_to_one_for_noisy_povm():
     rng = np.random.default_rng(1)
-    scheme = mub_scheme(NoiseModel("ou", "heisenberg", 0.2), 1)
+    scheme = mub_scheme(NoiseModel("ou", "heisenberg", 0.2))
     for _ in range(10):
         rho = random_density(4, rng)
         for povm in scheme.measurements:
@@ -40,7 +40,7 @@ def test_outcome_probabilities_sum_to_one_for_noisy_povm():
 def test_sample_measurement_frequencies_match_probabilities():
     rng = np.random.default_rng(2)
     rho = random_density(4, rng)
-    povm = mub_scheme(_NOISELESS, 1).measurements[3]
+    povm = mub_scheme(_NOISELESS).measurements[3]
     p = outcome_probabilities(rho, povm)
     n = 100_000
     counts = sample_measurement(rho, povm, n, rng)
@@ -57,7 +57,7 @@ def test_sample_measurement_rejects_bad_inputs():
         sample_measurement(bad, povm, 10, np.random.default_rng(0))
 
 def test_ml_reconstruct_exact_probabilities_recovers_state():
-    scheme = mub_scheme(_NOISELESS, 1)
+    scheme = mub_scheme(_NOISELESS)
     rng = np.random.default_rng(3)
     for _ in range(5):
         rho = random_density(4, rng)
@@ -66,13 +66,13 @@ def test_ml_reconstruct_exact_probabilities_recovers_state():
         assert state_fidelity(rho, rho_hat) > 1.0 - 1e-6
 
 def test_ml_reconstruct_uniform_counts_give_maximally_mixed():
-    scheme = mub_scheme(_NOISELESS, 1)
+    scheme = mub_scheme(_NOISELESS)
     counts = [np.full(4, 250.0) for _ in scheme.measurements]
     rho_hat = ml_reconstruct(counts, scheme.measurements)
     assert np.max(np.abs(rho_hat - np.eye(4) / 4)) < 1e-6
 
 def test_ml_reconstruct_log_likelihood_non_decreasing():
-    scheme = mub_scheme(NoiseModel("depolarizing", "heisenberg", 0.05), 1)
+    scheme = mub_scheme(NoiseModel("depolarizing", "heisenberg", 0.05))
     rng = np.random.default_rng(4)
     for _ in range(5):
         rho = random_density(4, rng)
@@ -93,14 +93,14 @@ def test_ml_reconstruct_log_likelihood_non_decreasing():
         assert np.all(diffs > -1e-9)
 
 def test_ml_reconstruct_requires_informational_completeness():
-    scheme = mub_scheme(_NOISELESS, 1)
+    scheme = mub_scheme(_NOISELESS)
     with pytest.raises(ValueError):
         ml_reconstruct(
             [np.full(4, 10.0)] * 2, scheme.measurements[:2]
         )
 
 def test_ml_reconstruct_output_is_valid_density():
-    scheme = mub_scheme(NoiseModel("ou", "heisenberg", 0.15), 1)
+    scheme = mub_scheme(NoiseModel("ou", "heisenberg", 0.15))
     rng = np.random.default_rng(5)
     for _ in range(5):
         rho = random_density(4, rng)
@@ -110,28 +110,31 @@ def test_ml_reconstruct_output_is_valid_density():
 
 def test_noise_ignorant_mode_differs_under_noise():
     noise = NoiseModel("depolarizing", "heisenberg", 0.2)
-    scheme = mub_scheme(noise, 1)
+    scheme = mub_scheme(noise)
     rng = np.random.default_rng(6)
     rho = random_density(4, rng)
     counts = [sample_measurement(rho, p, 2000, rng) for p in scheme.measurements]
     aware = ml_reconstruct(counts, scheme.measurements, noise_aware=True)
     ignorant = ml_reconstruct(counts, scheme.measurements, noise_aware=False)
     assert np.max(np.abs(aware - ignorant)) > 1e-4
-    assert log_likelihood(counts, scheme.measurements, aware) >= log_likelihood(
+    assert oracles.log_likelihood(counts, scheme.measurements, aware) >= oracles.log_likelihood(
         counts, scheme.measurements, ignorant
     )
 
-def test_run_experiment_reproducible_and_threads_invariant():
-    schemes = [mub_scheme(_NOISELESS, 1), pauli9_scheme(1)]
-    a = run_experiment(schemes, _NOISELESS, 10, 2304, rng_seed=9)
-    b = run_experiment(schemes, _NOISELESS, 10, 2304, rng_seed=9)
+def test_run_experiment_reproducible():
+    schemes = [mub_scheme(_NOISELESS), pauli9_scheme()]
+    a = run_experiment(schemes, 10, 2304, rng_seed=9)
+    b = run_experiment(schemes, 10, 2304, rng_seed=9)
     assert a == b
-    c = run_experiment(schemes, _NOISELESS, 10, 2304, rng_seed=9, threads=2)
-    assert a == c
+
+
+def test_run_experiment_rejects_an_empty_state_set():
+    with pytest.raises(ValueError, match="n_states"):
+        run_experiment([pauli9_scheme()], 0, 2304, rng_seed=0)
 
 def test_run_experiment_splits_budget_and_reports():
-    schemes = [mub_scheme(_NOISELESS, 1), pauli9_scheme(1)]
-    reports = run_experiment(schemes, _NOISELESS, 5, 23040, rng_seed=1)
+    schemes = [mub_scheme(_NOISELESS), pauli9_scheme()]
+    reports = run_experiment(schemes, 5, 23040, rng_seed=1)
     assert reports[0].total_shots == 23040  # 4608 x 5
     assert reports[1].total_shots == 23040  # 2560 x 9
     for r in reports:
@@ -143,16 +146,16 @@ def test_pauli_scheme_reports_invariant_under_noise_strength():
     reference = None
     for zeta in (0.0, 0.1, 0.2):
         noise = NoiseModel("depolarizing", "heisenberg", zeta)
-        schemes = [mub_scheme(noise, 1), pauli9_scheme(1)]
-        reports = run_experiment(schemes, noise, 8, 4608, rng_seed=21)
+        schemes = [mub_scheme(noise), pauli9_scheme()]
+        reports = run_experiment(schemes, 8, 4608, rng_seed=21)
         if reference is None:
             reference = reports[1]
         else:
             assert reports[1] == reference
 
 def test_zero_noise_mub_beats_pauli():
-    schemes = [mub_scheme(_NOISELESS, 1), pauli9_scheme(1)]
-    reports = run_experiment(schemes, _NOISELESS, 200, 23040, rng_seed=17)
+    schemes = [mub_scheme(_NOISELESS), pauli9_scheme()]
+    reports = run_experiment(schemes, 200, 23040, rng_seed=17)
     mub, pauli = reports
     combined = np.hypot(mub.sem, pauli.sem)
     assert mub.mean_infidelity < pauli.mean_infidelity - 2 * combined
@@ -162,7 +165,7 @@ def test_mean_infidelity_decreases_with_shots():
     means, sems = [], []
     for shots in (2304, 23040, 230400):
         rep = run_experiment(
-            [mub_scheme(_NOISELESS, 1)], _NOISELESS, 200, shots, rng_seed=33
+            [mub_scheme(_NOISELESS)], 200, shots, rng_seed=33
         )[0]
         means.append(rep.mean_infidelity)
         sems.append(rep.sem)
@@ -178,19 +181,82 @@ def test_reports_to_csv_format():
 
 def test_scheme_validation():
     with pytest.raises(ValueError):
-        Scheme("bad", [ideal_povm(np.eye(4, dtype=complex))], 0)
+        Scheme("bad", [])
     with pytest.raises(ValueError):
-        run_experiment([pauli9_scheme(1)], _NOISELESS, 2, 5, rng_seed=0)  # 5 // 9 == 0
+        run_experiment([pauli9_scheme()], 2, 5, rng_seed=0)  # 5 // 9 == 0
 
 
 def test_ml_reconstruct_warns_only_when_stopped_at_max_iter(caplog):
     rng = np.random.default_rng(6)
-    scheme = mub_scheme(_NOISELESS, 1)
+    scheme = mub_scheme(_NOISELESS)
     rho = random_density(4, rng)
     counts = [sample_measurement(rho, p, 1000, rng) for p in scheme.measurements]
+    stack = np.stack([np.concatenate(counts), np.full(20, 250), np.concatenate(counts)])
     with caplog.at_level(logging.WARNING, logger="noisyqst.tomography"):
         ml_reconstruct(counts, scheme.measurements)
+        ml_reconstruct(stack, scheme.measurements)
         assert caplog.records == []
         ml_reconstruct(counts, scheme.measurements, max_iter=1)
-    assert len(caplog.records) == 1
+        # uniform counts converge at the second check; the others run on
+        ml_reconstruct(stack, scheme.measurements, max_iter=3)
+    assert len(caplog.records) == 2
+    assert "1 of 1 states" in caplog.records[0].getMessage()
     assert "max_iter=1" in caplog.records[0].getMessage()
+    assert "2 of 3 states" in caplog.records[1].getMessage()
+    assert "max_iter=3" in caplog.records[1].getMessage()
+
+
+# The stacked kernel against the per-state loop it replaced
+# (``oracles.ml_reconstruct``).  The two contract in a different order, so
+# each iteration differs by rounding only, near 1e-16.  The tolerance was
+# fixed before the kernel was written.
+ORACLE_TOL = 1e-8
+
+
+def _stack_counts(scheme, n_states, total_shots, seed):
+    rng = np.random.default_rng(seed)
+    shots = total_shots // len(scheme.measurements)
+    return np.array([
+        np.concatenate([sample_measurement(rho, p, shots, rng) for p in scheme.measurements])
+        for rho in [random_density(4, rng) for _ in range(n_states)]
+    ])
+
+
+@pytest.mark.parametrize("channel", ["depolarizing", "ou"])
+@pytest.mark.parametrize("scheme_name", ["mub", "pauli9"])
+def test_ml_stack_matches_per_state_oracle(channel, scheme_name):
+    noise = NoiseModel(channel, "heisenberg", 0.1)
+    scheme = mub_scheme(noise) if scheme_name == "mub" else pauli9_scheme()
+    counts = _stack_counts(scheme, 12, 2304, seed=0)
+    for max_iter, capped in ((5000, False), (40, True)):
+        estimates = ml_reconstruct(counts, scheme.measurements, max_iter=max_iter)
+        converged = []
+        for est, c in zip(estimates, counts):
+            ref, ok = oracles.ml_reconstruct(c, scheme.measurements, max_iter=max_iter)
+            assert np.max(np.abs(est - ref)) <= ORACLE_TOL
+            converged.append(ok)
+        if capped:
+            assert not all(converged)  # the comparison includes states stopped at the cap
+
+
+def test_ml_stack_estimates_do_not_depend_on_the_stack():
+    scheme = mub_scheme(NoiseModel("ou", "heisenberg", 0.1))
+    counts = _stack_counts(scheme, 16, 2304, seed=1)
+    full = ml_reconstruct(counts, scheme.measurements)
+    perm = np.random.default_rng(2).permutation(len(counts))
+    assert ml_reconstruct(counts[perm], scheme.measurements).tobytes() == full[perm].tobytes()
+    assert ml_reconstruct(counts[:7], scheme.measurements).tobytes() == full[:7].tobytes()
+    for i in (0, 5, 15):
+        alone = ml_reconstruct(counts[i : i + 1], scheme.measurements)
+        assert alone.shape == (1, 4, 4)
+        assert alone[0].tobytes() == full[i].tobytes()
+        per_measurement = np.split(counts[i], len(scheme.measurements))
+        assert ml_reconstruct(per_measurement, scheme.measurements).tobytes() == full[i].tobytes()
+
+
+def test_ml_reconstruct_rejects_counts_of_the_wrong_shape():
+    scheme = mub_scheme(_NOISELESS)
+    with pytest.raises(ValueError, match="number of effects"):
+        ml_reconstruct(np.full((3, 16), 10.0), scheme.measurements)
+    with pytest.raises(ValueError, match="no states"):
+        ml_reconstruct(np.empty((0, 20)), scheme.measurements)
