@@ -48,25 +48,9 @@ from .quality import (
     single_qubit_quality,
 )
 
-# Flags echoed into outputs; --out and --config are omitted so the result
-# does not depend on where it is written.
-_CONFIG_KEYS = (
-    "channel",
-    "interaction",
-    "strength",
-    "seed",
-    "threads",
-    "shots",
-    "states",
-    "quorum",
-    "mub",
-    "strategy",
-    "starts",
-    "grid",
-    "schemes",
-    "samples",
-    "gate",
-)
+# Outputs echo every parsed flag except the subcommand's name and handler
+# and --out and --config, so the result does not depend on where it is written.
+_NOT_ECHOED = ("command", "func", "out", "config")
 
 
 def _noise_from_args(args) -> NoiseModel:
@@ -82,13 +66,7 @@ class SystemExit2(SystemExit):
 
 
 def _effective_config(args) -> dict:
-    cfg = {}
-    for key in _CONFIG_KEYS:
-        if hasattr(args, key):
-            val = getattr(args, key)
-            if val is not None:
-                cfg[key] = val
-    return cfg
+    return {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED and v is not None}
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -140,6 +118,8 @@ def cmd_quality(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    if args.starts < 1 or args.threshold_pairs < 1:
+        raise SystemExit2("--starts and --threshold-pairs must be >= 1")
     noise = _noise_from_args(args)
     opts = opt.OptimizerOptions(seed=args.seed, max_iters=args.max_iters)
     results = opt.optimize_quorum(

@@ -184,6 +184,8 @@ class QuorumParams:
                     raise ValueError(f"field {key!r} must hold 3 reals")
                 row += vals
             rows.append(row)
+        if not np.all(np.isfinite(rows)):
+            raise ValueError("quorum parameters must be finite")
         return cls.from_array(rows, interaction)
 
     @classmethod

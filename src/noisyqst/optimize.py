@@ -1,12 +1,13 @@
 """Derivative-free search for high-quality measurement quorums.
 
-A quorum is flattened to 75 reals (five measurements times 15 gate
-parameters).  Local refinement uses Powell's direction-set method; global
-exploration uses simulated annealing with Gaussian proposals and geometric
-cooling followed by a Powell polish.  Multistart runs draw starting points
-that are mutually diverse under a binned Jaccard distance on the projector
-dot-product multisets.  The objective is -ln Q_N, which has the same argmax
-as Q_N and avoids underflow for small volumes.
+Inside the search a quorum is its (5, 15) parameter array, flattened to 75
+reals for the optimizers.  Local refinement uses Powell's direction-set
+method; global exploration uses simulated annealing with Gaussian proposals
+and geometric cooling followed by a Powell polish.  Multistart runs draw
+starting points that are mutually diverse under a binned Jaccard distance on
+the projector dot-product multisets, scored on (n, 5, 15) stacks.  The
+objective is -ln Q_N, which has the same argmax as Q_N and avoids underflow
+for small volumes.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 from scipy import optimize as spopt
 
 from .gates import (
+    ENTANGLER_SLOTS,
     HEISENBERG,
     QuorumParams,
     entangling_time,
@@ -163,7 +165,7 @@ def simulated_annealing(f, x0, opts: OptimizerOptions, rng: np.random.Generator)
 
 
 # ---------------------------------------------------------------------------
-# quorum <-> parameter vector
+# quorum parameters
 # ---------------------------------------------------------------------------
 
 def vector_to_quorum(x: np.ndarray, interaction: str) -> QuorumParams:
@@ -171,19 +173,13 @@ def vector_to_quorum(x: np.ndarray, interaction: str) -> QuorumParams:
     return QuorumParams.from_array(quorum_array(x, interaction), interaction)
 
 
-def quorum_to_vector(q: QuorumParams) -> np.ndarray:
-    return q.to_array().ravel()
-
-
-def random_quorum(interaction: str, rng: np.random.Generator) -> QuorumParams:
-    """Uniform angles; Heisenberg pulses in [0, 2), Ising couplings in [-pi/2, pi/2)."""
-    x = rng.uniform(0.0, 2.0 * np.pi, size=75)
-    for j in range(5):
-        if interaction == HEISENBERG:
-            x[15 * j + 6 : 15 * j + 9] = rng.uniform(0.0, 2.0, size=3)
-        else:
-            x[15 * j + 6 : 15 * j + 9] = rng.uniform(-np.pi / 2, np.pi / 2, size=3)
-    return vector_to_quorum(x, interaction)
+def random_quorum(interaction: str, rng: np.random.Generator) -> np.ndarray:
+    """(5, 15) parameters as :func:`~noisyqst.gates.quorum_array` gives them: uniform angles,
+    then the entanglers' Heisenberg pulses in [0, 2) or Ising couplings in [-pi/2, pi/2)."""
+    x = rng.uniform(0.0, 2.0 * np.pi, size=(5, 15))
+    lo, hi = (0.0, 2.0) if interaction == HEISENBERG else (-np.pi / 2, np.pi / 2)
+    x[:, ENTANGLER_SLOTS] = rng.uniform(lo, hi, size=(5, 3))
+    return quorum_array(x.ravel(), interaction)
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +187,7 @@ def random_quorum(interaction: str, rng: np.random.Generator) -> QuorumParams:
 # ---------------------------------------------------------------------------
 
 _BIN_WIDTH = 0.05
-_BIN_EDGES = np.arange(-0.25, 0.75 + _BIN_WIDTH / 2, _BIN_WIDTH)
-_N_BINS = len(_BIN_EDGES) - 1  # 20 bins over [-1/4, 3/4]
+_N_BINS = 20  # over [-1/4, 3/4]
 
 
 # Row i of the 20 projectors counts the bins of its dot products with the
@@ -200,75 +195,97 @@ _N_BINS = len(_BIN_EDGES) - 1  # 20 bins over [-1/4, 3/4]
 _OFF_DIAGONAL = ~np.eye(20, dtype=bool)
 _HIST_ROW = _N_BINS * np.nonzero(_OFF_DIAGONAL)[0]
 
+# Random pairs that diversity_threshold scores at once.  Each pair holds
+# about 45 KiB of gate and histogram temporaries: scoring 1,000 pairs at once
+# raised a multistart run's peak RSS from 81 to 124 MiB; 25 at once keep 81.
+_PAIR_BLOCK = 25
 
-def _projector_histograms(q: QuorumParams) -> np.ndarray:
-    """Per-projector histogram of its dot products with the other 19 projectors.
 
-    The dot product of the traceless parts of |u_a><u_a| and |u_b><u_b| is
+def _projector_histograms(params, interaction: str) -> np.ndarray:
+    """Per-projector histograms (..., 20, n_bins) of parameters (..., 5, 15), as uint8.
+
+    Row a counts the dot products of projector a with the other 19.  The dot
+    product of the traceless parts of |u_a><u_a| and |u_b><u_b| is
     |<u_a|u_b>|^2 - 1/4, taken over the rows of the five measurement unitaries.
     """
-    pre, ent, post = measurement_layers(q.to_array(), q.interaction)
-    rows = (pre @ ent @ post).reshape(20, 4)
-    dots = np.abs(rows.conj() @ rows.T) ** 2 - 0.25
+    pre, ent, post = measurement_layers(params, interaction)
+    rows = (pre @ ent @ post).reshape(-1, 20, 4)
+    dots = np.abs(rows.conj() @ rows.swapaxes(-1, -2)) ** 2 - 0.25
     idx = np.clip(((dots + 0.25) / _BIN_WIDTH).astype(int), 0, _N_BINS - 1)
-    counts = np.bincount(_HIST_ROW + idx[_OFF_DIAGONAL], minlength=20 * _N_BINS)
-    return counts.reshape(20, _N_BINS)
+    flat = _HIST_ROW + idx[:, _OFF_DIAGONAL] + 20 * _N_BINS * np.arange(len(rows))[:, None]
+    counts = np.bincount(flat.ravel(), minlength=len(rows) * 20 * _N_BINS)
+    return counts.astype(np.uint8).reshape(*np.shape(params)[:-2], 20, _N_BINS)
 
 
-def _jaccard_matrix(ha: np.ndarray, hb: np.ndarray) -> np.ndarray:
-    inter = np.minimum(ha[:, None, :], hb[None, :, :]).sum(axis=2)
-    union = np.maximum(ha[:, None, :], hb[None, :, :]).sum(axis=2)
-    return 1.0 - inter / union
+def _jaccard_distance(ha: np.ndarray, hb: np.ndarray) -> np.ndarray:
+    """Symmetrized mean of per-projector minimal Jaccard distances in [0, 1],
+    between histograms (..., 20, n_bins) whose leading axes broadcast.
+
+    Every row holds 19 counts, so the union of rows a and b is 38 minus
+    their intersection, and a row's nearest row is the one it shares most with.
+    """
+    lead = np.broadcast_shapes(ha.shape[:-2], hb.shape[:-2])
+    ha, hb = (np.broadcast_to(h, lead + h.shape[-2:]) for h in (ha, hb))
+    # Bins outermost: each minimum runs over a contiguous block of hb's rows,
+    # and the sum over bins adds whole blocks.
+    a = np.moveaxis(ha, (-1, -2), (0, 1))[..., None]
+    b = np.ascontiguousarray(np.moveaxis(hb, -1, 0))[:, None]
+    inter = np.minimum(a, b).sum(axis=0, dtype=np.uint8)  # (20 rows of ha, *lead, 20 of hb)
+
+    def mean_distance(shared):
+        return (1.0 - shared / (38 - shared)).mean(axis=-1)
+
+    # Contiguous, so each mean sums its 20 terms in the same order for any stack.
+    nearest_a = np.moveaxis(inter.max(axis=-1), 0, -1).copy()
+    return (mean_distance(nearest_a) + mean_distance(inter.max(axis=0))) / 2.0
 
 
-def quorum_distance(a: QuorumParams, b: QuorumParams) -> float:
-    """Symmetrized mean of per-projector minimal Jaccard distances in [0, 1]."""
-    d = _jaccard_matrix(_projector_histograms(a), _projector_histograms(b))
-    return float((d.min(axis=1).mean() + d.min(axis=0).mean()) / 2.0)
+def quorum_distance(a, b, interaction: str) -> float:
+    """Jaccard distance in [0, 1] of two quorums given as (5, 15) parameter arrays."""
+    ha, hb = _projector_histograms(np.stack([a, b]), interaction)
+    return float(_jaccard_distance(ha, hb))
 
 
 def diversity_threshold(
     interaction: str, rng: np.random.Generator, n_pairs: int = 10_000
 ) -> float:
     """Mean minus one standard deviation of the distance between random quorums."""
+    if n_pairs < 1:
+        raise ValueError("n_pairs must be >= 1")
     samples = np.empty(n_pairs)
-    for i in range(n_pairs):
-        samples[i] = quorum_distance(
-            random_quorum(interaction, rng), random_quorum(interaction, rng)
-        )
+    for lo in range(0, n_pairs, _PAIR_BLOCK):
+        pairs = min(_PAIR_BLOCK, n_pairs - lo)
+        params = np.stack([random_quorum(interaction, rng) for _ in range(2 * pairs)])
+        hists = _projector_histograms(params, interaction)
+        samples[lo : lo + pairs] = _jaccard_distance(hists[0::2], hists[1::2])
     return float(samples.mean() - samples.std())
 
 
 def diverse_starts(
     n: int,
-    noise: NoiseModel,
+    interaction: str,
     rng: np.random.Generator,
     threshold_pairs: int = 10_000,
-) -> list[QuorumParams]:
+) -> np.ndarray:
     """Rejection-sample n quorums that are pairwise at least a threshold apart.
 
-    The threshold is estimated once per call from ``threshold_pairs`` random
-    pairs; if 100 n consecutive candidates fail, it is relaxed by 10% and the
-    relaxation is logged.
+    Returns their flat parameter vectors, shape (n, 75).  The threshold is
+    estimated once per call from ``threshold_pairs`` random pairs; if 100 n
+    consecutive candidates fail, it is relaxed by 10% and the relaxation is
+    logged.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    threshold = diversity_threshold(noise.interaction, rng, threshold_pairs)
-    accepted: list[QuorumParams] = []
-    hists: list[np.ndarray] = []
-    rejections = 0
-    while len(accepted) < n:
-        cand = random_quorum(noise.interaction, rng)
-        hc = _projector_histograms(cand)
-        ok = True
-        for h in hists:
-            d = _jaccard_matrix(hc, h)
-            if (d.min(axis=1).mean() + d.min(axis=0).mean()) / 2.0 < threshold:
-                ok = False
-                break
-        if ok:
-            accepted.append(cand)
-            hists.append(hc)
+    threshold = diversity_threshold(interaction, rng, threshold_pairs)
+    starts = np.empty((n, 5, 15))
+    hists = np.empty((n, 20, _N_BINS), dtype=np.uint8)
+    accepted = rejections = 0
+    while accepted < n:
+        cand = random_quorum(interaction, rng)
+        hc = _projector_histograms(cand, interaction)
+        if np.all(_jaccard_distance(hc, hists[:accepted]) >= threshold):
+            starts[accepted], hists[accepted] = cand, hc
+            accepted += 1
             rejections = 0
         else:
             rejections += 1
@@ -278,7 +295,7 @@ def diverse_starts(
                 logger.warning(
                     "diversity threshold unreachable, relaxing to %.4f", threshold
                 )
-    return accepted
+    return starts.reshape(n, 75)
 
 
 # ---------------------------------------------------------------------------
@@ -359,23 +376,20 @@ def optimize_quorum(
     opts = opts or OptimizerOptions()
     jobs = []
     if strategy == "mub-seeded":
-        x0 = quorum_to_vector(standard_mub_params(noise.interaction))
+        x0 = standard_mub_params(noise.interaction).to_array().ravel()
         jobs = [(noise, x0, opts, "mub")]
         runner = _run_powell_start
     elif strategy == "multistart":
         rng = np.random.default_rng(opts.seed)
-        starts = diverse_starts(n_starts, noise, rng, threshold_pairs)
-        jobs = [
-            (noise, quorum_to_vector(s), opts, f"multistart-{i}")
-            for i, s in enumerate(starts)
-        ]
+        starts = diverse_starts(n_starts, noise.interaction, rng, threshold_pairs)
+        jobs = [(noise, x0, opts, f"multistart-{i}") for i, x0 in enumerate(starts)]
         runner = _run_powell_start
     else:
         seeds = np.random.SeedSequence(opts.seed).spawn(n_starts)
         rng = np.random.default_rng(opts.seed)
         jobs = [
-            (noise, quorum_to_vector(random_quorum(noise.interaction, rng)), opts,
-             seeds[i], f"annealing-{i}")
+            (noise, random_quorum(noise.interaction, rng).ravel(), opts, seeds[i],
+             f"annealing-{i}")
             for i in range(n_starts)
         ]
         runner = _run_annealing

@@ -25,7 +25,7 @@ from .core import (
     traceless_part,
 )
 from .gates import ENTANGLER_SLOTS, QuorumParams, entangling_times, quorum_array
-from .noise import NoiseModel, Povm, ideal_povm, povm_stack, quorum_povms
+from .noise import NoiseModel, Povm, _require_interaction, ideal_povm, povm_stack
 
 # Linear coefficient of the Haar-averaged log outcome probability and the
 # per-measurement exponents derived from it.
@@ -99,9 +99,11 @@ def noisy_quality(quorum: list) -> float:
 
 def quality_report(quorum: QuorumParams, noise: NoiseModel) -> QualityReport:
     """Evaluate a parametrized quorum under a noise model."""
-    nominal, qs = _stacked(quorum_povms(quorum, noise))
+    _require_interaction(quorum.interaction, noise)
+    params = quorum.to_array()
+    _, qs, nominal = povm_stack(params, noise)
     q_geometric, q_noisy = _qualities(nominal, qs)
-    times = entangling_times(quorum.to_array()[:, ENTANGLER_SLOTS], quorum.interaction)
+    times = entangling_times(params[:, ENTANGLER_SLOTS], quorum.interaction)
     return QualityReport(
         q_geometric=q_geometric, q_noisy=q_noisy, per_measurement_q=qs, entangling_times=times
     )

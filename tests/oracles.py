@@ -191,6 +191,18 @@ def projector_histograms(q: QuorumParams, bin_width: float = 0.05, n_bins: int =
     return hists
 
 
+def jaccard_distance(ha: np.ndarray, hb: np.ndarray) -> float:
+    """Symmetrized mean of per-projector minimal Jaccard distances of one pair of histograms.
+
+    The one-pair formula the batched distance replaced: every distance of the
+    20 x 20 row pairs, with the union summed from the elementwise maxima.
+    """
+    inter = np.minimum(ha[:, None, :], hb[None, :, :]).sum(axis=2)
+    union = np.maximum(ha[:, None, :], hb[None, :, :]).sum(axis=2)
+    d = 1.0 - inter / union
+    return float((d.min(axis=1).mean() + d.min(axis=0).mean()) / 2.0)
+
+
 # ---------------------------------------------------------------------------
 # maximum-likelihood tomography
 # ---------------------------------------------------------------------------

@@ -49,6 +49,16 @@ def test_quality_quorum_file_and_malformed_file(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.strip() != ""
 
+    # json writes NaN and Infinity, which no quorum may hold
+    for value in (float("nan"), float("inf")):
+        doc = standard_mub_params("heisenberg").to_dict()
+        doc["measurements"][1]["post2"][0] = value
+        bad.write_text(json.dumps(doc))
+        proc = run_cli("quality", "--quorum", bad, "--zeta", "0", check=False)
+        assert proc.returncode == 2
+        assert "finite" in proc.stderr
+        assert proc.stdout == ""
+
 
 def test_quality_missing_strength_is_usage_error():
     proc = run_cli("quality", "--mub", "heisenberg", check=False)
@@ -209,6 +219,38 @@ def test_sweep_rejects_nonpositive_states_and_shots(flag):
         proc = run_cli("sweep", "--grid", "0", flag, value, check=False)
         assert proc.returncode == 2
         assert "--states and --shots must be >= 1" in proc.stderr
+
+
+@pytest.mark.parametrize("flag", ["--starts", "--threshold-pairs"])
+def test_optimize_rejects_nonpositive_starts_and_threshold_pairs(flag, capsys):
+    from noisyqst.cli import main
+
+    for strategy in ("multistart", "annealing"):
+        for value in ("0", "-5"):
+            code = main(["optimize", "--zeta", "0.02", "--strategy", strategy, flag, value])
+            assert code == 2
+            assert "--starts and --threshold-pairs must be >= 1" in capsys.readouterr().err
+
+
+def test_echoed_config_reproduces_the_run(tmp_path):
+    """The config echoed into an output, fed back through --config, gives the same bytes."""
+    optimize = ["optimize", "--zeta", "0.03", "--channel", "ou", "--interaction", "ising",
+                "--strategy", "multistart", "--starts", "2", "--max-iters", "1",
+                "--threshold-pairs", "60", "--seed", "9", "--threads", "1"]
+    run_cli(*optimize, "--out", tmp_path / "flags.csv")
+    echoed = json.loads((tmp_path / "flags.csv.json").read_text())["config"]
+    assert echoed["max_iters"] == 1 and echoed["threshold_pairs"] == 60
+    (tmp_path / "optimize.json").write_text(json.dumps(echoed))
+    run_cli("optimize", "--config", tmp_path / "optimize.json", "--out", tmp_path / "cfg.csv")
+    for suffix in (".csv", ".csv.json"):
+        assert ((tmp_path / f"cfg{suffix}").read_bytes()
+                == (tmp_path / f"flags{suffix}").read_bytes())
+
+    coeff = run_cli("coeff", "--dim", "2", "--samples", "100000", "--seed", "3").stdout
+    echoed = json.loads(coeff)["config"]
+    assert echoed["dim"] == 2
+    (tmp_path / "coeff.json").write_text(json.dumps(echoed))
+    assert run_cli("coeff", "--config", tmp_path / "coeff.json").stdout == coeff
 
 
 def test_optimize_output_does_not_depend_on_threads(tmp_path):

@@ -214,3 +214,7 @@ def test_quorum_validation_errors():
     bad["measurements"][0]["pre1"] = [0.0, 0.0]
     with pytest.raises(ValueError):
         QuorumParams.from_dict(bad)
+    for value in (float("nan"), float("inf")):
+        bad["measurements"][0]["pre1"] = [0.0, value, 0.0]
+        with pytest.raises(ValueError, match="finite"):
+            QuorumParams.from_dict(bad)
