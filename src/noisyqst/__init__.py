@@ -25,20 +25,16 @@ from .gates import (
 )
 from .noise import (
     NoiseModel,
-    Povm,
     apply_depolarizing,
-    apply_ou_heisenberg,
-    apply_ou_ising,
+    apply_ou,
     average_gate_fidelity,
     depolarizing_q,
-    effective_povm,
-    povm_stack,
-    ideal_povm,
+    ideal_effects,
     kraus_depolarizing,
     kraus_ou_heisenberg,
     kraus_ou_ising,
-    ou_gammas_heisenberg,
-    ou_gammas_ising,
+    ou_gammas,
+    povm_stack,
 )
 from .optimize import (
     OptimizationResult,
@@ -56,7 +52,6 @@ from .quality import (
     estimate_log_coefficient,
     geometric_quality,
     neg_log_qn,
-    noisy_quality,
     quality_report,
     single_qubit_optimal_angle,
     single_qubit_quality,

@@ -20,13 +20,8 @@ from . import tomography as tomo
 from .gates import (
     HEISENBERG,
     INTERACTIONS,
-    CanonicalParams,
-    Entangler,
-    HeisenbergTimes,
-    MeasurementParams,
     QuorumParams,
-    SingleQubitParams,
-    entangling_time,
+    entangling_times,
     standard_mub_params,
 )
 from .noise import (
@@ -38,8 +33,7 @@ from .noise import (
     kraus_depolarizing,
     kraus_ou_heisenberg,
     kraus_ou_ising,
-    ou_gammas_heisenberg,
-    ou_gammas_ising,
+    ou_gammas,
 )
 from .quality import (
     estimate_log_coefficient,
@@ -118,8 +112,8 @@ def cmd_quality(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    if args.starts < 1 or args.threshold_pairs < 1:
-        raise SystemExit2("--starts and --threshold-pairs must be >= 1")
+    if min(args.max_iters, args.starts, args.threshold_pairs) < 1:
+        raise SystemExit2("--max-iters, --starts and --threshold-pairs must be >= 1")
     noise = _noise_from_args(args)
     opts = opt.OptimizerOptions(seed=args.seed, max_iters=args.max_iters)
     results = opt.optimize_quorum(
@@ -183,19 +177,15 @@ def cmd_gate_fidelity(args) -> int:
     if args.gate != "cnot":
         raise SystemExit2(f"unknown gate {args.gate!r} (only 'cnot' is built in)")
     noise = _noise_from_args(args)
-    # The CNOT-class entangler: SWAP^(1/2) pulses, or one beta_z = pi/4 coupling.
-    if noise.interaction == HEISENBERG:
-        ent: Entangler = HeisenbergTimes(0.5, 0.0, 0.5)
-    else:
-        ent = CanonicalParams(0.0, 0.0, np.pi / 4)
+    heisenberg = noise.interaction == HEISENBERG
+    # The CNOT-class entangler row: SWAP^(1/2) pulses, or one beta_z = pi/4 coupling.
+    ent = (0.5, 0.0, 0.5) if heisenberg else (0.0, 0.0, np.pi / 4)
     if noise.channel == DEPOLARIZING:
-        ident = SingleQubitParams()
-        cnot = MeasurementParams(ident, ident, ent, ident, ident)
-        ops = kraus_depolarizing(depolarizing_q(noise.strength, entangling_time(cnot)))
-    elif noise.interaction == HEISENBERG:
-        ops = kraus_ou_heisenberg(ou_gammas_heisenberg(noise.strength, ent))
+        time = entangling_times(ent, noise.interaction)
+        ops = kraus_depolarizing(depolarizing_q(noise.strength, time))
     else:
-        ops = kraus_ou_ising(ou_gammas_ising(noise.strength, ent))
+        kraus_ou = kraus_ou_heisenberg if heisenberg else kraus_ou_ising
+        ops = kraus_ou(ou_gammas(noise.strength, ent, noise.interaction))
     _emit(args, f"{average_gate_fidelity(ops):.12g}")
     return 0
 

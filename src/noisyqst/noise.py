@@ -29,10 +29,6 @@ from .gates import (
     ENTANGLER_SLOTS,
     HEISENBERG,
     INTERACTIONS,
-    ISING,
-    CanonicalParams,
-    HeisenbergTimes,
-    MeasurementParams,
     entangling_times,
     measurement_layers,
 )
@@ -134,16 +130,6 @@ def ou_gammas(r: float, ent, interaction: str) -> np.ndarray:
     return np.exp(-2.0 * r * np.abs(ent))
 
 
-def ou_gammas_heisenberg(r: float, a: HeisenbergTimes) -> np.ndarray:
-    """Per-pulse dephasing factors exp(-r alpha_k pi)."""
-    return ou_gammas(r, a.as_tuple(), HEISENBERG)
-
-
-def ou_gammas_ising(r: float, b: CanonicalParams) -> np.ndarray:
-    """Per-coupling dephasing factors exp(-2 r |beta_k|)."""
-    return ou_gammas(r, b.as_tuple(), ISING)
-
-
 # Entry [a, b] of the state in the entangler's Bell frame decays by gamma_k
 # for every pulse or coupling k whose phase differs between Bell vectors a
 # and b; table [a, b, k] marks those k.
@@ -163,16 +149,6 @@ def apply_ou(rho: np.ndarray, gammas, interaction: str) -> np.ndarray:
     frame = BELL_FRAMES[interaction]
     rb = frame.conj().T @ rho @ frame
     return frame @ (pattern * rb) @ frame.conj().T
-
-
-def apply_ou_heisenberg(rho: np.ndarray, gammas: np.ndarray) -> np.ndarray:
-    """Dephase off-diagonals in the resorted Bell frame; Bell-diagonal part is untouched."""
-    return apply_ou(rho, gammas, HEISENBERG)
-
-
-def apply_ou_ising(rho: np.ndarray, gammas: np.ndarray) -> np.ndarray:
-    """Dephase off-diagonals in the conventional Bell frame with the Ising gamma products."""
-    return apply_ou(rho, gammas, ISING)
 
 
 def kraus_ou_heisenberg(gammas: np.ndarray) -> KrausSet:
@@ -225,36 +201,14 @@ def average_gate_fidelity(ops: KrausSet) -> float:
 # effective POVMs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Povm:
-    """One measurement under noise: effects, extracted scales, nominal projectors.
+def ideal_effects(unitaries) -> np.ndarray:
+    """Noise-free effects of standard-basis readouts after stacked unitaries.
 
-    ``effects[k]`` is the operator whose trace against rho gives the outcome
-    probability.  ``qs[k]`` and ``nominal_projectors[k]`` invert the
-    decomposition F_k = q_k (P_k - 1/4) + 1/4.  For the depolarizing channel
-    the nominal operators are exact rank-1 projectors; under OU noise they
-    are only approximately so (see :meth:`projector_defect`).
+    Maps (..., 4, 4) to (..., 4, 4, 4): effect k is the projector onto the
+    conjugated row k of its unitary.
     """
-
-    effects: np.ndarray  # (4, 4, 4) complex
-    qs: np.ndarray  # (4,) real in (0, 1]
-    nominal_projectors: np.ndarray  # (4, 4, 4) complex, unit trace, Hermitian
-
-    def projector_defect(self) -> float:
-        """max_k ||P_k^2 - P_k||_max; zero iff the nominal operators are projectors."""
-        p = self.nominal_projectors
-        return float(np.max(np.abs(p @ p - p)))
-
-
-def _row_projectors(unitaries: np.ndarray) -> np.ndarray:
-    """Projectors onto the conjugated rows of stacked unitaries (..., 4, 4), shape (..., 4, 4, 4)."""
+    unitaries = np.asarray(unitaries)
     return unitaries.conj()[..., :, :, None] * unitaries[..., :, None, :]
-
-
-def ideal_povm(unitary: np.ndarray) -> Povm:
-    """Noise-free POVM of a standard-basis readout after ``unitary``."""
-    effects = _row_projectors(np.asarray(unitary))
-    return Povm(effects=effects, qs=np.ones(4), nominal_projectors=effects.copy())
 
 
 def _require_nondegenerate(qs: np.ndarray) -> None:
@@ -288,11 +242,11 @@ def povm_stack(params, noise: NoiseModel) -> tuple[np.ndarray, np.ndarray, np.nd
         q = depolarizing_q(noise.strength, entangling_times(ent, noise.interaction))
         qs = np.repeat(q[..., None], 4, axis=-1)
         _require_nondegenerate(qs)
-        nominal = _row_projectors(pre @ entangler @ post)
+        nominal = ideal_effects(pre @ entangler @ post)
         return apply_depolarizing(nominal, qs), qs, nominal
     tail = (entangler @ post)[..., None, :, :]
     gammas = ou_gammas(noise.strength, ent, noise.interaction)[..., None, :]
-    dephased = apply_ou(_row_projectors(pre), gammas, noise.interaction)
+    dephased = apply_ou(ideal_effects(pre), gammas, noise.interaction)
     effects = tail.conj().swapaxes(-1, -2) @ dephased @ tail
     traceless = effects - _EYE4 / 4.0
     qs = np.sqrt((4.0 / 3.0) * np.sum(np.abs(traceless) ** 2, axis=(-2, -1)))
@@ -305,16 +259,3 @@ def _require_interaction(interaction: str, noise: NoiseModel) -> None:
         raise ValueError(
             f"measurement uses {interaction!r} but noise model is {noise.interaction!r}"
         )
-
-
-def effective_povm(m: MeasurementParams, noise: NoiseModel) -> Povm:
-    """Heisenberg-picture POVM of one measurement; see :func:`povm_stack`."""
-    _require_interaction(m.interaction, noise)
-    effects, qs, nominal = povm_stack(m.to_array()[None, :], noise)
-    return Povm(effects=effects[0], qs=qs[0], nominal_projectors=nominal[0])
-
-
-def quorum_povms(quorum, noise: NoiseModel) -> list[Povm]:
-    """Effective POVMs of all five measurements of a quorum."""
-    _require_interaction(quorum.interaction, noise)
-    return [Povm(*povm) for povm in zip(*povm_stack(quorum.to_array(), noise))]

@@ -63,6 +63,8 @@ class OptimizerOptions:
     def __post_init__(self):
         if self.f_tol <= 0 or self.x_tol <= 0:
             raise ValueError("tolerances must be positive")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from .core import (
     traceless_part,
 )
 from .gates import ENTANGLER_SLOTS, QuorumParams, entangling_times, quorum_array
-from .noise import NoiseModel, Povm, _require_interaction, ideal_povm, povm_stack
+from .noise import NoiseModel, _require_interaction, ideal_effects, povm_stack
 
 # Linear coefficient of the Haar-averaged log outcome probability and the
 # per-measurement exponents derived from it.
@@ -59,42 +59,27 @@ class QualityReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _qualities(nominal: np.ndarray, qs: np.ndarray) -> tuple[float, float]:
-    """(Q, Q_N) from nominal projectors (5, 4, 4, 4) and effect scales q (5, 4).
+def _geometric(nominal: np.ndarray) -> float:
+    """Q of nominal projectors (5, 4, 4, 4): the Gram volume of each measurement's first three.
 
-    Q is the Gram volume of the first three nominal projectors of each
-    measurement.  Dropping the fourth is immaterial for orthonormal bases
-    since the four traceless parts sum to zero.
+    Dropping the fourth is immaterial for orthonormal bases since the four
+    traceless parts sum to zero.
     """
-    q_geometric = gram_volume(traceless_part(nominal[:, :3].reshape(15, 4, 4)))
+    return gram_volume(traceless_part(nominal[:, :3].reshape(15, 4, 4)))
+
+
+def _qualities(nominal: np.ndarray, qs: np.ndarray) -> tuple[float, float]:
+    """(Q, Q_N) from nominal projectors (5, 4, 4, 4) and effect scales q (5, 4)."""
+    q_geometric = _geometric(nominal)
     return q_geometric, q_geometric * float(np.prod(qs ** PER_EFFECT_EXPONENT))
 
 
-def _as_povm(entry) -> Povm:
-    if isinstance(entry, Povm):
-        return entry
-    return ideal_povm(np.asarray(entry))
-
-
-def _stacked(quorum: list) -> tuple[np.ndarray, np.ndarray]:
-    povms = [_as_povm(p) for p in quorum]
-    if len(povms) != 5:
-        raise ValueError(f"expected 5 measurements, got {len(povms)}")
-    return np.stack([p.nominal_projectors for p in povms]), np.stack([p.qs for p in povms])
-
-
-def geometric_quality(quorum: list) -> float:
-    """Gram volume of the first three nominal projectors of each measurement.
-
-    Accepts five :class:`~noisyqst.noise.Povm` objects or five measurement
-    unitaries (treated as noise-free).
-    """
-    return _qualities(*_stacked(quorum))[0]
-
-
-def noisy_quality(quorum: list) -> float:
-    """Geometric quality times the per-effect noise penalty prod q_jk^(1.195/2)."""
-    return _qualities(*_stacked(quorum))[1]
+def geometric_quality(unitaries) -> float:
+    """Q of five noise-free measurement unitaries (5, 4, 4), from their ideal projectors."""
+    unitaries = np.asarray(unitaries)
+    if unitaries.shape != (5, 4, 4):
+        raise ValueError(f"expected five 4x4 unitaries, got shape {unitaries.shape}")
+    return _geometric(ideal_effects(unitaries))
 
 
 def quality_report(quorum: QuorumParams, noise: NoiseModel) -> QualityReport:

@@ -3,15 +3,16 @@
 Outcome counts are multinomial draws from the noisy effect probabilities
 Tr(F_jk rho).  Reconstruction maximizes the multinomial log-likelihood with
 the iterative R rho R fixed point, which keeps the iterate a valid density
-matrix throughout, on a whole stack of states at once.  By default the
-reconstruction uses the true noisy effects (noise-aware likelihood);
-passing ``noise_aware=False`` uses the nominal projectors instead, for
-sensitivity studies.
+matrix throughout, on a whole stack of states at once.  A scheme's
+effects are one (m, 4, 4, 4) array: m measurements of four outcomes.  The
+reconstruction uses whichever effects it is given; the true noisy effects
+give the noise-aware likelihood, and the nominal projectors of
+:func:`~noisyqst.noise.povm_stack` a noise-ignorant one, for sensitivity
+studies.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 
@@ -19,21 +20,26 @@ import numpy as np
 
 from .core import assert_density, random_density, state_fidelity
 from .gates import QuorumParams, nine_pauli_bases, standard_mub_params
-from .noise import NoiseModel, Povm, ideal_povm, quorum_povms
+from .noise import NoiseModel, _require_interaction, ideal_effects, povm_stack
 
 logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
 class Scheme:
-    """A named measurement set; run_experiment splits the shot budget over it."""
+    """A named measurement set; run_experiment splits the shot budget over it.
+
+    ``effects`` has shape (m, 4, 4, 4): the four outcome effects of each of
+    the m measurements.
+    """
 
     label: str
-    measurements: list[Povm]
+    effects: np.ndarray
 
     def __post_init__(self):
-        if not self.measurements:
-            raise ValueError("a scheme needs at least one measurement")
+        shape = np.shape(self.effects)
+        if len(shape) != 4 or shape[1:] != (4, 4, 4) or shape[0] < 1:
+            raise ValueError(f"a scheme needs effects of shape (m >= 1, 4, 4, 4), got {shape}")
 
 
 @dataclass(frozen=True)
@@ -63,62 +69,57 @@ def mub_scheme(noise: NoiseModel, *, label: str = "mub") -> Scheme:
 
 def pauli9_scheme(*, label: str = "pauli9") -> Scheme:
     """Nine entanglement-free Pauli product bases; unaffected by entangler noise."""
-    return Scheme(label, [ideal_povm(u) for u in nine_pauli_bases()])
+    return Scheme(label, ideal_effects(nine_pauli_bases()))
 
 
 def quorum_scheme(quorum: QuorumParams, noise: NoiseModel, label: str) -> Scheme:
-    return Scheme(label, quorum_povms(quorum, noise))
+    """The noisy effects of a parametrized quorum."""
+    _require_interaction(quorum.interaction, noise)
+    return Scheme(label, povm_stack(quorum.to_array(), noise)[0])
 
 
 # ---------------------------------------------------------------------------
 # sampling and reconstruction
 # ---------------------------------------------------------------------------
 
-def outcome_probabilities(rho: np.ndarray, povm: Povm) -> np.ndarray:
-    """Clamped, renormalized outcome probabilities Tr(F_k rho)."""
-    p = np.einsum("kij,ji->k", povm.effects, rho).real
-    if p.min() < -1e-10 or abs(p.sum() - 1.0) > 1e-10:
-        raise ValueError(f"invalid probability vector {p.tolist()}")
+def outcome_probabilities(rho: np.ndarray, effects: np.ndarray) -> np.ndarray:
+    """Clamped, renormalized outcome probabilities Tr(F_mk rho), shape (m, 4)."""
+    p = np.einsum("mkij,ji->mk", effects, rho).real
+    if p.min() < -1e-10 or np.max(np.abs(p.sum(axis=1) - 1.0)) > 1e-10:
+        raise ValueError(f"invalid probability vectors {p.tolist()}")
     p = np.clip(p, 0.0, 1.0)
-    return p / p.sum()
+    return p / p.sum(axis=1, keepdims=True)
 
 
 def sample_measurement(
-    rho: np.ndarray, povm: Povm, n_shots: int, rng: np.random.Generator
+    rho: np.ndarray, effects: np.ndarray, n_shots: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Multinomial outcome counts for n_shots repetitions."""
+    """Multinomial outcome counts (m, 4) for n_shots repetitions of each measurement."""
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")
-    return rng.multinomial(n_shots, outcome_probabilities(rho, povm))
+    return rng.multinomial(n_shots, outcome_probabilities(rho, effects))
 
 
-def _effect_stack(povms: list[Povm], noise_aware: bool) -> np.ndarray:
-    mats = [p.effects if noise_aware else p.nominal_projectors for p in povms]
-    return np.concatenate(mats, axis=0)
-
-
-def _assert_informationally_complete(effects: np.ndarray) -> None:
-    # Span test in the real 16-dimensional space of Hermitian operators.
-    flat = np.concatenate([effects.reshape(len(effects), -1).real,
-                           effects.reshape(len(effects), -1).imag], axis=1)
-    rank = np.linalg.matrix_rank(flat, tol=1e-10)
+def _assert_informationally_complete(flat: np.ndarray) -> None:
+    # Span test of the flattened effects (k, 16) in the real 16-dimensional
+    # space of Hermitian operators.
+    rank = np.linalg.matrix_rank(np.concatenate([flat.real, flat.imag], axis=1), tol=1e-10)
     if rank < 16:
         raise ValueError(f"effect set is not informationally complete (rank {rank} < 16)")
 
 
 def ml_reconstruct(
-    counts: list[np.ndarray] | np.ndarray,
-    povms: list[Povm],
-    noise_aware: bool = True,
+    counts: np.ndarray,
+    effects: np.ndarray,
     ll_tol: float = 1e-12,
     max_iter: int = 5000,
 ) -> np.ndarray:
     """Maximum-likelihood density matrices of a stack of states.
 
-    ``counts`` has shape (n_states, n_effects): one row per state over the
-    effects of ``povms`` in order.  The result has shape (n_states, 4, 4).
-    A list of per-measurement count arrays is the one-state case and gives
-    one 4x4 matrix.
+    ``counts`` has shape (n_states, m, 4): per state, the outcome counts of
+    the m measurements whose effects (m, 4, 4, 4) are ``effects``.  The
+    result has shape (n_states, 4, 4).  One state's counts (m, 4) give one
+    4x4 matrix.
 
     Each state iterates rho <- R rho R / Tr(R rho R) with
     R = sum (n_k / p_k) F_k / N from the maximally mixed state, and leaves
@@ -128,18 +129,16 @@ def ml_reconstruct(
     product or a row sum, so a state's estimate does not depend on the
     other states in the stack, bit for bit.
     """
-    stacked = isinstance(counts, np.ndarray) and counts.ndim == 2
-    effects = _effect_stack(povms, noise_aware)
-    _assert_informationally_complete(effects)
-    if stacked:
-        n = np.asarray(counts, dtype=float)
-    else:
-        n = np.concatenate([np.asarray(c, dtype=float) for c in counts])[None, :]
-    if n.shape[1] != effects.shape[0]:
+    effects = np.asarray(effects)
+    flat = effects.reshape(-1, 16)
+    _assert_informationally_complete(flat)
+    n = np.asarray(counts, dtype=float)
+    stacked = n.ndim == 3
+    if n.ndim not in (2, 3) or n.shape[-2:] != effects.shape[:2]:
         raise ValueError("counts do not match the number of effects")
+    n = n.reshape(-1, len(flat))
     if not len(n):
         raise ValueError("no states to reconstruct")
-    flat = effects.reshape(len(effects), 16)
     total = n.sum(axis=1, keepdims=True)
     estimates = np.empty((len(n), 4, 4), dtype=complex)
     active = np.arange(len(n))
@@ -180,7 +179,6 @@ def run_experiment(
     n_states: int,
     total_shots: int,
     rng_seed: int,
-    noise_aware: bool = True,
 ) -> list[ExperimentReport]:
     """Average reconstruction infidelity of each scheme over random states.
 
@@ -199,16 +197,15 @@ def run_experiment(
     ]
     reports = []
     for s_idx, scheme in enumerate(schemes):
-        shots = total_shots // len(scheme.measurements)
+        shots = total_shots // len(scheme.effects)
         if shots < 1:
             raise ValueError(f"budget {total_shots} too small for scheme {scheme.label!r}")
-        counts = []
-        for i, rho in enumerate(states):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=rng_seed, spawn_key=(1 + s_idx, i)))
-            counts.append(np.concatenate(
-                [sample_measurement(rho, povm, shots, rng) for povm in scheme.measurements]))
-        estimates = ml_reconstruct(np.array(counts), scheme.measurements, noise_aware=noise_aware)
+        counts = np.array([
+            sample_measurement(rho, scheme.effects, shots, np.random.default_rng(
+                np.random.SeedSequence(entropy=rng_seed, spawn_key=(1 + s_idx, i))))
+            for i, rho in enumerate(states)
+        ])
+        estimates = ml_reconstruct(counts, scheme.effects)
         infids = np.empty(n_states)
         for i, (rho, rho_hat) in enumerate(zip(states, estimates)):
             assert_density(rho_hat, tol=1e-8)
@@ -219,7 +216,7 @@ def run_experiment(
                 n_states=n_states,
                 mean_infidelity=float(infids.mean()),
                 sem=float(infids.std(ddof=1) / np.sqrt(n_states)) if n_states > 1 else 0.0,
-                total_shots=shots * len(scheme.measurements),
+                total_shots=shots * len(scheme.effects),
                 seed=rng_seed,
             )
         )
@@ -245,9 +242,3 @@ def reports_to_csv(rows: list[tuple[ExperimentReport, float]]) -> str:
         )
     return "\n".join(lines) + "\n"
 
-
-def reports_to_json(rows: list[tuple[ExperimentReport, float]]) -> str:
-    return json.dumps(
-        [{**rep.to_dict(), "zeta_or_r": strength} for rep, strength in rows],
-        sort_keys=True,
-    )

@@ -207,18 +207,15 @@ def jaccard_distance(ha: np.ndarray, hb: np.ndarray) -> float:
 # maximum-likelihood tomography
 # ---------------------------------------------------------------------------
 
-def _effects(povms, noise_aware: bool) -> np.ndarray:
-    return np.concatenate([p.effects if noise_aware else p.nominal_projectors for p in povms])
-
-
-def ml_reconstruct(counts, povms, noise_aware: bool = True, ll_tol: float = 1e-12,
+def ml_reconstruct(counts, effects: np.ndarray, ll_tol: float = 1e-12,
                    max_iter: int = 5000) -> tuple[np.ndarray, bool]:
-    """R rho R fixed point for one state's counts; returns (rho, converged).
+    """R rho R fixed point for one state's counts (m, 4); returns (rho, converged).
 
     The per-state loop the stacked reconstruction replaced: the same stop on
-    the relative log-likelihood gain, with einsum contractions.
+    the relative log-likelihood gain, with einsum contractions over the
+    effects (m, 4, 4, 4) taken one outcome at a time.
     """
-    effects = _effects(povms, noise_aware)
+    effects = np.asarray(effects).reshape(-1, 4, 4)
     n = np.asarray(counts, dtype=float).ravel()
     total = n.sum()
     rho = np.eye(4, dtype=complex) / 4.0
@@ -236,10 +233,10 @@ def ml_reconstruct(counts, povms, noise_aware: bool = True, ll_tol: float = 1e-1
     return rho, False
 
 
-def log_likelihood(counts, povms, rho: np.ndarray, noise_aware: bool = True) -> float:
-    """Multinomial log-likelihood sum_k n_k ln Tr(F_k rho), up to a constant."""
+def log_likelihood(counts, effects: np.ndarray, rho: np.ndarray) -> float:
+    """Multinomial log-likelihood sum_mk n_mk ln Tr(F_mk rho), up to a constant."""
     n = np.asarray(counts, dtype=float).ravel()
-    p = np.clip(np.einsum("kij,ji->k", _effects(povms, noise_aware), rho).real, 1e-12, None)
+    p = np.clip(np.einsum("mkij,ji->mk", effects, rho).real.ravel(), 1e-12, None)
     return float(np.dot(n, np.log(p)))
 
 

@@ -17,14 +17,13 @@ from noisyqst.gates import measurement_unitary, standard_mub_params
 from noisyqst.noise import (
     NoiseModel,
     apply_depolarizing,
-    apply_ou_heisenberg,
-    apply_ou_ising,
+    apply_ou,
     assert_kraus_complete,
     average_gate_fidelity,
     kraus_depolarizing,
     kraus_ou_heisenberg,
     kraus_ou_ising,
-    quorum_povms,
+    povm_stack,
 )
 from noisyqst.optimize import optimize_quorum
 from noisyqst.quality import (
@@ -209,8 +208,8 @@ def test_criterion_7_channel_algebra_suite():
             for ops in (dep, heis, isg):
                 assert_kraus_complete(ops, tol=1e-10)
             assert np.max(np.abs(apply_kraus(rho, dep) - apply_depolarizing(rho, q))) < 1e-12
-            assert np.max(np.abs(apply_kraus(rho, heis) - apply_ou_heisenberg(rho, g))) < 1e-12
-            assert np.max(np.abs(apply_kraus(rho, isg) - apply_ou_ising(rho, g))) < 1e-12
+            assert np.max(np.abs(apply_kraus(rho, heis) - apply_ou(rho, g, "heisenberg"))) < 1e-12
+            assert np.max(np.abs(apply_kraus(rho, isg) - apply_ou(rho, g, "ising"))) < 1e-12
         for interaction, channel in (
             ("heisenberg", "depolarizing"),
             ("heisenberg", "ou"),
@@ -218,11 +217,12 @@ def test_criterion_7_channel_algebra_suite():
             ("ising", "ou"),
         ):
             noise = NoiseModel(channel, interaction, 0.1)
-            for povm in quorum_povms(standard_mub_params(interaction), noise):
-                assert np.max(np.abs(povm.effects.sum(axis=0) - np.eye(4))) < 1e-10
+            povms = povm_stack(standard_mub_params(interaction).to_array(), noise)
+            for effects, qs, nominal in zip(*povms):
+                assert np.max(np.abs(effects.sum(axis=0) - np.eye(4))) < 1e-10
                 for k in range(4):
-                    recon = povm.qs[k] * (povm.nominal_projectors[k] - np.eye(4) / 4) + np.eye(4) / 4
-                    assert np.max(np.abs(recon - povm.effects[k])) < 1e-9
+                    recon = qs[k] * (nominal[k] - np.eye(4) / 4) + np.eye(4) / 4
+                    assert np.max(np.abs(recon - effects[k])) < 1e-9
     _report(7, "Kraus completeness, map/Kraus agreement, POVM closure, q round-trip", t.seconds, 10.0)
 
 

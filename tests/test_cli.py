@@ -221,7 +221,7 @@ def test_sweep_rejects_nonpositive_states_and_shots(flag):
         assert "--states and --shots must be >= 1" in proc.stderr
 
 
-@pytest.mark.parametrize("flag", ["--starts", "--threshold-pairs"])
+@pytest.mark.parametrize("flag", ["--starts", "--threshold-pairs", "--max-iters"])
 def test_optimize_rejects_nonpositive_starts_and_threshold_pairs(flag, capsys):
     from noisyqst.cli import main
 

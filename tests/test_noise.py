@@ -15,23 +15,27 @@ from noisyqst.noise import (
     DegeneratePovmError,
     NoiseModel,
     apply_depolarizing,
-    apply_ou_heisenberg,
-    apply_ou_ising,
+    apply_ou,
     assert_kraus_complete,
     average_gate_fidelity,
     depolarizing_q,
-    effective_povm,
-    ideal_povm,
+    ideal_effects,
     kraus_depolarizing,
     kraus_ou_heisenberg,
     kraus_ou_ising,
-    ou_gammas_heisenberg,
-    ou_gammas_ising,
+    ou_gammas,
+    povm_stack,
 )
 
 from oracles import apply_kraus
 
 _IDENT = SingleQubitParams()
+
+
+def _povm(m: MeasurementParams, noise: NoiseModel):
+    """(effects, qs, nominal projectors) of one measurement."""
+    effects, qs, nominal = povm_stack(m.to_array()[None], noise)
+    return effects[0], qs[0], nominal[0]
 
 
 def _bell_rho():
@@ -55,17 +59,23 @@ def test_apply_depolarizing_limits_and_formula():
 
 
 def test_ou_gammas():
-    assert_allclose(ou_gammas_heisenberg(0.0, HeisenbergTimes(0.3, 0.7, 1.1)), np.ones(3))
+    def heis(r, a):
+        return ou_gammas(r, a.as_tuple(), "heisenberg")
+
+    def ising(r, b):
+        return ou_gammas(r, b.as_tuple(), "ising")
+
+    assert_allclose(heis(0.0, HeisenbergTimes(0.3, 0.7, 1.1)), np.ones(3))
     assert_allclose(
-        ou_gammas_heisenberg(0.1, HeisenbergTimes(0.5, 0.0, 0.5)),
+        heis(0.1, HeisenbergTimes(0.5, 0.0, 0.5)),
         [np.exp(-0.05 * np.pi), 1.0, np.exp(-0.05 * np.pi)],
     )
     assert_allclose(
-        ou_gammas_heisenberg(0.3, HeisenbergTimes(2.0, 0.0, 0.0)), np.ones(3)
+        heis(0.3, HeisenbergTimes(2.0, 0.0, 0.0)), np.ones(3)
     )  # alpha = 2 is canonicalized to 0
-    assert_allclose(ou_gammas_ising(0.0, CanonicalParams(0.3, -0.2, 0.9)), np.ones(3))
+    assert_allclose(ising(0.0, CanonicalParams(0.3, -0.2, 0.9)), np.ones(3))
     assert_allclose(
-        ou_gammas_ising(0.2, CanonicalParams(0.0, 0.0, np.pi / 4)),
+        ising(0.2, CanonicalParams(0.0, 0.0, np.pi / 4)),
         [1.0, 1.0, np.exp(-0.1 * np.pi)],
     )
 
@@ -75,13 +85,13 @@ def test_ou_channels_match_kraus_and_preserve_bell_diagonal():
     for _ in range(20):
         rho = random_density(4, rng)
         g = rng.uniform(0.3, 1.0, size=3)
-        heis = apply_ou_heisenberg(rho, g)
+        heis = apply_ou(rho, g, "heisenberg")
         assert np.max(np.abs(heis - apply_kraus(rho, kraus_ou_heisenberg(g)))) < 1e-12
-        isg = apply_ou_ising(rho, g)
+        isg = apply_ou(rho, g, "ising")
         assert np.max(np.abs(isg - apply_kraus(rho, kraus_ou_ising(g)))) < 1e-12
         # identity map at gamma = 1
-        assert np.max(np.abs(apply_ou_heisenberg(rho, np.ones(3)) - rho)) < 1e-12
-        assert np.max(np.abs(apply_ou_ising(rho, np.ones(3)) - rho)) < 1e-12
+        assert np.max(np.abs(apply_ou(rho, np.ones(3), "heisenberg") - rho)) < 1e-12
+        assert np.max(np.abs(apply_ou(rho, np.ones(3), "ising") - rho)) < 1e-12
 
 
 def test_ou_channels_fix_bell_populations():
@@ -92,11 +102,11 @@ def test_ou_channels_fix_bell_populations():
         rho = random_density(4, rng)
         g = rng.uniform(0.2, 0.9, size=3)
         before = np.diag(BELL_SORTED.conj().T @ rho @ BELL_SORTED)
-        after = np.diag(BELL_SORTED.conj().T @ apply_ou_heisenberg(rho, g) @ BELL_SORTED)
+        after = np.diag(BELL_SORTED.conj().T @ apply_ou(rho, g, "heisenberg") @ BELL_SORTED)
         assert_allclose(after, before, atol=1e-13)
         before = np.diag(BELL_CONVENTIONAL.conj().T @ rho @ BELL_CONVENTIONAL)
         after = np.diag(
-            BELL_CONVENTIONAL.conj().T @ apply_ou_ising(rho, g) @ BELL_CONVENTIONAL
+            BELL_CONVENTIONAL.conj().T @ apply_ou(rho, g, "ising") @ BELL_CONVENTIONAL
         )
         assert_allclose(after, before, atol=1e-13)
 
@@ -137,8 +147,8 @@ def test_channels_preserve_trace_and_positivity():
         q = rng.uniform(0.0, 1.0)
         for out in (
             apply_depolarizing(rho, q),
-            apply_ou_heisenberg(rho, g),
-            apply_ou_ising(rho, g),
+            apply_ou(rho, g, "heisenberg"),
+            apply_ou(rho, g, "ising"),
         ):
             assert abs(np.trace(out).real - 1.0) < 1e-10
             assert np.linalg.eigvalsh(out)[0] > -1e-10
@@ -177,22 +187,22 @@ def test_effective_povm_without_entangler_is_ideal():
         NoiseModel("depolarizing", "heisenberg", 0.3),
         NoiseModel("ou", "heisenberg", 0.3),
     ):
-        povm = effective_povm(m, noise)
-        ideal = ideal_povm(measurement_unitary(m))
-        assert_allclose(povm.qs, np.ones(4), atol=1e-10)
-        assert np.max(np.abs(povm.effects - ideal.effects)) < 1e-10
+        effects, qs, _ = _povm(m, noise)
+        ideal = ideal_effects(measurement_unitary(m))
+        assert_allclose(qs, np.ones(4), atol=1e-10)
+        assert np.max(np.abs(effects - ideal)) < 1e-10
 
 
 def test_effective_povm_depolarizing_qs_uniform_and_consistent():
     quorum = standard_mub_params("heisenberg")
     m = quorum.measurements[3]  # entangling time 1
     zeta = 0.05
-    povm = effective_povm(m, NoiseModel("depolarizing", "heisenberg", zeta))
+    _, qs, nominal = _povm(m, NoiseModel("depolarizing", "heisenberg", zeta))
     expected = depolarizing_q(zeta, 1.0)
-    assert_allclose(povm.qs, np.full(4, expected), atol=1e-10)
-    assert povm.projector_defect() < 1e-9
-    ideal = ideal_povm(measurement_unitary(m))
-    assert np.max(np.abs(povm.nominal_projectors - ideal.effects)) < 1e-9
+    assert_allclose(qs, np.full(4, expected), atol=1e-10)
+    assert np.max(np.abs(nominal @ nominal - nominal)) < 1e-9  # projectors
+    ideal = ideal_effects(measurement_unitary(m))
+    assert np.max(np.abs(nominal - ideal)) < 1e-9
 
 
 def test_effective_povm_matches_explicit_kraus_route():
@@ -201,8 +211,8 @@ def test_effective_povm_matches_explicit_kraus_route():
     quorum = standard_mub_params("heisenberg")
     m = quorum.measurements[3]
     noise = NoiseModel("ou", "heisenberg", 0.1)
-    povm = effective_povm(m, noise)
-    ops = kraus_ou_heisenberg(ou_gammas_heisenberg(noise.strength, m.entangler))
+    effects, _, _ = _povm(m, noise)
+    ops = kraus_ou_heisenberg(ou_gammas(noise.strength, m.entangler.as_tuple(), "heisenberg"))
     pre = np.kron(single_qubit_gate(m.pre1), single_qubit_gate(m.pre2))
     tail = entangler_matrix(m.entangler) @ np.kron(
         single_qubit_gate(m.post1), single_qubit_gate(m.post2)
@@ -210,7 +220,7 @@ def test_effective_povm_matches_explicit_kraus_route():
     for k in range(4):
         pulled = np.outer(pre[k, :].conj(), pre[k, :])
         expected = tail.conj().T @ apply_kraus(pulled, ops) @ tail
-        assert np.max(np.abs(expected - povm.effects[k])) < 1e-12
+        assert np.max(np.abs(expected - effects[k])) < 1e-12
 
 
 def test_effective_povm_invariants_random_measurements():
@@ -227,34 +237,28 @@ def test_effective_povm_invariants_random_measurements():
                 else:
                     ent = CanonicalParams(*rng.uniform(-np.pi / 2, np.pi / 2, 3))
                 m = MeasurementParams(sq(), sq(), ent, sq(), sq())
-                povm = effective_povm(m, noise)
-                assert np.max(np.abs(povm.effects.sum(axis=0) - np.eye(4))) < 1e-10
+                effects, qs, nominal = _povm(m, noise)
+                assert np.max(np.abs(effects.sum(axis=0) - np.eye(4))) < 1e-10
                 for k in range(4):
-                    assert np.linalg.eigvalsh(povm.effects[k])[0] > -1e-10
-                    recon = povm.qs[k] * (povm.nominal_projectors[k] - np.eye(4) / 4) + np.eye(4) / 4
-                    assert np.max(np.abs(recon - povm.effects[k])) < 1e-9
-                assert np.all(povm.qs > 0) and np.all(povm.qs <= 1 + 1e-12)
+                    assert np.linalg.eigvalsh(effects[k])[0] > -1e-10
+                    recon = qs[k] * (nominal[k] - np.eye(4) / 4) + np.eye(4) / 4
+                    assert np.max(np.abs(recon - effects[k])) < 1e-9
+                assert np.all(qs > 0) and np.all(qs <= 1 + 1e-12)
 
 
 def test_ou_noise_affects_basis_states_unevenly():
     # A single SWAP^alpha pulse leaves |01>, |10> untouched but dephases
     # |00>, |11>, so the extracted q depends on the outcome.
     m = MeasurementParams(_IDENT, _IDENT, HeisenbergTimes(0.5, 0.0, 0.0), _IDENT, _IDENT)
-    povm = effective_povm(m, NoiseModel("ou", "heisenberg", 0.2))
-    assert povm.qs.max() - povm.qs.min() > 0.05
+    _, qs, _ = _povm(m, NoiseModel("ou", "heisenberg", 0.2))
+    assert qs.max() - qs.min() > 0.05
 
 
 def test_effective_povm_degenerate_error():
     quorum = standard_mub_params("heisenberg")
     m = quorum.measurements[3]
     with pytest.raises(DegeneratePovmError):
-        effective_povm(m, NoiseModel("depolarizing", "heisenberg", 1e4))
-
-
-def test_effective_povm_interaction_mismatch():
-    quorum = standard_mub_params("heisenberg")
-    with pytest.raises(ValueError):
-        effective_povm(quorum.measurements[0], NoiseModel("ou", "ising", 0.1))
+        _povm(m, NoiseModel("depolarizing", "heisenberg", 1e4))
 
 
 def test_noise_model_validation_and_json():

@@ -226,6 +226,12 @@ def test_optimize_annealing_smoke():
     assert all(r.q_noisy > 0 for r in results)
 
 
+@pytest.mark.parametrize("max_iters", [0, -1])
+def test_optimizer_options_reject_nonpositive_max_iters(max_iters):
+    with pytest.raises(ValueError, match="max_iters"):
+        OptimizerOptions(max_iters=max_iters)
+
+
 def test_optimize_rejects_unknown_strategy():
     with pytest.raises(ValueError):
         optimize_quorum(NoiseModel("depolarizing", "heisenberg", 0.0), strategy="bogus")

@@ -5,7 +5,9 @@ import pytest
 
 import oracles
 from noisyqst.core import assert_density, random_density, state_fidelity
-from noisyqst.noise import NoiseModel, ideal_povm
+from noisyqst.gates import standard_mub_params
+from noisyqst.noise import NoiseModel, ideal_effects, povm_stack
+from noisyqst.quality import quality_report
 from noisyqst.tomography import (
     ExperimentReport,
     Scheme,
@@ -13,6 +15,7 @@ from noisyqst.tomography import (
     mub_scheme,
     outcome_probabilities,
     pauli9_scheme,
+    quorum_scheme,
     reports_to_csv,
     run_experiment,
     sample_measurement,
@@ -20,55 +23,56 @@ from noisyqst.tomography import (
 
 _NOISELESS = NoiseModel("depolarizing", "heisenberg", 0.0)
 
+_STANDARD_BASIS = ideal_effects(np.eye(4, dtype=complex)[None])
+
+
 def test_sample_measurement_pure_state_standard_basis():
-    povm = ideal_povm(np.eye(4, dtype=complex))
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0
-    counts = sample_measurement(rho, povm, 1000, np.random.default_rng(0))
-    assert counts[0] == 1000 and counts[1:].sum() == 0
+    counts = sample_measurement(rho, _STANDARD_BASIS, 1000, np.random.default_rng(0))
+    assert counts.shape == (1, 4)
+    assert counts[0, 0] == 1000 and counts[0, 1:].sum() == 0
 
 def test_outcome_probabilities_sum_to_one_for_noisy_povm():
     rng = np.random.default_rng(1)
     scheme = mub_scheme(NoiseModel("ou", "heisenberg", 0.2))
     for _ in range(10):
         rho = random_density(4, rng)
-        for povm in scheme.measurements:
-            p = outcome_probabilities(rho, povm)
-            assert abs(p.sum() - 1.0) < 1e-12
-            assert np.all(p >= 0)
+        p = outcome_probabilities(rho, scheme.effects)
+        assert p.shape == (5, 4)
+        assert np.max(np.abs(p.sum(axis=1) - 1.0)) < 1e-12
+        assert np.all(p >= 0)
 
 def test_sample_measurement_frequencies_match_probabilities():
     rng = np.random.default_rng(2)
     rho = random_density(4, rng)
-    povm = mub_scheme(_NOISELESS).measurements[3]
-    p = outcome_probabilities(rho, povm)
+    effects = mub_scheme(_NOISELESS).effects[3:4]
+    p = outcome_probabilities(rho, effects)
     n = 100_000
-    counts = sample_measurement(rho, povm, n, rng)
+    counts = sample_measurement(rho, effects, n, rng)
     sigma = np.sqrt(p * (1 - p) / n)
     assert np.all(np.abs(counts / n - p) < 4 * sigma + 1e-12)
 
 def test_sample_measurement_rejects_bad_inputs():
-    povm = ideal_povm(np.eye(4, dtype=complex))
     rho = np.eye(4, dtype=complex) / 4
     with pytest.raises(ValueError):
-        sample_measurement(rho, povm, 0, np.random.default_rng(0))
+        sample_measurement(rho, _STANDARD_BASIS, 0, np.random.default_rng(0))
     bad = np.eye(4, dtype=complex)  # trace 4: probabilities sum to 4
     with pytest.raises(ValueError):
-        sample_measurement(bad, povm, 10, np.random.default_rng(0))
+        sample_measurement(bad, _STANDARD_BASIS, 10, np.random.default_rng(0))
 
 def test_ml_reconstruct_exact_probabilities_recovers_state():
     scheme = mub_scheme(_NOISELESS)
     rng = np.random.default_rng(3)
     for _ in range(5):
         rho = random_density(4, rng)
-        counts = [outcome_probabilities(rho, p) * 1e7 for p in scheme.measurements]
-        rho_hat = ml_reconstruct(counts, scheme.measurements)
+        counts = outcome_probabilities(rho, scheme.effects) * 1e7
+        rho_hat = ml_reconstruct(counts, scheme.effects)
         assert state_fidelity(rho, rho_hat) > 1.0 - 1e-6
 
 def test_ml_reconstruct_uniform_counts_give_maximally_mixed():
     scheme = mub_scheme(_NOISELESS)
-    counts = [np.full(4, 250.0) for _ in scheme.measurements]
-    rho_hat = ml_reconstruct(counts, scheme.measurements)
+    rho_hat = ml_reconstruct(np.full((5, 4), 250.0), scheme.effects)
     assert np.max(np.abs(rho_hat - np.eye(4) / 4)) < 1e-6
 
 def test_ml_reconstruct_log_likelihood_non_decreasing():
@@ -76,10 +80,10 @@ def test_ml_reconstruct_log_likelihood_non_decreasing():
     rng = np.random.default_rng(4)
     for _ in range(5):
         rho = random_density(4, rng)
-        counts = [sample_measurement(rho, p, 500, rng) for p in scheme.measurements]
+        counts = sample_measurement(rho, scheme.effects, 500, rng)
         # re-run the fixed point manually, tracking the likelihood
-        effects = np.concatenate([p.effects for p in scheme.measurements])
-        n = np.concatenate(counts).astype(float)
+        effects = scheme.effects.reshape(20, 4, 4)
+        n = counts.ravel().astype(float)
         state = np.eye(4, dtype=complex) / 4
         lls = []
         for _ in range(60):
@@ -95,30 +99,31 @@ def test_ml_reconstruct_log_likelihood_non_decreasing():
 def test_ml_reconstruct_requires_informational_completeness():
     scheme = mub_scheme(_NOISELESS)
     with pytest.raises(ValueError):
-        ml_reconstruct(
-            [np.full(4, 10.0)] * 2, scheme.measurements[:2]
-        )
+        ml_reconstruct(np.full((2, 4), 10.0), scheme.effects[:2])
 
 def test_ml_reconstruct_output_is_valid_density():
     scheme = mub_scheme(NoiseModel("ou", "heisenberg", 0.15))
     rng = np.random.default_rng(5)
     for _ in range(5):
         rho = random_density(4, rng)
-        counts = [sample_measurement(rho, p, 400, rng) for p in scheme.measurements]
-        rho_hat = ml_reconstruct(counts, scheme.measurements)
+        counts = sample_measurement(rho, scheme.effects, 400, rng)
+        rho_hat = ml_reconstruct(counts, scheme.effects)
         assert_density(rho_hat, tol=1e-8)
 
 def test_noise_ignorant_mode_differs_under_noise():
+    # The noise-ignorant reconstruction is the same estimator given the
+    # nominal projectors in place of the noisy effects.
     noise = NoiseModel("depolarizing", "heisenberg", 0.2)
     scheme = mub_scheme(noise)
+    nominal = povm_stack(standard_mub_params("heisenberg").to_array(), noise)[2]
     rng = np.random.default_rng(6)
     rho = random_density(4, rng)
-    counts = [sample_measurement(rho, p, 2000, rng) for p in scheme.measurements]
-    aware = ml_reconstruct(counts, scheme.measurements, noise_aware=True)
-    ignorant = ml_reconstruct(counts, scheme.measurements, noise_aware=False)
+    counts = sample_measurement(rho, scheme.effects, 2000, rng)
+    aware = ml_reconstruct(counts, scheme.effects)
+    ignorant = ml_reconstruct(counts, nominal)
     assert np.max(np.abs(aware - ignorant)) > 1e-4
-    assert oracles.log_likelihood(counts, scheme.measurements, aware) >= oracles.log_likelihood(
-        counts, scheme.measurements, ignorant
+    assert oracles.log_likelihood(counts, scheme.effects, aware) >= oracles.log_likelihood(
+        counts, scheme.effects, ignorant
     )
 
 def test_run_experiment_reproducible():
@@ -126,6 +131,16 @@ def test_run_experiment_reproducible():
     a = run_experiment(schemes, 10, 2304, rng_seed=9)
     b = run_experiment(schemes, 10, 2304, rng_seed=9)
     assert a == b
+
+
+def test_run_experiment_pinned_reports():
+    # Recorded before sampling drew all of a state's measurements in one
+    # multinomial call; the RNG stream and the probabilities must not move.
+    schemes = [mub_scheme(NoiseModel("ou", "heisenberg", 0.1)), pauli9_scheme()]
+    mub, pauli = run_experiment(schemes, 6, 2304, rng_seed=3)
+    assert (mub.mean_infidelity, mub.sem) == (0.015813636626753152, 0.0039229274854448)
+    assert (pauli.mean_infidelity, pauli.sem) == (0.01795977826759737, 0.004185010754770234)
+    assert (mub.total_shots, pauli.total_shots) == (2300, 2304)
 
 
 def test_run_experiment_rejects_an_empty_state_set():
@@ -183,6 +198,10 @@ def test_scheme_validation():
     with pytest.raises(ValueError):
         Scheme("bad", [])
     with pytest.raises(ValueError):
+        Scheme("empty", np.zeros((0, 4, 4, 4), dtype=complex))
+    with pytest.raises(ValueError):
+        Scheme("flat", np.zeros((5, 4, 4), dtype=complex))
+    with pytest.raises(ValueError):
         run_experiment([pauli9_scheme()], 2, 5, rng_seed=0)  # 5 // 9 == 0
 
 
@@ -190,15 +209,15 @@ def test_ml_reconstruct_warns_only_when_stopped_at_max_iter(caplog):
     rng = np.random.default_rng(6)
     scheme = mub_scheme(_NOISELESS)
     rho = random_density(4, rng)
-    counts = [sample_measurement(rho, p, 1000, rng) for p in scheme.measurements]
-    stack = np.stack([np.concatenate(counts), np.full(20, 250), np.concatenate(counts)])
+    counts = sample_measurement(rho, scheme.effects, 1000, rng)
+    stack = np.stack([counts, np.full((5, 4), 250), counts])
     with caplog.at_level(logging.WARNING, logger="noisyqst.tomography"):
-        ml_reconstruct(counts, scheme.measurements)
-        ml_reconstruct(stack, scheme.measurements)
+        ml_reconstruct(counts, scheme.effects)
+        ml_reconstruct(stack, scheme.effects)
         assert caplog.records == []
-        ml_reconstruct(counts, scheme.measurements, max_iter=1)
+        ml_reconstruct(counts, scheme.effects, max_iter=1)
         # uniform counts converge at the second check; the others run on
-        ml_reconstruct(stack, scheme.measurements, max_iter=3)
+        ml_reconstruct(stack, scheme.effects, max_iter=3)
     assert len(caplog.records) == 2
     assert "1 of 1 states" in caplog.records[0].getMessage()
     assert "max_iter=1" in caplog.records[0].getMessage()
@@ -215,9 +234,9 @@ ORACLE_TOL = 1e-8
 
 def _stack_counts(scheme, n_states, total_shots, seed):
     rng = np.random.default_rng(seed)
-    shots = total_shots // len(scheme.measurements)
+    shots = total_shots // len(scheme.effects)
     return np.array([
-        np.concatenate([sample_measurement(rho, p, shots, rng) for p in scheme.measurements])
+        sample_measurement(rho, scheme.effects, shots, rng)
         for rho in [random_density(4, rng) for _ in range(n_states)]
     ])
 
@@ -229,10 +248,10 @@ def test_ml_stack_matches_per_state_oracle(channel, scheme_name):
     scheme = mub_scheme(noise) if scheme_name == "mub" else pauli9_scheme()
     counts = _stack_counts(scheme, 12, 2304, seed=0)
     for max_iter, capped in ((5000, False), (40, True)):
-        estimates = ml_reconstruct(counts, scheme.measurements, max_iter=max_iter)
+        estimates = ml_reconstruct(counts, scheme.effects, max_iter=max_iter)
         converged = []
         for est, c in zip(estimates, counts):
-            ref, ok = oracles.ml_reconstruct(c, scheme.measurements, max_iter=max_iter)
+            ref, ok = oracles.ml_reconstruct(c, scheme.effects, max_iter=max_iter)
             assert np.max(np.abs(est - ref)) <= ORACLE_TOL
             converged.append(ok)
         if capped:
@@ -242,21 +261,33 @@ def test_ml_stack_matches_per_state_oracle(channel, scheme_name):
 def test_ml_stack_estimates_do_not_depend_on_the_stack():
     scheme = mub_scheme(NoiseModel("ou", "heisenberg", 0.1))
     counts = _stack_counts(scheme, 16, 2304, seed=1)
-    full = ml_reconstruct(counts, scheme.measurements)
+    full = ml_reconstruct(counts, scheme.effects)
     perm = np.random.default_rng(2).permutation(len(counts))
-    assert ml_reconstruct(counts[perm], scheme.measurements).tobytes() == full[perm].tobytes()
-    assert ml_reconstruct(counts[:7], scheme.measurements).tobytes() == full[:7].tobytes()
+    assert ml_reconstruct(counts[perm], scheme.effects).tobytes() == full[perm].tobytes()
+    assert ml_reconstruct(counts[:7], scheme.effects).tobytes() == full[:7].tobytes()
     for i in (0, 5, 15):
-        alone = ml_reconstruct(counts[i : i + 1], scheme.measurements)
+        alone = ml_reconstruct(counts[i : i + 1], scheme.effects)
         assert alone.shape == (1, 4, 4)
         assert alone[0].tobytes() == full[i].tobytes()
-        per_measurement = np.split(counts[i], len(scheme.measurements))
-        assert ml_reconstruct(per_measurement, scheme.measurements).tobytes() == full[i].tobytes()
+        one_state = ml_reconstruct(counts[i], scheme.effects)
+        assert one_state.shape == (4, 4)
+        assert one_state.tobytes() == full[i].tobytes()
 
 
 def test_ml_reconstruct_rejects_counts_of_the_wrong_shape():
     scheme = mub_scheme(_NOISELESS)
     with pytest.raises(ValueError, match="number of effects"):
-        ml_reconstruct(np.full((3, 16), 10.0), scheme.measurements)
+        ml_reconstruct(np.full((3, 4, 4), 10.0), scheme.effects)
+    with pytest.raises(ValueError, match="number of effects"):
+        ml_reconstruct(np.full((3, 20), 10.0), scheme.effects)
     with pytest.raises(ValueError, match="no states"):
-        ml_reconstruct(np.empty((0, 20)), scheme.measurements)
+        ml_reconstruct(np.empty((0, 5, 4)), scheme.effects)
+
+
+def test_quorum_scheme_and_quality_report_reject_an_interaction_mismatch():
+    quorum = standard_mub_params("heisenberg")
+    noise = NoiseModel("ou", "ising", 0.1)
+    with pytest.raises(ValueError, match="noise model is 'ising'"):
+        quorum_scheme(quorum, noise, "mismatch")
+    with pytest.raises(ValueError, match="noise model is 'ising'"):
+        quality_report(quorum, noise)
