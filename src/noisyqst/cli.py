@@ -150,24 +150,35 @@ def cmd_sweep(args) -> int:
         raise SystemExit2("--states and --shots must be >= 1")
     grid = _parse_grid(args.grid)
     scheme_names = [s.strip() for s in args.schemes.split(",") if s.strip()]
+    for name in scheme_names:
+        if name not in ("mub", "pauli9", "optimized"):
+            raise SystemExit2(f"unknown scheme {name!r} (expected mub, pauli9, optimized)")
+    # pauli9 has no entangler, so its report is the same at every grid point:
+    # reconstruct it once, on the sampling stream of its position in --schemes.
+    fixed = [i for i, name in enumerate(scheme_names) if name == "pauli9"]
+    varying = [i for i, name in enumerate(scheme_names) if name != "pauli9"]
+    pauli = {}
+    if fixed:
+        pauli = dict(zip(fixed, tomo.run_experiment(
+            [tomo.pauli9_scheme()] * len(fixed), args.states, args.shots, args.seed,
+            streams=fixed)))
     rows = []
     for strength in grid:
         noise = NoiseModel(channel=args.channel, interaction=args.interaction, strength=strength)
         schemes = []
-        for name in scheme_names:
-            if name == "mub":
+        for i in varying:
+            if scheme_names[i] == "mub":
                 schemes.append(tomo.mub_scheme(noise))
-            elif name == "pauli9":
-                schemes.append(tomo.pauli9_scheme())
-            elif name == "optimized":
+            else:
                 best = opt.optimize_quorum(
                     noise, strategy="mub-seeded", opts=opt.OptimizerOptions(seed=args.seed)
                 )[0]
                 schemes.append(tomo.quorum_scheme(best.params, noise, "optimized"))
-            else:
-                raise SystemExit2(f"unknown scheme {name!r} (expected mub, pauli9, optimized)")
-        reports = tomo.run_experiment(schemes, args.states, args.shots, args.seed)
-        rows.extend((rep, strength) for rep in reports)
+        reports = dict(pauli)
+        if varying:
+            reports.update(zip(varying, tomo.run_experiment(
+                schemes, args.states, args.shots, args.seed, streams=varying)))
+        rows.extend((reports[i], strength) for i in range(len(scheme_names)))
     config_line = "# config: " + json.dumps(_effective_config(args), sort_keys=True) + "\n"
     _emit(args, config_line + tomo.reports_to_csv(rows))
     return 0

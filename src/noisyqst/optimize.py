@@ -19,7 +19,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize as spopt
 
 from .gates import (
     ENTANGLER_SLOTS,
@@ -112,6 +111,8 @@ def powell_minimize(f, x0, opts: OptimizerOptions | None = None):
     after each outer iteration.  Raises :class:`ObjectiveError` if the
     objective ever evaluates non-finite.
     """
+    from scipy import optimize as spopt
+
     opts = opts or OptimizerOptions()
     fw = _finite_wrapper(f)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -395,6 +396,11 @@ def optimize_quorum(
             for i in range(n_starts)
         ]
         runner = _run_annealing
+
+    # scipy is imported lazily, keeping it out of commands that never
+    # minimize; importing it before the pool forks spares each worker the
+    # import.
+    import scipy.optimize  # noqa: F401
 
     results, failures = _run_starts(runner, jobs, threads)
     for label, message in failures:

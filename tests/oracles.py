@@ -211,8 +211,9 @@ def ml_reconstruct(counts, effects: np.ndarray, ll_tol: float = 1e-12,
                    max_iter: int = 5000) -> tuple[np.ndarray, bool]:
     """R rho R fixed point for one state's counts (m, 4); returns (rho, converged).
 
-    The per-state loop the stacked reconstruction replaced: the same stop on
-    the relative log-likelihood gain, with einsum contractions over the
+    The reference maximum-likelihood estimator: the per-state R rho R
+    iteration the package used before its projected-gradient one, stopping
+    on the relative log-likelihood gain, with einsum contractions over the
     effects (m, 4, 4, 4) taken one outcome at a time.
     """
     effects = np.asarray(effects).reshape(-1, 4, 4)
@@ -231,6 +232,15 @@ def ml_reconstruct(counts, effects: np.ndarray, ll_tol: float = 1e-12,
         rho = (rho + rho.conj().T) / 2.0
         rho /= np.trace(rho).real
     return rho, False
+
+
+def ml_certificate(counts, effects: np.ndarray, rho: np.ndarray) -> float:
+    """Glancy-Knill-Girard bound N (lambda_max(R) - 1) on ln L(rho_ML) - ln L(rho), in nats."""
+    effects = np.asarray(effects).reshape(-1, 4, 4)
+    n = np.asarray(counts, dtype=float).ravel()
+    p = np.einsum("kij,ji->k", effects, rho).real
+    r = np.einsum("k,kij->ij", n / (n.sum() * p), effects)
+    return float(n.sum() * (np.linalg.eigvalsh(r)[-1] - 1.0))
 
 
 def log_likelihood(counts, effects: np.ndarray, rho: np.ndarray) -> float:

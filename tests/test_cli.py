@@ -213,6 +213,41 @@ def test_config_equals_form_matches_separate_form(tmp_path):
     assert json.loads(joined)["noise"]["strength"] == 0.05
 
 
+def test_sweep_reconstructs_pauli9_once(monkeypatch, tmp_path):
+    import noisyqst.tomography as tomography
+    from noisyqst.cli import main
+    from noisyqst.noise import NoiseModel
+
+    calls = []
+    real = tomography.ml_reconstruct
+
+    def spy(counts, effects, *args, **kwargs):
+        calls.append(len(effects))
+        return real(counts, effects, *args, **kwargs)
+
+    monkeypatch.setattr(tomography, "ml_reconstruct", spy)
+    grid = (0.0, 0.05, 0.1)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--grid", ",".join(map(str, grid)), "--schemes", "pauli9,mub",
+                 "--states", "3", "--shots", "2304", "--seed", "5", "--threads", "1",
+                 "--out", str(out)]) == 0
+    assert sorted(calls) == [5, 5, 5, 9]
+    # pauli9 keeps the sampling stream of its position in --schemes
+    rows = []
+    for strength in grid:
+        noise = NoiseModel("depolarizing", "heisenberg", strength)
+        reports = tomography.run_experiment(
+            [tomography.pauli9_scheme(), tomography.mub_scheme(noise)], 3, 2304, 5)
+        rows.extend((rep, strength) for rep in reports)
+    assert out.read_text().split("\n", 1)[1] == tomography.reports_to_csv(rows)
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    code = "import sys, noisyqst.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("flag", ["--states", "--shots"])
 def test_sweep_rejects_nonpositive_states_and_shots(flag):
     for value in ("0", "-3"):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from noisyqst.core import random_density
@@ -8,6 +11,7 @@ from noisyqst.gates import (
     HeisenbergTimes,
     MeasurementParams,
     SingleQubitParams,
+    entangling_times,
     measurement_unitary,
     standard_mub_params,
 )
@@ -152,6 +156,42 @@ def test_channels_preserve_trace_and_positivity():
         ):
             assert abs(np.trace(out).real - 1.0) < 1e-10
             assert np.linalg.eigvalsh(out)[0] > -1e-10
+
+
+def _choi(channel) -> np.ndarray:
+    """Choi matrix sum_ij |i><j| (x) channel(|i><j|) of a linear map on 4x4 matrices."""
+    units = np.eye(16, dtype=complex).reshape(16, 4, 4)  # |i><j| at index 4 i + j
+    return channel(units).reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(16, 16)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    channel=st.sampled_from(["depolarizing", "ou"]),
+    interaction=st.sampled_from(["heisenberg", "ising"]),
+    strength=st.floats(0.0, 50.0),
+    unit=arrays(np.float64, 3, elements=st.floats(-1.0, 1.0)),
+)
+def test_every_channel_is_cptp_and_unital_at_every_strength(channel, interaction, strength, unit):
+    # Heisenberg pulses in their canonical [0, 2], Ising couplings in [-pi, pi]
+    ent = np.abs(unit) * 2.0 if interaction == "heisenberg" else unit * np.pi
+    if channel == "depolarizing":
+        q = depolarizing_q(strength, entangling_times(ent, interaction))
+        assert 0.0 <= q <= 1.0
+
+        def apply(rho):
+            return apply_depolarizing(rho, q)
+    else:
+        gammas = ou_gammas(strength, ent, interaction)
+        assert np.all((0.0 <= gammas) & (gammas <= 1.0))
+
+        def apply(rho):
+            return apply_ou(rho, gammas, interaction)
+    choi = _choi(apply)
+    assert_allclose(choi, choi.conj().T, atol=1e-14)
+    assert np.linalg.eigvalsh(choi)[0] > -1e-12  # completely positive
+    # trace preserving: Tr channel(|i><j|) = delta_ij
+    assert_allclose(np.einsum("iaja->ij", choi.reshape(4, 4, 4, 4)), np.eye(4), atol=1e-12)
+    assert_allclose(apply(np.eye(4, dtype=complex)), np.eye(4), atol=1e-12)  # unital
 
 
 def test_average_gate_fidelity_identity_and_depolarizing():

@@ -1,7 +1,10 @@
+import hashlib
 import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from noisyqst.core import assert_density, random_density, state_fidelity
@@ -76,25 +79,23 @@ def test_ml_reconstruct_uniform_counts_give_maximally_mixed():
     assert np.max(np.abs(rho_hat - np.eye(4) / 4)) < 1e-6
 
 def test_ml_reconstruct_log_likelihood_non_decreasing():
+    # max_iter=k returns the k-th iterate of a state still above the gap, and
+    # the momentum restart keeps every iterate at least as likely as the last
     scheme = mub_scheme(NoiseModel("depolarizing", "heisenberg", 0.05))
     rng = np.random.default_rng(4)
-    for _ in range(5):
-        rho = random_density(4, rng)
-        counts = sample_measurement(rho, scheme.effects, 500, rng)
-        # re-run the fixed point manually, tracking the likelihood
-        effects = scheme.effects.reshape(20, 4, 4)
-        n = counts.ravel().astype(float)
-        state = np.eye(4, dtype=complex) / 4
-        lls = []
-        for _ in range(60):
-            pvec = np.clip(np.einsum("kij,ji->k", effects, state).real, 1e-12, None)
-            lls.append(float(np.dot(n, np.log(pvec))))
-            r = np.einsum("k,kij->ij", n / (n.sum() * pvec), effects)
-            state = r @ state @ r
-            state = (state + state.conj().T) / 2
-            state /= np.trace(state).real
-        diffs = np.diff(lls)
-        assert np.all(diffs > -1e-9)
+    counts = np.array([sample_measurement(random_density(4, rng), scheme.effects, 500, rng)
+                       for _ in range(5)])
+    logger = logging.getLogger("noisyqst.tomography")
+    logger.disabled = True
+    try:
+        iterates = [ml_reconstruct(counts, scheme.effects, max_iter=k) for k in range(60)]
+    finally:
+        logger.disabled = False
+    for i, c in enumerate(counts):
+        lls = [oracles.log_likelihood(c, scheme.effects, est[i]) for est in iterates]
+        assert np.all(np.diff(lls) > -1e-9)
+        assert lls[-1] > lls[0]
+
 
 def test_ml_reconstruct_requires_informational_completeness():
     scheme = mub_scheme(_NOISELESS)
@@ -133,13 +134,27 @@ def test_run_experiment_reproducible():
     assert a == b
 
 
-def test_run_experiment_pinned_reports():
-    # Recorded before sampling drew all of a state's measurements in one
-    # multinomial call; the RNG stream and the probabilities must not move.
+def test_run_experiment_pinned_reports(monkeypatch):
+    # The counts are the RNG stream: recorded before sampling drew all of a
+    # state's measurements in one multinomial call, and before the
+    # projected-gradient reconstruction, which moved only the reports.
+    import noisyqst.tomography as tomography
+
+    counts = []
+
+    def spy(c, effects, *args, **kwargs):
+        counts.append(hashlib.sha256(np.asarray(c, dtype=np.int64).tobytes()).hexdigest())
+        return ml_reconstruct(c, effects, *args, **kwargs)
+
+    monkeypatch.setattr(tomography, "ml_reconstruct", spy)
     schemes = [mub_scheme(NoiseModel("ou", "heisenberg", 0.1)), pauli9_scheme()]
     mub, pauli = run_experiment(schemes, 6, 2304, rng_seed=3)
-    assert (mub.mean_infidelity, mub.sem) == (0.015813636626753152, 0.0039229274854448)
-    assert (pauli.mean_infidelity, pauli.sem) == (0.01795977826759737, 0.004185010754770234)
+    assert counts == [
+        "8a05dc3beb5737d4767d49a03519bab07695b4549acd31f9f376ed15d55b8886",
+        "5c7cb91a19bf64ff7251a16c1e56070a053963179e3ef9316eb280f18df9b49e",
+    ]
+    assert (mub.mean_infidelity, mub.sem) == (0.015821256688815826, 0.003926755262233424)
+    assert (pauli.mean_infidelity, pauli.sem) == (0.018026444731198188, 0.004228732764014542)
     assert (mub.total_shots, pauli.total_shots) == (2300, 2304)
 
 
@@ -225,11 +240,12 @@ def test_ml_reconstruct_warns_only_when_stopped_at_max_iter(caplog):
     assert "max_iter=3" in caplog.records[1].getMessage()
 
 
-# The stacked kernel against the per-state loop it replaced
-# (``oracles.ml_reconstruct``).  The two contract in a different order, so
-# each iteration differs by rounding only, near 1e-16.  The tolerance was
-# fixed before the kernel was written.
-ORACLE_TOL = 1e-8
+# The projected-gradient reconstruction against the R rho R reference
+# (``oracles.ml_reconstruct``).  The two iterations approach the maximum
+# along different paths, so they are compared through the likelihood: the
+# certificate bounds each estimate's log-likelihood gap to the maximum.
+GAP = 1e-2
+REFERENCE_ITERATIONS = 40_000
 
 
 def _stack_counts(scheme, n_states, total_shots, seed):
@@ -243,19 +259,60 @@ def _stack_counts(scheme, n_states, total_shots, seed):
 
 @pytest.mark.parametrize("channel", ["depolarizing", "ou"])
 @pytest.mark.parametrize("scheme_name", ["mub", "pauli9"])
-def test_ml_stack_matches_per_state_oracle(channel, scheme_name):
+def test_ml_certificate_and_likelihood_against_the_oracle(channel, scheme_name, caplog):
     noise = NoiseModel(channel, "heisenberg", 0.1)
     scheme = mub_scheme(noise) if scheme_name == "mub" else pauli9_scheme()
     counts = _stack_counts(scheme, 12, 2304, seed=0)
-    for max_iter, capped in ((5000, False), (40, True)):
-        estimates = ml_reconstruct(counts, scheme.effects, max_iter=max_iter)
-        converged = []
-        for est, c in zip(estimates, counts):
-            ref, ok = oracles.ml_reconstruct(c, scheme.effects, max_iter=max_iter)
-            assert np.max(np.abs(est - ref)) <= ORACLE_TOL
-            converged.append(ok)
-        if capped:
-            assert not all(converged)  # the comparison includes states stopped at the cap
+    estimates = ml_reconstruct(counts, scheme.effects, gap=GAP)
+    for est, c in zip(estimates, counts):
+        # (a) the certificate, recomputed outside the package, is below the gap
+        assert oracles.ml_certificate(c, scheme.effects, est) < GAP
+        # (b) so no long R rho R run finds a likelihood more than the gap higher
+        ref, _ = oracles.ml_reconstruct(c, scheme.effects, ll_tol=0.0,
+                                        max_iter=REFERENCE_ITERATIONS)
+        ll_ref = oracles.log_likelihood(c, scheme.effects, ref)
+        assert oracles.log_likelihood(c, scheme.effects, est) >= ll_ref - GAP
+    # (c) the warning counts exactly the states still above the gap at the cap
+    with caplog.at_level(logging.WARNING, logger="noisyqst.tomography"):
+        capped = ml_reconstruct(counts, scheme.effects, gap=GAP, max_iter=4)
+    bounds = np.array([oracles.ml_certificate(c, scheme.effects, est)
+                       for est, c in zip(capped, counts)])
+    above = int((bounds >= GAP).sum())
+    assert above > 0
+    (record,) = caplog.records
+    assert f"{above} of 12 states" in record.getMessage()
+    assert f"up to {bounds.max():.3g} nats" in record.getMessage()
+
+
+def _rank_deficient_density(rank, rng):
+    psi = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+    rho = psi @ psi.conj().T
+    return rho / np.trace(rho).real
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    channel=st.sampled_from(["depolarizing", "ou"]),
+    interaction=st.sampled_from(["heisenberg", "ising"]),
+    strength=st.floats(0.0, 0.3),
+    scheme_name=st.sampled_from(["mub", "pauli9"]),
+    total_shots=st.sampled_from([2304, 23040, 230400]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ml_every_state_converges_to_a_density_matrix(
+    channel, interaction, strength, scheme_name, total_shots, seed
+):
+    noise = NoiseModel(channel, interaction, strength)
+    scheme = mub_scheme(noise) if scheme_name == "mub" else pauli9_scheme()
+    rng = np.random.default_rng(seed)
+    # pure and low-rank states put the maximum on the boundary
+    states = [_rank_deficient_density(rank, rng) for rank in (1, 2, 3)]
+    states += [random_density(4, rng) for _ in range(3)]
+    shots = total_shots // len(scheme.effects)
+    counts = np.array([sample_measurement(rho, scheme.effects, shots, rng) for rho in states])
+    for est, c in zip(ml_reconstruct(counts, scheme.effects), counts):
+        assert_density(est, tol=1e-8)
+        assert oracles.ml_certificate(c, scheme.effects, est) < GAP
 
 
 def test_ml_stack_estimates_do_not_depend_on_the_stack():
@@ -282,6 +339,13 @@ def test_ml_reconstruct_rejects_counts_of_the_wrong_shape():
         ml_reconstruct(np.full((3, 20), 10.0), scheme.effects)
     with pytest.raises(ValueError, match="no states"):
         ml_reconstruct(np.empty((0, 5, 4)), scheme.effects)
+
+
+def test_ml_reconstruct_rejects_a_nonpositive_gap():
+    scheme = mub_scheme(_NOISELESS)
+    for gap in (0.0, -1e-3, float("nan")):
+        with pytest.raises(ValueError, match="gap must be > 0"):
+            ml_reconstruct(np.full((5, 4), 250.0), scheme.effects, gap=gap)
 
 
 def test_quorum_scheme_and_quality_report_reject_an_interaction_mismatch():
