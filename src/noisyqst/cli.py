@@ -153,32 +153,35 @@ def cmd_sweep(args) -> int:
     for name in scheme_names:
         if name not in ("mub", "pauli9", "optimized"):
             raise SystemExit2(f"unknown scheme {name!r} (expected mub, pauli9, optimized)")
-    # pauli9 has no entangler, so its report is the same at every grid point:
-    # reconstruct it once, on the sampling stream of its position in --schemes.
-    fixed = [i for i, name in enumerate(scheme_names) if name == "pauli9"]
-    varying = [i for i, name in enumerate(scheme_names) if name != "pauli9"]
-    pauli = {}
-    if fixed:
-        pauli = dict(zip(fixed, tomo.run_experiment(
-            [tomo.pauli9_scheme()] * len(fixed), args.states, args.shots, args.seed,
-            streams=fixed)))
-    rows = []
-    for strength in grid:
-        noise = NoiseModel(channel=args.channel, interaction=args.interaction, strength=strength)
-        schemes = []
-        for i in varying:
-            if scheme_names[i] == "mub":
+    # One tomography pass: every scheme sees the same states, on the sampling
+    # stream of its position in --schemes.  pauli9 has no entangler, so its
+    # report is the same at every grid point and it is built and run once.
+    schemes, streams, keys = [], [], []
+    for i, name in enumerate(scheme_names):
+        if name == "pauli9":
+            schemes.append(tomo.pauli9_scheme())
+            streams.append(i)
+            keys.append((i, None))
+            continue
+        for strength in grid:
+            noise = NoiseModel(channel=args.channel, interaction=args.interaction,
+                               strength=strength)
+            if name == "mub":
                 schemes.append(tomo.mub_scheme(noise))
             else:
                 best = opt.optimize_quorum(
                     noise, strategy="mub-seeded", opts=opt.OptimizerOptions(seed=args.seed)
                 )[0]
                 schemes.append(tomo.quorum_scheme(best.params, noise, "optimized"))
-        reports = dict(pauli)
-        if varying:
-            reports.update(zip(varying, tomo.run_experiment(
-                schemes, args.states, args.shots, args.seed, streams=varying)))
-        rows.extend((reports[i], strength) for i in range(len(scheme_names)))
+            streams.append(i)
+            keys.append((i, strength))
+    reports = dict(zip(keys, tomo.run_experiment(
+        schemes, args.states, args.shots, args.seed, streams=streams)))
+    rows = [
+        (reports[i, None if name == "pauli9" else strength], strength)
+        for strength in grid
+        for i, name in enumerate(scheme_names)
+    ]
     config_line = "# config: " + json.dumps(_effective_config(args), sort_keys=True) + "\n"
     _emit(args, config_line + tomo.reports_to_csv(rows))
     return 0
@@ -282,7 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("coeff", help="estimate the log-average linear coefficient")
     _add_common(p, noise=False)
-    p.add_argument("--dim", type=int, choices=(2, 4), default=4)
+    p.add_argument("--dim", type=int, choices=(2, 4), default=4,
+                   help="Hilbert-space dimension; both average over gap-of-uniforms "
+                        "spectra, so --dim 2 gives about 1.237, not the Bloch-ball 3/2")
     p.add_argument("--samples", type=int, default=1_000_000)
     p.set_defaults(func=cmd_coeff)
 

@@ -62,18 +62,22 @@ def assert_unitary(U: np.ndarray, tol: float = 1e-10) -> None:
 
 
 def assert_density(rho: np.ndarray, tol: float = 1e-10) -> None:
-    """Raise ValueError unless rho is Hermitian, unit trace, and PSD within tol."""
-    d = rho.shape[0]
+    """Raise ValueError unless rho is Hermitian, unit trace, and PSD within tol.
+
+    ``rho`` may be one matrix (d, d) or a stack (n, d, d); a stack passes
+    only if every member does.
+    """
+    d = rho.shape[-1]
     _check_dim(d)
-    herm = np.max(np.abs(rho - rho.conj().T))
+    herm = np.max(np.abs(rho - rho.conj().mT))
     if not herm < tol:
         raise ValueError(f"density matrix not Hermitian (deviation {herm:.3e})")
-    tr = abs(np.trace(rho) - 1.0)
+    tr = np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0))
     if not tr < tol:
         raise ValueError(f"density matrix trace differs from 1 by {tr:.3e}")
-    w = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-    if w[0] < -tol:
-        raise ValueError(f"density matrix has negative eigenvalue {w[0]:.3e}")
+    w = np.linalg.eigvalsh((rho + rho.conj().mT) / 2)[..., 0].min()
+    if w < -tol:
+        raise ValueError(f"density matrix has negative eigenvalue {w:.3e}")
 
 
 def assert_projector(P: np.ndarray, rank: int | None = None, tol: float = 1e-10) -> None:
@@ -133,26 +137,31 @@ def random_density(d: int, rng: np.random.Generator) -> np.ndarray:
     return (rho + rho.conj().T) / 2
 
 
-def state_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
+def state_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:
     """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, clamped to [0, 1].
 
     Square roots are taken by Hermitian eigendecomposition with eigenvalues
     clamped at zero, since inputs are only guaranteed PSD within tolerance.
+    Two stacks (n, d, d) give the n fidelities of their pairs, each computed
+    as one pair alone would be.
     """
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
 
     def _sqrt_clipped(w):
         # zero out eigenvalue noise so sqrt does not amplify it to ~1e-8
-        floor = max(np.max(w), 0.0) * 1e-12
+        floor = np.maximum(w.max(axis=-1, keepdims=True), 0.0) * 1e-12
         return np.sqrt(np.where(w > floor, w, 0.0))
 
-    w, v = np.linalg.eigh((rho + rho.conj().T) / 2)
-    sqrt_rho = (v * _sqrt_clipped(w)) @ v.conj().T
+    w, v = np.linalg.eigh((rho + rho.conj().mT) / 2)
+    sqrt_rho = (v * _sqrt_clipped(w)[..., None, :]) @ v.conj().mT
     inner = sqrt_rho @ sigma @ sqrt_rho
-    lam = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
-    f = float(np.sum(_sqrt_clipped(lam)) ** 2)
-    return min(max(f, 0.0), 1.0)
+    lam = np.linalg.eigvalsh((inner + inner.conj().mT) / 2)
+    sums = np.sum(_sqrt_clipped(lam), axis=-1)
+    # squared one numpy scalar at a time, as for one pair alone: an array's
+    # ** 2 is a multiplication, which can round differently in the last bit
+    f = np.clip(np.array([s**2 for s in sums.reshape(-1)]), 0.0, 1.0)
+    return float(f[0]) if sums.ndim == 0 else f.reshape(sums.shape)
 
 
 # ---------------------------------------------------------------------------

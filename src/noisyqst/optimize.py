@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import json
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -350,6 +349,10 @@ def _run_starts(runner, jobs: list, threads: int):
     """
     attempt = functools.partial(_attempt, runner)
     if threads > 1 and len(jobs) > 1:
+        # imported here: the pool pulls in multiprocessing and socket, which
+        # commands that never run one should not pay for
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             outcomes = list(pool.map(attempt, jobs))
     else:

@@ -3,13 +3,14 @@
 Outcome counts are multinomial draws from the noisy effect probabilities
 Tr(F_jk rho).  Reconstruction maximizes the multinomial log-likelihood by
 accelerated projected gradient ascent over density matrices, on a whole
-stack of states at once, and stops each state once a certificate bounds
-its log-likelihood gap to the maximum below a set number of nats.  A scheme's
-effects are one (m, 4, 4, 4) array: m measurements of four outcomes.  The
-reconstruction uses whichever effects it is given; the true noisy effects
-give the noise-aware likelihood, and the nominal projectors of
-:func:`~noisyqst.noise.povm_stack` a noise-ignorant one, for sensitivity
-studies.
+stack of states at once, from each state's linear-inversion estimate
+projected onto density matrices, and stops each state once a certificate
+bounds its log-likelihood gap to the maximum below a set number of nats.
+A scheme's effects are one (m, 4, 4, 4) array: m measurements of four
+outcomes.  The reconstruction uses whichever effects it is given; the
+true noisy effects give the noise-aware likelihood, and the nominal
+projectors of :func:`~noisyqst.noise.povm_stack` a noise-ignorant one,
+for sensitivity studies.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import assert_density, random_density, state_fidelity
+from .core import TRACELESS_BASIS, assert_density, random_density, state_fidelity
 from .gates import QuorumParams, nine_pauli_bases, standard_mub_params
 from .noise import NoiseModel, _require_interaction, ideal_effects, povm_stack
 
@@ -174,6 +175,38 @@ def _project_density(h: np.ndarray) -> np.ndarray:
     return (rho + rho.conj().mT) / 2.0
 
 
+def _linear_inversion_start(n: np.ndarray, total: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """Each state's linear-inversion estimate projected onto density matrices, (s, 4, 4).
+
+    The estimate 1/4 + sum_b c_b B_b over the traceless basis takes
+    c = A^+ (f - Tr F_k / 4), with A_kb = Tr(F_k B_b) and f_k the frequency
+    of outcome k within its measurement (Smolin, Gambetta & Smith, PRL 108,
+    070502, 2012).  A state keeps the maximally mixed start if one of its
+    measurements has no counts, if the projected estimate leaves an
+    observed outcome no probability, or if the maximally mixed state has
+    the smaller certificate.  The last case catches an observed outcome left
+    with a probability that rounding puts just above 0: R is then huge, and
+    so is the number of iterations.
+    """
+    basis = TRACELESS_BASIS[4]
+    a_pinv = np.linalg.pinv(_probabilities(basis, flat).T)
+    per_measurement = n.reshape(len(n), -1, 4).sum(axis=2)
+    empty = (per_measurement == 0).any(axis=1)
+    f = n / np.repeat(np.where(empty[:, None], 1.0, per_measurement), 4, axis=1)
+    # Tr F_k / 4: the diagonal of each flattened effect, at the maximally mixed state
+    p_mixed = np.broadcast_to(flat[:, ::5].real.sum(axis=1) / 4.0, n.shape)
+    # stacked one-row products, so each state is rounded as if it were alone
+    c = (f - p_mixed)[:, None, :] @ a_pinv.T
+    rho = _project_density(np.eye(4) / 4.0 + (c @ basis.reshape(15, 16)).reshape(-1, 4, 4))
+    p = _probabilities(rho, flat)
+    fallback = empty | ((n > 0) & (p <= 0.0)).any(axis=1)
+    p[fallback] = p_mixed[fallback]
+    fallback |= _certificate(_r_operator(n, total, p, flat), total) > _certificate(
+        _r_operator(n, total, p_mixed, flat), total)
+    rho[fallback] = np.eye(4) / 4.0
+    return rho
+
+
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Re Tr(a^dagger b) of stacked 4x4 matrices."""
     a = a.reshape(-1, 16).view(float)
@@ -194,16 +227,22 @@ def ml_reconstruct(
     result has shape (n_states, 4, 4).  One state's counts (m, 4) give one
     4x4 matrix.
 
-    Each state runs accelerated projected gradient ascent on the
-    log-likelihood from the maximally mixed state (Shang, Zhang & Ng, PRA
-    95, 062336, 2017): a step along R = sum (n_k / (N p_k)) F_k, the
-    gradient over N, from the extrapolated point, then the projection onto
-    density matrices (one eigendecomposition and a simplex projection of
-    the eigenvalues).  The step size is backtracked per state and grows by
-    1.1x per iteration; the momentum restarts whenever the log-likelihood
-    would fall.  A state leaves the stack once the Glancy-Knill-Girard
-    bound N (lambda_max(R) - 1) on its log-likelihood gap to the maximum
-    (NJP 14, 095017, 2012) drops below ``gap`` nats.  One warning reports
+    Each state starts at its linear-inversion estimate projected onto
+    density matrices, or at the maximally mixed state where that start is
+    undefined or certified farther from the maximum (see
+    :func:`_linear_inversion_start`).  For a minimal quorum such as the
+    MUBs, linear inversion reproduces the observed frequencies, so a start
+    that needed no projection is already the maximum.  From there it runs
+    accelerated projected gradient ascent on the log-likelihood (Shang,
+    Zhang & Ng, PRA 95, 062336, 2017): a step along
+    R = sum (n_k / (N p_k)) F_k, the gradient over N, from the extrapolated
+    point, then the projection onto density matrices (one
+    eigendecomposition and a simplex projection of the eigenvalues).  The
+    step size is backtracked per state and grows by 1.1x per iteration; the
+    momentum restarts whenever the log-likelihood would fall.  A state
+    leaves the stack once the Glancy-Knill-Girard bound
+    N (lambda_max(R) - 1) on its log-likelihood gap to the maximum (NJP 14,
+    095017, 2012) drops below ``gap`` nats.  One warning reports
     how many states were still above it after ``max_iter`` iterations, and
     the largest bound left.  Every contraction is a stacked matrix product,
     a stacked eigendecomposition or a row operation, so a state's estimate
@@ -224,7 +263,7 @@ def ml_reconstruct(
     total = n.sum(axis=1)
     estimates = np.empty((len(n), 4, 4), dtype=complex)
     active = np.arange(len(n))
-    rho = np.tile(np.eye(4, dtype=complex) / 4.0, (len(n), 1, 1))
+    rho = _linear_inversion_start(n, total, flat)
     p = _probabilities(rho, flat)
     r = _r_operator(n, total, p, flat)
     # the extrapolated point y, where each step starts
@@ -298,18 +337,18 @@ def run_experiment(
     the scheme's stream index, and the state index, so reports are
     reproducible.  A scheme's stream index is its position in ``schemes``
     unless ``streams`` gives one per scheme.  Each scheme's states are
-    reconstructed as one stack.
+    reconstructed and scored as one stack.
     """
     if n_states < 1:
         raise ValueError("n_states must be >= 1")
     streams = range(len(schemes)) if streams is None else streams
     if len(streams) != len(schemes):
         raise ValueError("streams must give one index per scheme")
-    states = [
+    states = np.array([
         random_density(4, np.random.default_rng(
             np.random.SeedSequence(entropy=rng_seed, spawn_key=(0, i))))
         for i in range(n_states)
-    ]
+    ])
     reports = []
     for s_idx, scheme in zip(streams, schemes):
         shots = total_shots // len(scheme.effects)
@@ -321,10 +360,8 @@ def run_experiment(
             for i, rho in enumerate(states)
         ])
         estimates = ml_reconstruct(counts, scheme.effects)
-        infids = np.empty(n_states)
-        for i, (rho, rho_hat) in enumerate(zip(states, estimates)):
-            assert_density(rho_hat, tol=1e-8)
-            infids[i] = 1.0 - state_fidelity(rho, rho_hat)
+        assert_density(estimates, tol=1e-8)
+        infids = 1.0 - state_fidelity(states, estimates)
         reports.append(
             ExperimentReport(
                 scheme_label=scheme.label,

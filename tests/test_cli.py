@@ -243,7 +243,10 @@ def test_sweep_reconstructs_pauli9_once(monkeypatch, tmp_path):
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():
-    code = "import sys, noisyqst.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    # and the process pool's multiprocessing, which only optimize's pool needs
+    prefixes = ("scipy", "multiprocessing", "concurrent.futures.process")
+    code = ("import sys, noisyqst.cli; "
+            f"print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
 

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from noisyqst.core import (
@@ -83,6 +85,31 @@ def test_state_fidelity_pure_states_match_overlap():
         f = state_fidelity(np.outer(a, a.conj()), np.outer(b, b.conj()))
         # sqrt of clamped near-zero eigenvalues bounds the attainable precision
         assert abs(f - abs(np.vdot(a, b)) ** 2) < 1e-8
+
+
+@settings(max_examples=50, deadline=None)
+@given(d=st.sampled_from([2, 4]), n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_state_fidelity_of_a_stack_equals_single_calls_bit_for_bit(d, n, seed):
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        # some eigenvalues 0 or near the 1e-12 relative clamp, which each
+        # matrix must apply against its own largest eigenvalue
+        w = rng.dirichlet(np.ones(d))
+        k = rng.integers(0, d)
+        w[:k] = np.where(rng.random(k) < 0.5, 0.0, 10.0 ** rng.uniform(-15, -11, k))
+        u = haar_random_unitary(d, rng)
+        rho = (u * (w / w.sum())) @ u.conj().T
+        return (rho + rho.conj().T) / 2
+
+    rho = np.array([draw() for _ in range(n)])
+    sigma = np.array([draw() for _ in range(n)])
+    sigma[0] = rho[0]
+    stacked = state_fidelity(rho, sigma)
+    singles = [state_fidelity(a, b) for a, b in zip(rho, sigma)]
+    assert all(type(f) is float for f in singles)
+    assert stacked.shape == (n,)
+    assert stacked.tobytes() == np.array(singles).tobytes()
 
 
 def test_state_fidelity_dimension_mismatch():
@@ -194,6 +221,27 @@ def test_traceless_basis_is_orthonormal():
         assert_allclose(g, np.eye(n), atol=1e-14)
         for b in basis:
             assert abs(np.trace(b)) < 1e-14
+
+
+def test_assert_density_on_a_stack_rejects_any_one_bad_member():
+    rng = np.random.default_rng(8)
+    stack = np.array([random_density(4, rng) for _ in range(5)])
+    assert_density(stack)
+    not_hermitian = stack[0].copy()
+    not_hermitian[0, 1] += 1e-6
+    bad = {
+        "not Hermitian": not_hermitian,
+        "trace differs": 1.01 * stack[0],
+        "negative eigenvalue": np.diag([1.02, -0.02, 0.0, 0.0]).astype(complex),
+    }
+    for message, member in bad.items():
+        with pytest.raises(ValueError, match=message):
+            assert_density(member)
+        for i in range(len(stack)):
+            one_bad = stack.copy()
+            one_bad[i] = member
+            with pytest.raises(ValueError, match=message):
+                assert_density(one_bad)
 
 
 def test_validators_reject_bad_inputs():

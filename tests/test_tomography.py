@@ -80,8 +80,10 @@ def test_ml_reconstruct_uniform_counts_give_maximally_mixed():
 
 def test_ml_reconstruct_log_likelihood_non_decreasing():
     # max_iter=k returns the k-th iterate of a state still above the gap, and
-    # the momentum restart keeps every iterate at least as likely as the last
-    scheme = mub_scheme(NoiseModel("depolarizing", "heisenberg", 0.05))
+    # the momentum restart keeps every iterate at least as likely as the last.
+    # The nine Pauli bases are overcomplete, so their linear-inversion start
+    # is not the maximum and every state needs iterations.
+    scheme = pauli9_scheme()
     rng = np.random.default_rng(4)
     counts = np.array([sample_measurement(random_density(4, rng), scheme.effects, 500, rng)
                        for _ in range(5)])
@@ -137,7 +139,8 @@ def test_run_experiment_reproducible():
 def test_run_experiment_pinned_reports(monkeypatch):
     # The counts are the RNG stream: recorded before sampling drew all of a
     # state's measurements in one multinomial call, and before the
-    # projected-gradient reconstruction, which moved only the reports.
+    # projected-gradient reconstruction and its linear-inversion start,
+    # which moved only the reports.
     import noisyqst.tomography as tomography
 
     counts = []
@@ -153,8 +156,8 @@ def test_run_experiment_pinned_reports(monkeypatch):
         "8a05dc3beb5737d4767d49a03519bab07695b4549acd31f9f376ed15d55b8886",
         "5c7cb91a19bf64ff7251a16c1e56070a053963179e3ef9316eb280f18df9b49e",
     ]
-    assert (mub.mean_infidelity, mub.sem) == (0.015821256688815826, 0.003926755262233424)
-    assert (pauli.mean_infidelity, pauli.sem) == (0.018026444731198188, 0.004228732764014542)
+    assert (mub.mean_infidelity, mub.sem) == (0.01582071129170487, 0.00392643376539764)
+    assert (pauli.mean_infidelity, pauli.sem) == (0.018028705644182907, 0.004230421604935835)
     assert (mub.total_shots, pauli.total_shots) == (2300, 2304)
 
 
@@ -221,17 +224,20 @@ def test_scheme_validation():
 
 
 def test_ml_reconstruct_warns_only_when_stopped_at_max_iter(caplog):
+    # The nine Pauli bases are overcomplete: the linear-inversion start of
+    # sampled counts is not the maximum, so those states need iterations.
     rng = np.random.default_rng(6)
-    scheme = mub_scheme(_NOISELESS)
+    scheme = pauli9_scheme()
     rho = random_density(4, rng)
     counts = sample_measurement(rho, scheme.effects, 1000, rng)
-    stack = np.stack([counts, np.full((5, 4), 250), counts])
+    stack = np.stack([counts, np.full((9, 4), 250), counts])
     with caplog.at_level(logging.WARNING, logger="noisyqst.tomography"):
         ml_reconstruct(counts, scheme.effects)
         ml_reconstruct(stack, scheme.effects)
         assert caplog.records == []
         ml_reconstruct(counts, scheme.effects, max_iter=1)
-        # uniform counts converge at the second check; the others run on
+        # uniform counts start at their maximum, the maximally mixed state;
+        # the others run on
         ml_reconstruct(stack, scheme.effects, max_iter=3)
     assert len(caplog.records) == 2
     assert "1 of 1 states" in caplog.records[0].getMessage()
@@ -248,13 +254,19 @@ GAP = 1e-2
 REFERENCE_ITERATIONS = 40_000
 
 
-def _stack_counts(scheme, n_states, total_shots, seed):
+def _rank_deficient_density(rank, rng):
+    psi = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+    rho = psi @ psi.conj().T
+    return rho / np.trace(rho).real
+
+
+def _stack_counts(scheme, n_states, total_shots, seed, ranks=()):
+    # the first len(ranks) states have those ranks, the rest are random_density draws
     rng = np.random.default_rng(seed)
     shots = total_shots // len(scheme.effects)
-    return np.array([
-        sample_measurement(rho, scheme.effects, shots, rng)
-        for rho in [random_density(4, rng) for _ in range(n_states)]
-    ])
+    states = [_rank_deficient_density(rank, rng) for rank in ranks]
+    states += [random_density(4, rng) for _ in range(n_states - len(ranks))]
+    return np.array([sample_measurement(rho, scheme.effects, shots, rng) for rho in states])
 
 
 @pytest.mark.parametrize("channel", ["depolarizing", "ou"])
@@ -262,7 +274,9 @@ def _stack_counts(scheme, n_states, total_shots, seed):
 def test_ml_certificate_and_likelihood_against_the_oracle(channel, scheme_name, caplog):
     noise = NoiseModel(channel, "heisenberg", 0.1)
     scheme = mub_scheme(noise) if scheme_name == "mub" else pauli9_scheme()
-    counts = _stack_counts(scheme, 12, 2304, seed=0)
+    # Low-rank states put the maximum on the boundary, where the projected
+    # linear-inversion start is not yet certified, so part (c) has states to count.
+    counts = _stack_counts(scheme, 12, 2304, seed=0, ranks=(1, 2, 3))
     estimates = ml_reconstruct(counts, scheme.effects, gap=GAP)
     for est, c in zip(estimates, counts):
         # (a) the certificate, recomputed outside the package, is below the gap
@@ -282,12 +296,6 @@ def test_ml_certificate_and_likelihood_against_the_oracle(channel, scheme_name, 
     (record,) = caplog.records
     assert f"{above} of 12 states" in record.getMessage()
     assert f"up to {bounds.max():.3g} nats" in record.getMessage()
-
-
-def _rank_deficient_density(rank, rng):
-    psi = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
-    rho = psi @ psi.conj().T
-    return rho / np.trace(rho).real
 
 
 @settings(max_examples=30, deadline=None)
@@ -329,6 +337,65 @@ def test_ml_stack_estimates_do_not_depend_on_the_stack():
         one_state = ml_reconstruct(counts[i], scheme.effects)
         assert one_state.shape == (4, 4)
         assert one_state.tobytes() == full[i].tobytes()
+
+
+def test_ml_linear_inversion_start_certifies_most_mub_states(caplog):
+    # The MUBs are a minimal quorum: linear inversion reproduces the observed
+    # frequencies, so wherever it is already a density matrix it is the maximum.
+    scheme = mub_scheme(NoiseModel("depolarizing", "heisenberg", 0.05))
+    counts = _stack_counts(scheme, 200, 23040, seed=8)
+    with caplog.at_level(logging.WARNING, logger="noisyqst.tomography"):
+        ml_reconstruct(counts, scheme.effects, max_iter=0)
+    (record,) = caplog.records
+    uncertified = int(record.getMessage().split("ml_reconstruct: ")[1].split(" of 200")[0])
+    assert 0 < uncertified < 100
+
+
+def _assert_converged(counts, effects, estimates):
+    for est, c in zip(estimates, counts):
+        assert_density(est, tol=1e-8)
+        assert oracles.ml_certificate(c, effects, est) < GAP
+
+
+def test_ml_start_is_maximally_mixed_where_a_measurement_has_no_counts(caplog):
+    scheme = mub_scheme(NoiseModel("depolarizing", "heisenberg", 0.05))
+    full = _stack_counts(scheme, 12, 23040, seed=3, ranks=(1, 2, 3))
+    for j in range(len(scheme.effects)):
+        counts = full.copy()
+        counts[:, j] = 0
+        with caplog.at_level(logging.WARNING, logger="noisyqst.tomography"):
+            starts = ml_reconstruct(counts, scheme.effects, max_iter=0)
+            estimates = ml_reconstruct(counts, scheme.effects)
+        assert all(np.array_equal(start, np.eye(4) / 4) for start in starts)
+        _assert_converged(counts, scheme.effects, estimates)
+    assert all("max_iter=0" in record.getMessage() for record in caplog.records)
+
+
+def test_ml_start_is_maximally_mixed_where_an_observed_outcome_has_no_probability(caplog):
+    # Counts of |++> in eight of the nine Pauli bases, but the XX readout sees
+    # |+-> in 1,000 - b shots and |--> in b.  The projected linear-inversion
+    # estimate of these inconsistent counts gives |--> no probability:
+    # rounding puts it within 1e-16 of 0, on either side as b varies, and
+    # either side must fall back.  The same holds for |00> with |01> and |11>
+    # in the ZZ readout, where the probability left is about 2e-30.
+    scheme = pauli9_scheme()
+    plus = np.full(2, 2**-0.5)
+    rows = []
+    for psi, readout in ((np.kron(plus, plus), 0), (np.eye(4)[0], 8)):
+        ideal = np.round(outcome_probabilities(np.outer(psi, psi).astype(complex),
+                                               scheme.effects) * 1000)
+        for b in range(1, 9):
+            counts = ideal.copy()
+            counts[readout] = (0, 1000 - b, 0, b)
+            rows.append(counts)
+    counts = np.array(rows)
+    with caplog.at_level(logging.WARNING, logger="noisyqst.tomography"):
+        starts = ml_reconstruct(counts, scheme.effects, max_iter=0)
+        assert len(caplog.records) == 1
+        estimates = ml_reconstruct(counts, scheme.effects)
+        assert len(caplog.records) == 1
+    assert all(np.array_equal(start, np.eye(4) / 4) for start in starts)
+    _assert_converged(counts, scheme.effects, estimates)
 
 
 def test_ml_reconstruct_rejects_counts_of_the_wrong_shape():
