@@ -3,20 +3,14 @@
 from .core import (
     bloch_gram_volume,
     gram_volume,
-    haar_random_unitary,
+    haar_random_unitaries,
     random_density,
     state_fidelity,
     traceless_part,
 )
 from .gates import (
-    CanonicalParams,
-    HeisenbergTimes,
-    MeasurementParams,
     QuorumParams,
-    SingleQubitParams,
-    canonical_two_qubit,
-    entangling_time,
-    heisenberg_two_qubit,
+    entangling_times,
     measurement_layers,
     measurement_unitary,
     nine_pauli_bases,

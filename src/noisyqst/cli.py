@@ -47,10 +47,18 @@ from .quality import (
 _NOT_ECHOED = ("command", "func", "out", "config")
 
 
+def _noise_model(channel: str, interaction: str, strength: float) -> NoiseModel:
+    """The noise model of parsed flags; one that NoiseModel rejects is a usage error."""
+    try:
+        return NoiseModel(channel=channel, interaction=interaction, strength=strength)
+    except ValueError as exc:
+        raise SystemExit2(str(exc))
+
+
 def _noise_from_args(args) -> NoiseModel:
     if args.strength is None:
         raise SystemExit2("missing noise strength (--zeta / -r)")
-    return NoiseModel(channel=args.channel, interaction=args.interaction, strength=args.strength)
+    return _noise_model(args.channel, args.interaction, args.strength)
 
 
 class SystemExit2(SystemExit):
@@ -140,15 +148,19 @@ def cmd_optimize(args) -> int:
 
 def _parse_grid(text: str) -> list[float]:
     try:
-        return [float(x) for x in text.split(",") if x.strip() != ""]
+        grid = [float(x) for x in text.split(",") if x.strip() != ""]
     except ValueError as exc:
         raise SystemExit2(f"bad --grid value: {exc}")
+    if not grid:
+        raise SystemExit2("--grid needs at least one noise strength")
+    return grid
 
 
 def cmd_sweep(args) -> int:
     if args.states < 1 or args.shots < 1:
         raise SystemExit2("--states and --shots must be >= 1")
     grid = _parse_grid(args.grid)
+    noises = [_noise_model(args.channel, args.interaction, strength) for strength in grid]
     scheme_names = [s.strip() for s in args.schemes.split(",") if s.strip()]
     for name in scheme_names:
         if name not in ("mub", "pauli9", "optimized"):
@@ -163,9 +175,7 @@ def cmd_sweep(args) -> int:
             streams.append(i)
             keys.append((i, None))
             continue
-        for strength in grid:
-            noise = NoiseModel(channel=args.channel, interaction=args.interaction,
-                               strength=strength)
+        for noise in noises:
             if name == "mub":
                 schemes.append(tomo.mub_scheme(noise))
             else:
@@ -174,7 +184,7 @@ def cmd_sweep(args) -> int:
                 )[0]
                 schemes.append(tomo.quorum_scheme(best.params, noise, "optimized"))
             streams.append(i)
-            keys.append((i, strength))
+            keys.append((i, noise.strength))
     reports = dict(zip(keys, tomo.run_experiment(
         schemes, args.states, args.shots, args.seed, streams=streams)))
     rows = [
@@ -214,9 +224,7 @@ def cmd_coeff(args) -> int:
 
 
 def cmd_single_qubit(args) -> int:
-    if args.strength is None:
-        raise SystemExit2("missing noise strength (-r)")
-    r = args.strength
+    r = _noise_from_args(args).strength
     theta = single_qubit_optimal_angle(r)
     doc = {
         "config": _effective_config(args),

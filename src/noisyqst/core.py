@@ -98,22 +98,13 @@ def assert_projector(P: np.ndarray, rank: int | None = None, tol: float = 1e-10)
 # random states and unitaries
 # ---------------------------------------------------------------------------
 
-def haar_random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw a Haar-distributed d x d unitary.
+def haar_random_unitaries(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw n Haar-distributed d x d unitaries, shape (n, d, d).
 
-    QR decomposition of a complex Ginibre matrix with the R diagonal
+    QR decomposition of complex Ginibre matrices with the R diagonal
     rephased to unit modulus, which makes the distribution exactly Haar
     rather than merely column-orthonormal.
     """
-    _check_dim(d)
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
-
-
-def haar_random_unitaries(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Batched version of :func:`haar_random_unitary`, shape (n, d, d)."""
     _check_dim(d)
     z = (rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
@@ -132,7 +123,7 @@ def random_density(d: int, rng: np.random.Generator) -> np.ndarray:
     """Draw a random density matrix U D U' with Haar U and gap-of-uniforms D."""
     _check_dim(d)
     ev = random_eigenvalues(d, 1, rng)[0]
-    u = haar_random_unitary(d, rng)
+    u = haar_random_unitaries(d, 1, rng)[0]
     rho = (u * ev) @ u.conj().T
     return (rho + rho.conj().T) / 2
 

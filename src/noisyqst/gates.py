@@ -10,8 +10,11 @@ where ``post`` acts first on the state and ``pre`` acts right before
 readout.  The entangler is either the Heisenberg-exchange gate of three
 SWAP^alpha pulses or the Ising realization of the canonical 4x4 gate
 exp(-i sum_k beta_k sigma_k x sigma_k) by conjugated ZZ evolutions; both are
-built spectrally in their Bell frame.  The corresponding parameter bundles
-carry the interaction tag.
+built spectrally in their Bell frame.
+
+A quorum is five measurements, held as one (5, 15) array of real
+parameters beside its interaction tag (:class:`QuorumParams`); the builders
+below work on stacks of such rows.
 """
 
 from __future__ import annotations
@@ -39,128 +42,65 @@ BELL_CONVENTIONAL = np.column_stack([_PHI_P, _PSI_P, _PHI_M, _PSI_M])
 BELL_SORTED = np.column_stack([_PSI_P, _PHI_P, _PHI_M, _PSI_M])
 
 
-# ---------------------------------------------------------------------------
-# parameter bundles
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SingleQubitParams:
-    """Angles (phi, psi, chi) of a general single-qubit gate."""
-
-    phi: float = 0.0
-    psi: float = 0.0
-    chi: float = 0.0
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.phi, self.psi, self.chi)
+# Positions of the 4 single-qubit gates (pre1, pre2, post1, post2) and of
+# the entangler within the 15 parameters of a measurement, and the names of
+# the five triples in quorum files.
+_SINGLE_SLOTS = np.array([[0, 1, 2], [3, 4, 5], [9, 10, 11], [12, 13, 14]])
+ENTANGLER_SLOTS = slice(6, 9)
+SLOT_NAMES = ("pre1", "pre2", "entangler", "post1", "post2")
 
 
-@dataclass(frozen=True)
-class CanonicalParams:
-    """Canonical two-qubit couplings (beta_x, beta_y, beta_z); Ising-tagged."""
+@dataclass(frozen=True, eq=False)
+class QuorumParams:
+    """Five measurements forming a two-qubit quorum: an interaction and (5, 15) parameters.
 
-    beta_x: float = 0.0
-    beta_y: float = 0.0
-    beta_z: float = 0.0
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.beta_x, self.beta_y, self.beta_z)
-
-
-@dataclass(frozen=True)
-class HeisenbergTimes:
-    """Normalized SWAP^alpha pulse durations, canonicalized into [0, 2).
-
-    The Bell-diagonal phases e^(i alpha pi) are 2-periodic in each alpha,
-    so the constructor reduces each component mod 2.
+    Row j of ``params`` holds measurement j's 15 reals as the triples
+    ``SLOT_NAMES``: single-qubit angles (phi, psi, chi) for pre1, pre2, post1
+    and post2, and the entangler's SWAP^alpha durations (Heisenberg) or
+    canonical couplings beta (Ising).  The phases e^(i alpha pi) are
+    2-periodic in each alpha, so Heisenberg durations are reduced mod 2
+    into [0, 2).  ``params`` is stored as a read-only copy.
     """
 
-    alpha1: float = 0.0
-    alpha2: float = 0.0
-    alpha3: float = 0.0
+    interaction: str
+    params: np.ndarray
 
     def __post_init__(self):
-        for name in ("alpha1", "alpha2", "alpha3"):
-            object.__setattr__(self, name, float(getattr(self, name)) % 2.0)
+        if self.interaction not in INTERACTIONS:
+            raise ValueError(f"unknown interaction {self.interaction!r}")
+        params = np.array(self.params, dtype=float)
+        if params.shape != (5, 15):
+            raise ValueError(f"a quorum needs (5, 15) parameters, got shape {params.shape}")
+        if not np.all(np.isfinite(params)):
+            raise ValueError("quorum parameters must be finite")
+        if self.interaction == HEISENBERG:
+            # A tiny negative duration rounds to 2.0 under one % 2.0; the
+            # second reduction folds that onto 0.0, so the result lies in
+            # [0, 2) and a second construction leaves it unchanged.
+            params[:, ENTANGLER_SLOTS] = params[:, ENTANGLER_SLOTS] % 2.0 % 2.0
+        params.flags.writeable = False
+        object.__setattr__(self, "params", params)
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.alpha1, self.alpha2, self.alpha3)
-
-
-Entangler = CanonicalParams | HeisenbergTimes
-
-
-@dataclass(frozen=True)
-class MeasurementParams:
-    """15 real parameters of one measurement unitary."""
-
-    pre1: SingleQubitParams
-    pre2: SingleQubitParams
-    entangler: Entangler
-    post1: SingleQubitParams
-    post2: SingleQubitParams
-
-    @property
-    def interaction(self) -> str:
-        return HEISENBERG if isinstance(self.entangler, HeisenbergTimes) else ISING
+    def __eq__(self, other):
+        if not isinstance(other, QuorumParams):
+            return NotImplemented
+        return self.interaction == other.interaction and np.array_equal(self.params, other.params)
 
     def to_array(self) -> np.ndarray:
-        """The 15 reals in slot order pre1, pre2, entangler, post1, post2."""
-        fields = (self.pre1, self.pre2, self.entangler, self.post1, self.post2)
-        return np.array([v for f in fields for v in f.as_tuple()])
-
-    @classmethod
-    def from_array(cls, row, interaction: str) -> "MeasurementParams":
-        """Inverse of :meth:`to_array`; Heisenberg durations are reduced mod 2."""
-        row = [float(v) for v in row]
-        ent_type = HeisenbergTimes if interaction == HEISENBERG else CanonicalParams
-        return cls(
-            pre1=SingleQubitParams(*row[0:3]),
-            pre2=SingleQubitParams(*row[3:6]),
-            entangler=ent_type(*row[6:9]),
-            post1=SingleQubitParams(*row[9:12]),
-            post2=SingleQubitParams(*row[12:15]),
-        )
-
-
-@dataclass(frozen=True)
-class QuorumParams:
-    """Five measurements forming a non-degenerate two-qubit quorum."""
-
-    measurements: tuple[MeasurementParams, ...]
-
-    def __post_init__(self):
-        if len(self.measurements) != 5:
-            raise ValueError(f"a quorum needs exactly 5 measurements, got {len(self.measurements)}")
-        tags = {m.interaction for m in self.measurements}
-        if len(tags) != 1:
-            raise ValueError("all measurements in a quorum must share one interaction type")
+        """The read-only (5, 15) parameter rows."""
+        return self.params
 
     @property
-    def interaction(self) -> str:
-        return self.measurements[0].interaction
-
-    def to_array(self) -> np.ndarray:
-        """(5, 15) parameter rows, one :meth:`MeasurementParams.to_array` per measurement."""
-        return np.stack([m.to_array() for m in self.measurements])
-
-    @classmethod
-    def from_array(cls, params, interaction: str) -> "QuorumParams":
-        return cls(measurements=tuple(MeasurementParams.from_array(row, interaction)
-                                      for row in params))
+    def measurements(self) -> tuple[tuple[np.ndarray, str], ...]:
+        """One ``(row, interaction)`` pair per measurement, for :func:`measurement_unitary`."""
+        return tuple((row, self.interaction) for row in self.params)
 
     def to_dict(self) -> dict:
         return {
             "interaction": self.interaction,
             "measurements": [
-                {
-                    "pre1": list(m.pre1.as_tuple()),
-                    "pre2": list(m.pre2.as_tuple()),
-                    "entangler": list(m.entangler.as_tuple()),
-                    "post1": list(m.post1.as_tuple()),
-                    "post2": list(m.post2.as_tuple()),
-                }
-                for m in self.measurements
+                {name: row[3 * i : 3 * i + 3].tolist() for i, name in enumerate(SLOT_NAMES)}
+                for row in self.params
             ],
         }
 
@@ -178,15 +118,13 @@ class QuorumParams:
         rows = []
         for e in entries:
             row = []
-            for key in ("pre1", "pre2", "entangler", "post1", "post2"):
+            for key in SLOT_NAMES:
                 vals = [float(x) for x in e[key]]
                 if len(vals) != 3:
                     raise ValueError(f"field {key!r} must hold 3 reals")
                 row += vals
             rows.append(row)
-        if not np.all(np.isfinite(rows)):
-            raise ValueError("quorum parameters must be finite")
-        return cls.from_array(rows, interaction)
+        return cls(interaction, rows)
 
     @classmethod
     def from_json(cls, text: str) -> "QuorumParams":
@@ -212,12 +150,6 @@ EIGENPHASE_COEFFS = {
 
 _FRAMES_INVERSE = {name: frame.conj().T for name, frame in BELL_FRAMES.items()}
 
-# Positions of the 4 single-qubit gates (pre1, pre2, post1, post2) and of
-# the entangler within the 15 parameters of a measurement.
-_SINGLE_SLOTS = np.array([[0, 1, 2], [3, 4, 5], [9, 10, 11], [12, 13, 14]])
-ENTANGLER_SLOTS = slice(6, 9)
-
-
 def single_qubit_gates(angles) -> np.ndarray:
     """Single-qubit gates of angles (..., 3) = (phi, psi, chi), shape (..., 2, 2).
 
@@ -236,9 +168,9 @@ def single_qubit_gates(angles) -> np.ndarray:
     return out
 
 
-def single_qubit_gate(p: SingleQubitParams) -> np.ndarray:
-    """2x2 gate of one parameter triple; see :func:`single_qubit_gates`."""
-    return single_qubit_gates(p.as_tuple())
+def single_qubit_gate(angles) -> np.ndarray:
+    """2x2 gate of one angle triple; see :func:`single_qubit_gates`."""
+    return single_qubit_gates(angles)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -259,26 +191,11 @@ def entanglers(ent, interaction: str) -> np.ndarray:
     return (frame * phases[..., None, :]) @ _FRAMES_INVERSE[interaction]
 
 
-def canonical_two_qubit(b: CanonicalParams) -> np.ndarray:
-    """exp(-i sum_k beta_k sigma_k x sigma_k), built spectrally in the Bell basis."""
-    return entanglers(b.as_tuple(), ISING)
-
-
-def heisenberg_two_qubit(a: HeisenbergTimes) -> np.ndarray:
-    """Heisenberg entangler diag(1, e^(i a1 pi), e^(i a2 pi), e^(i a3 pi)) in the resorted Bell basis."""
-    return entanglers(a.as_tuple(), HEISENBERG)
-
-
-def entangler_matrix(ent: Entangler) -> np.ndarray:
-    interaction = HEISENBERG if isinstance(ent, HeisenbergTimes) else ISING
-    return entanglers(ent.as_tuple(), interaction)
-
-
 def measurement_layers(params, interaction: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The three factors (pre1 x pre2, entangler, post1 x post2) of stacked measurements.
 
-    ``params`` has shape (..., 15) in the slot order of
-    :meth:`MeasurementParams.to_array`; each factor has shape (..., 4, 4).
+    ``params`` has shape (..., 15) in the slot order of ``SLOT_NAMES``;
+    each factor has shape (..., 4, 4).
     """
     params = np.asarray(params, dtype=float)
     gates = single_qubit_gates(params[..., _SINGLE_SLOTS])
@@ -287,11 +204,11 @@ def measurement_layers(params, interaction: str) -> tuple[np.ndarray, np.ndarray
     return pre, entanglers(params[..., ENTANGLER_SLOTS], interaction), post
 
 
-def measurement_unitary(m: MeasurementParams) -> np.ndarray:
-    """Full measurement unitary (pre1 x pre2) . entangler . (post1 x post2)."""
-    pre = _kron(single_qubit_gate(m.pre1), single_qubit_gate(m.pre2))
-    post = _kron(single_qubit_gate(m.post1), single_qubit_gate(m.post2))
-    return pre @ entangler_matrix(m.entangler) @ post
+def measurement_unitary(m) -> np.ndarray:
+    """Unitary (pre1 x pre2) . entangler . (post1 x post2) of one ``(row, interaction)`` pair."""
+    row, interaction = m
+    pre1, pre2, post1, post2 = (single_qubit_gate(row[slots]) for slots in _SINGLE_SLOTS)
+    return _kron(pre1, pre2) @ entanglers(row[ENTANGLER_SLOTS], interaction) @ _kron(post1, post2)
 
 
 def entangling_times(ent, interaction: str) -> np.ndarray:
@@ -306,11 +223,6 @@ def entangling_times(ent, interaction: str) -> np.ndarray:
     return np.abs(ent).sum(axis=-1) / np.pi
 
 
-def entangling_time(m: MeasurementParams) -> float:
-    """Normalized time the two-qubit interaction is on for this measurement."""
-    return float(entangling_times(m.entangler.as_tuple(), m.interaction))
-
-
 def _reflect_unit(x):
     """Triangle wave mapping the real line onto [0, 2] with period 4."""
     return 2.0 - np.abs(2.0 - (x % 4.0))
@@ -320,7 +232,7 @@ def quorum_array(x, interaction: str) -> np.ndarray:
     """(5, 15) parameter rows of a flat 75-vector.
 
     Heisenberg entangler slots are reflected into [0, 2] and then reduced
-    mod 2, as :class:`HeisenbergTimes` does, so a bounded optimizer sees a
+    mod 2, as :class:`QuorumParams` does, so a bounded optimizer sees a
     continuous parametrization of the pulse durations.
     """
     params = np.array(x, dtype=float)
@@ -336,7 +248,18 @@ def quorum_array(x, interaction: str) -> np.ndarray:
 # reference measurement sets
 # ---------------------------------------------------------------------------
 
-_ID = SingleQubitParams()
+_Q, _H = np.pi / 4, np.pi / 2
+
+# The entangler triples of rows 3 and 4 are set per interaction.
+_MUB_TABLE = np.array([
+    # pre1            pre2             entangler      post1          post2
+    [0.0, 0.0, 0.0,   0.0, 0.0, 0.0,   0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [_Q, 0.0, 0.0,    _Q, 0.0, 0.0,    0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [_Q, 0.0, _H,     _Q, 0.0, _H,     0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [0.0, _Q, 0.0,    -_H, 0.0, _Q,    0.0, 0.0, 0.0, 0.0, 0.0, 0.0, _Q, np.pi, -np.pi],
+    [_Q, _Q, _Q,      0.0, _Q, 0.0,    0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+])
+_MUB_ENTANGLER = {HEISENBERG: (0.5, 0.0, 0.5), ISING: (0.0, _Q, 0.0)}
 
 
 def standard_mub_params(interaction: str) -> QuorumParams:
@@ -348,48 +271,15 @@ def standard_mub_params(interaction: str) -> QuorumParams:
     """
     if interaction not in INTERACTIONS:
         raise ValueError(f"unknown interaction {interaction!r}")
-    if interaction == HEISENBERG:
-        ent: Entangler = HeisenbergTimes(0.5, 0.0, 0.5)
-        zero: Entangler = HeisenbergTimes()
-    else:
-        ent = CanonicalParams(0.0, np.pi / 4, 0.0)
-        zero = CanonicalParams()
-    q = np.pi / 4
-    ms = (
-        MeasurementParams(_ID, _ID, zero, _ID, _ID),
-        MeasurementParams(SingleQubitParams(q), SingleQubitParams(q), zero, _ID, _ID),
-        MeasurementParams(
-            SingleQubitParams(q, 0.0, np.pi / 2),
-            SingleQubitParams(q, 0.0, np.pi / 2),
-            zero,
-            _ID,
-            _ID,
-        ),
-        MeasurementParams(
-            SingleQubitParams(0.0, q, 0.0),
-            SingleQubitParams(-np.pi / 2, 0.0, q),
-            ent,
-            _ID,
-            SingleQubitParams(q, np.pi, -np.pi),
-        ),
-        MeasurementParams(
-            SingleQubitParams(q, q, q),
-            SingleQubitParams(0.0, q, 0.0),
-            ent,
-            _ID,
-            _ID,
-        ),
-    )
-    return QuorumParams(measurements=ms)
+    params = _MUB_TABLE.copy()
+    params[3:, ENTANGLER_SLOTS] = _MUB_ENTANGLER[interaction]
+    return QuorumParams(interaction, params)
 
 
 # Basis-change rotations: rows are the bras of the x/y/z eigenstates, so a
 # standard-basis readout after the rotation measures that Pauli basis.
-PAULI_BASIS_ROTATIONS = {
-    "x": single_qubit_gate(SingleQubitParams(np.pi / 4, 0.0, 0.0)),
-    "y": single_qubit_gate(SingleQubitParams(np.pi / 4, 0.0, -np.pi / 2)),
-    "z": PAULI_I,
-}
+_X_ROTATION, _Y_ROTATION = single_qubit_gates([[_Q, 0.0, 0.0], [_Q, 0.0, -_H]])
+PAULI_BASIS_ROTATIONS = {"x": _X_ROTATION, "y": _Y_ROTATION, "z": PAULI_I}
 
 
 def nine_pauli_bases() -> list[np.ndarray]:

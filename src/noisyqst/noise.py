@@ -69,14 +69,6 @@ class NoiseModel:
             "strength": self.strength,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "NoiseModel":
-        return cls(
-            channel=data["channel"],
-            interaction=data["interaction"],
-            strength=float(data["strength"]),
-        )
-
 
 # ---------------------------------------------------------------------------
 # depolarizing channel
@@ -223,8 +215,8 @@ def povm_stack(params, noise: NoiseModel) -> tuple[np.ndarray, np.ndarray, np.nd
     """Effective POVMs of stacked measurements with a noisy entangler.
 
     ``params`` has shape (n, 15) in the slot order of
-    :meth:`~noisyqst.gates.MeasurementParams.to_array`, with Heisenberg
-    durations already canonicalized.  Returns the effects (n, 4, 4, 4), the
+    :data:`~noisyqst.gates.SLOT_NAMES`, with Heisenberg durations already
+    canonicalized.  Returns the effects (n, 4, 4, 4), the
     per-effect scales q (n, 4) and the nominal projectors (n, 4, 4, 4) of
     the decomposition F_k = q_k (P_k - 1/4) + 1/4.
 

@@ -23,7 +23,7 @@ from .gates import (
     ENTANGLER_SLOTS,
     HEISENBERG,
     QuorumParams,
-    entangling_time,
+    entangling_times,
     measurement_layers,
     quorum_array,
     standard_mub_params,
@@ -170,11 +170,6 @@ def simulated_annealing(f, x0, opts: OptimizerOptions, rng: np.random.Generator)
 # quorum parameters
 # ---------------------------------------------------------------------------
 
-def vector_to_quorum(x: np.ndarray, interaction: str) -> QuorumParams:
-    """Unpack 75 reals; Heisenberg entangler slots are reflected into [0, 2)."""
-    return QuorumParams.from_array(quorum_array(x, interaction), interaction)
-
-
 def random_quorum(interaction: str, rng: np.random.Generator) -> np.ndarray:
     """(5, 15) parameters as :func:`~noisyqst.gates.quorum_array` gives them: uniform angles,
     then the entanglers' Heisenberg pulses in [0, 2) or Ising couplings in [-pi/2, pi/2)."""
@@ -305,7 +300,7 @@ def diverse_starts(
 # ---------------------------------------------------------------------------
 
 def _finish(x: np.ndarray, noise: NoiseModel, trajectory, label: str) -> OptimizationResult:
-    qp = vector_to_quorum(x, noise.interaction)
+    qp = QuorumParams(noise.interaction, quorum_array(x, noise.interaction))
     rep = quality_report(qp, noise)
     total = float(sum(rep.entangling_times))
     return OptimizationResult(
@@ -424,7 +419,7 @@ def results_to_csv(results: list[OptimizationResult], strategy: str, seed: int) 
         "t_1,t_2,t_3,t_4,t_5"
     ]
     for r in results:
-        times = [entangling_time(m) for m in r.params.measurements]
+        times = entangling_times(r.params.to_array()[:, ENTANGLER_SLOTS], r.params.interaction)
         fields = [strategy, str(seed), r.start_label]
         fields += [f"{v:.12g}" for v in (r.q_geometric, r.q_noisy, r.entangling_time_total)]
         fields += [f"{t:.12g}" for t in times]

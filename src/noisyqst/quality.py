@@ -13,7 +13,6 @@ Q * prod_j q_j^s with s = 2.39 in dimension 4 (s = 3/2 for a qubit).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,9 +53,6 @@ class QualityReport:
             "per_measurement_q": [[float(x) for x in row] for row in self.per_measurement_q],
             "entangling_times": [float(x) for x in self.entangling_times],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def _geometric(nominal: np.ndarray) -> float:

@@ -53,16 +53,6 @@ class ExperimentReport:
     total_shots: int
     seed: int
 
-    def to_dict(self) -> dict:
-        return {
-            "scheme_label": self.scheme_label,
-            "n_states": self.n_states,
-            "mean_infidelity": self.mean_infidelity,
-            "sem": self.sem,
-            "total_shots": self.total_shots,
-            "seed": self.seed,
-        }
-
 
 def mub_scheme(noise: NoiseModel, *, label: str = "mub") -> Scheme:
     """Standard MUB quorum under the given noise model."""

@@ -20,14 +20,7 @@ from noisyqst.core import (
     bloch_gram_volume,
     gram_volume,
 )
-from noisyqst.gates import (
-    BELL_SORTED,
-    CanonicalParams,
-    HeisenbergTimes,
-    MeasurementParams,
-    QuorumParams,
-    SingleQubitParams,
-)
+from noisyqst.gates import BELL_SORTED, HEISENBERG, QuorumParams
 from noisyqst.noise import (
     DEPOLARIZING,
     DegeneratePovmError,
@@ -45,12 +38,13 @@ _EYE4 = np.eye(4, dtype=complex)
 # gates
 # ---------------------------------------------------------------------------
 
-def single_qubit_gate(p: SingleQubitParams) -> np.ndarray:
-    c, s = np.cos(p.phi), np.sin(p.phi)
+def single_qubit_gate(angles) -> np.ndarray:
+    phi, psi, chi = angles
+    c, s = np.cos(phi), np.sin(phi)
     return np.array(
         [
-            [c * np.exp(1j * p.psi), s * np.exp(1j * p.chi)],
-            [-s * np.exp(-1j * p.chi), c * np.exp(-1j * p.psi)],
+            [c * np.exp(1j * psi), s * np.exp(1j * chi)],
+            [-s * np.exp(-1j * chi), c * np.exp(-1j * psi)],
         ]
     )
 
@@ -62,12 +56,13 @@ def swap_alpha(alpha: float) -> np.ndarray:
     return np.eye(4, dtype=complex) + (np.exp(1j * alpha * np.pi) - 1.0) * singlet
 
 
-def heisenberg_two_qubit_sequence(a: HeisenbergTimes) -> np.ndarray:
+def heisenberg_two_qubit_sequence(alphas) -> np.ndarray:
     """Heisenberg entangler via the explicit pulse sequence zx . S^a1 . z1 . S^a2 . x2 . S^a3."""
+    a1, a2, a3 = alphas
     zx = np.kron(PAULI_Z, PAULI_X)
     z1 = np.kron(PAULI_Z, PAULI_I)
     x2 = np.kron(PAULI_I, PAULI_X)
-    return zx @ swap_alpha(a.alpha1) @ z1 @ swap_alpha(a.alpha2) @ x2 @ swap_alpha(a.alpha3)
+    return zx @ swap_alpha(a1) @ z1 @ swap_alpha(a2) @ x2 @ swap_alpha(a3)
 
 
 # Single-qubit frames that rotate each ZZ evolution onto XX, YY, ZZ; the
@@ -77,26 +72,30 @@ _FRAME_Y = np.array([[1, 1j], [1j, 1]], dtype=complex) / np.sqrt(2.0)  # exp(+i 
 _ZZ_DIAG = np.array([1.0, -1.0, -1.0, 1.0])
 
 
-def ising_two_qubit(b: CanonicalParams) -> np.ndarray:
+def ising_two_qubit(betas) -> np.ndarray:
     """Canonical gate realized as three conjugated ZZ evolutions."""
     out = np.eye(4, dtype=complex)
-    for beta, frame in zip(b.as_tuple(), (_FRAME_X, _FRAME_Y, PAULI_I)):
+    for beta, frame in zip(betas, (_FRAME_X, _FRAME_Y, PAULI_I)):
         local = np.kron(frame, frame)
         zz = np.diag(np.exp(-1j * beta * _ZZ_DIAG))
         out = out @ (local.conj().T @ zz @ local)
     return out
 
 
-def _entangler(ent) -> np.ndarray:
-    if isinstance(ent, HeisenbergTimes):
-        return heisenberg_two_qubit_sequence(ent)
-    return ising_two_qubit(ent)
+def _factors(m):
+    """(pre1 x pre2, entangler, post1 x post2) of one ``(row, interaction)`` measurement."""
+    row, interaction = m
+    pre1, pre2, ent, post1, post2 = (row[i : i + 3] for i in range(0, 15, 3))
+    pre = np.kron(single_qubit_gate(pre1), single_qubit_gate(pre2))
+    post = np.kron(single_qubit_gate(post1), single_qubit_gate(post2))
+    if interaction == HEISENBERG:
+        return pre, heisenberg_two_qubit_sequence(ent), post
+    return pre, ising_two_qubit(ent), post
 
 
-def measurement_unitary(m: MeasurementParams) -> np.ndarray:
-    pre = np.kron(single_qubit_gate(m.pre1), single_qubit_gate(m.pre2))
-    post = np.kron(single_qubit_gate(m.post1), single_qubit_gate(m.post2))
-    return pre @ _entangler(m.entangler) @ post
+def measurement_unitary(m) -> np.ndarray:
+    pre, ent, post = _factors(m)
+    return pre @ ent @ post
 
 
 # ---------------------------------------------------------------------------
@@ -111,10 +110,11 @@ def apply_kraus(rho: np.ndarray, ops) -> np.ndarray:
     return out
 
 
-def _kraus_set(m: MeasurementParams, noise: NoiseModel):
-    vals = np.array(m.entangler.as_tuple())
+def _kraus_set(m, noise: NoiseModel):
+    row, interaction = m
+    vals = np.array(row[6:9])
     r = noise.strength
-    if isinstance(m.entangler, HeisenbergTimes):
+    if interaction == HEISENBERG:
         time, gammas = vals.sum(), np.exp(-r * np.pi * vals)
         kraus_ou = kraus_ou_heisenberg
     else:
@@ -139,11 +139,11 @@ def extract_q_and_nominal(effects: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return qs, nominal
 
 
-def effective_povm(m: MeasurementParams, noise: NoiseModel):
-    """(effects, qs, nominal projectors) of one measurement, one effect at a time."""
-    pre = np.kron(single_qubit_gate(m.pre1), single_qubit_gate(m.pre2))
-    post = np.kron(single_qubit_gate(m.post1), single_qubit_gate(m.post2))
-    tail = _entangler(m.entangler) @ post
+def effective_povm(m, noise: NoiseModel):
+    """(effects, qs, nominal projectors) of one ``(row, interaction)`` measurement,
+    one effect at a time."""
+    pre, ent, post = _factors(m)
+    tail = ent @ post
     ops = _kraus_set(m, noise)
     effects = np.empty((4, 4, 4), dtype=complex)
     for k in range(4):

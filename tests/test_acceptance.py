@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from noisyqst.core import random_density
-from noisyqst.gates import measurement_unitary, standard_mub_params
+from noisyqst.gates import ENTANGLER_SLOTS, measurement_unitary, standard_mub_params
 from noisyqst.noise import (
     NoiseModel,
     apply_depolarizing,
@@ -103,8 +103,8 @@ def test_criterion_3_heisenberg_optimum_recovery(zeta):
         target = analytic_alpha_max(zeta)
         devs = []
         for j in (3, 4):
-            ent = res.params.measurements[j].entangler
-            devs += [abs(ent.alpha1 - target), abs(ent.alpha3 - target)]
+            alpha1, _, alpha3 = res.params.to_array()[j, ENTANGLER_SLOTS]
+            devs += [abs(alpha1 - target), abs(alpha3 - target)]
         assert max(devs) < 1e-3
         closed = analytic_heisenberg_qn(target, target, target, target, zeta)
         assert abs(res.q_noisy - closed) < 1e-6
@@ -124,7 +124,7 @@ def test_criterion_3_ising_optimum_recovery(zeta):
         res = optimize_quorum(noise, strategy="mub-seeded")[0]
         target = analytic_beta_max(zeta)
         devs = [
-            abs(res.params.measurements[j].entangler.beta_y - target) for j in (3, 4)
+            abs(res.params.to_array()[j, ENTANGLER_SLOTS][1] - target) for j in (3, 4)
         ]
         assert max(devs) < 1e-3
         closed = analytic_ising_qn(target, target, zeta)

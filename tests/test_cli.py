@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -63,6 +64,35 @@ def test_quality_quorum_file_and_malformed_file(tmp_path):
 def test_quality_missing_strength_is_usage_error():
     proc = run_cli("quality", "--mub", "heisenberg", check=False)
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["optimize", "--zeta", "-1"],
+    ["quality", "--zeta", "nan"],
+    ["gate-fidelity", "--zeta", "-0.1"],
+    ["single-qubit", "-r", "-1"],
+    ["single-qubit", "-r", "nan"],
+    ["sweep", "--grid", "-0.1"],
+    ["sweep", "--grid", "0,-0.1", "--schemes", "pauli9"],
+    ["sweep", "--grid", ""],
+], ids=" ".join)
+def test_invalid_noise_strength_is_usage_error(argv, capsys):
+    from noisyqst.cli import main
+
+    assert main(argv + ["--threads", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_quality_mub_output_is_pinned(capsys):
+    from noisyqst.cli import main
+
+    # SHA-256 of this command's stdout before quorums became one array
+    assert main(["quality", "--mub", "heisenberg", "--zeta", "0.05", "--threads", "1"]) == 0
+    out = capsys.readouterr().out
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "b87d1f45fe59d7ca04f5f66f4208b5f97524d8a4f251de66431f747616bff1b5")
 
 
 def test_gate_fidelity_values():

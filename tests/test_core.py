@@ -14,7 +14,6 @@ from noisyqst.core import (
     bloch_gram_volume,
     gram_volume,
     haar_random_unitaries,
-    haar_random_unitary,
     hermitian_from_traceless,
     random_density,
     state_fidelity,
@@ -24,22 +23,21 @@ from noisyqst.gates import measurement_unitary, standard_mub_params
 
 
 def test_haar_unitary_deterministic_under_seed():
-    u1 = haar_random_unitary(2, np.random.default_rng(7))
-    u2 = haar_random_unitary(2, np.random.default_rng(7))
+    u1 = haar_random_unitaries(2, 1, np.random.default_rng(7))
+    u2 = haar_random_unitaries(2, 1, np.random.default_rng(7))
     assert_allclose(u1, u2, rtol=0, atol=0)
 
 
 def test_haar_unitary_is_unitary():
     rng = np.random.default_rng(0)
     for d in (2, 4):
-        for _ in range(20):
-            u = haar_random_unitary(d, rng)
+        for u in haar_random_unitaries(d, 20, rng):
             assert np.max(np.abs(u.conj().T @ u - np.eye(d))) < 1e-12
 
 
 def test_haar_unitary_rejects_bad_dimension():
     with pytest.raises(ValueError):
-        haar_random_unitary(3, np.random.default_rng(0))
+        haar_random_unitaries(3, 1, np.random.default_rng(0))
 
 
 def test_haar_first_entry_moment():
@@ -98,7 +96,7 @@ def test_state_fidelity_of_a_stack_equals_single_calls_bit_for_bit(d, n, seed):
         w = rng.dirichlet(np.ones(d))
         k = rng.integers(0, d)
         w[:k] = np.where(rng.random(k) < 0.5, 0.0, 10.0 ** rng.uniform(-15, -11, k))
-        u = haar_random_unitary(d, rng)
+        u = haar_random_unitaries(d, 1, rng)[0]
         rho = (u * (w / w.sum())) @ u.conj().T
         return (rho + rho.conj().T) / 2
 

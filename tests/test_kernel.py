@@ -15,14 +15,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from noisyqst.gates import INTERACTIONS, QuorumParams
+from noisyqst.gates import INTERACTIONS, QuorumParams, quorum_array
 from noisyqst.noise import CHANNELS, NoiseModel, povm_stack
-from noisyqst.optimize import (
-    _jaccard_distance,
-    _projector_histograms,
-    random_quorum,
-    vector_to_quorum,
-)
+from noisyqst.optimize import _jaccard_distance, _projector_histograms, random_quorum
 from noisyqst.quality import neg_log_qn, quality_report
 
 TOL = 1e-12
@@ -39,7 +34,7 @@ strengths = st.floats(0.0, 0.3)
 @given(x=vectors, strength=strengths)
 def test_kernel_matches_per_matrix_oracle(channel, interaction, x, strength):
     noise = NoiseModel(channel, interaction, strength)
-    quorum = vector_to_quorum(x, interaction)
+    quorum = QuorumParams(interaction, quorum_array(x, interaction))
     effects, qs, nominal = povm_stack(quorum.to_array(), noise)
     for j, m in enumerate(quorum.measurements):
         ref_effects, ref_qs, ref_nominal = oracles.effective_povm(m, noise)
@@ -57,7 +52,7 @@ def test_kernel_matches_per_matrix_oracle(channel, interaction, x, strength):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(x=vectors)
 def test_projector_histograms_equal_oracle(interaction, x):
-    quorum = vector_to_quorum(x, interaction)
+    quorum = QuorumParams(interaction, quorum_array(x, interaction))
     scaled = (oracles.projector_dots(quorum) + 0.25) / 0.05
     # Bins are cut by truncation: a dot product within rounding of an inner
     # bin edge may fall on either side of it, on either route.
@@ -74,7 +69,7 @@ def test_projector_histograms_equal_oracle_on_random_quorums(interaction):
     hists = _projector_histograms(params, interaction)
     assert hists.shape == (150, 20, 20)
     for row, hist in zip(params, hists):
-        quorum = QuorumParams.from_array(row, interaction)
+        quorum = QuorumParams(interaction, row)
         assert np.array_equal(hist, oracles.projector_histograms(quorum))
     # The batched distance equals the one-pair formula bit for bit, both for
     # pairs stacked alike and for one quorum against a stack.

@@ -7,10 +7,8 @@ from numpy.testing import assert_allclose
 
 from noisyqst.core import random_density
 from noisyqst.gates import (
-    CanonicalParams,
-    HeisenbergTimes,
-    MeasurementParams,
-    SingleQubitParams,
+    ENTANGLER_SLOTS,
+    QuorumParams,
     entangling_times,
     measurement_unitary,
     standard_mub_params,
@@ -33,12 +31,9 @@ from noisyqst.noise import (
 
 from oracles import apply_kraus
 
-_IDENT = SingleQubitParams()
-
-
-def _povm(m: MeasurementParams, noise: NoiseModel):
-    """(effects, qs, nominal projectors) of one measurement."""
-    effects, qs, nominal = povm_stack(m.to_array()[None], noise)
+def _povm(m, noise: NoiseModel):
+    """(effects, qs, nominal projectors) of one ``(row, interaction)`` measurement."""
+    effects, qs, nominal = povm_stack(m[0][None], noise)
     return effects[0], qs[0], nominal[0]
 
 
@@ -64,22 +59,24 @@ def test_apply_depolarizing_limits_and_formula():
 
 def test_ou_gammas():
     def heis(r, a):
-        return ou_gammas(r, a.as_tuple(), "heisenberg")
+        # durations as a quorum stores them, reduced mod 2
+        params = np.zeros((5, 15))
+        params[0, ENTANGLER_SLOTS] = a
+        stored = QuorumParams("heisenberg", params).to_array()[0, ENTANGLER_SLOTS]
+        return ou_gammas(r, stored, "heisenberg")
 
     def ising(r, b):
-        return ou_gammas(r, b.as_tuple(), "ising")
+        return ou_gammas(r, b, "ising")
 
-    assert_allclose(heis(0.0, HeisenbergTimes(0.3, 0.7, 1.1)), np.ones(3))
+    assert_allclose(heis(0.0, (0.3, 0.7, 1.1)), np.ones(3))
     assert_allclose(
-        heis(0.1, HeisenbergTimes(0.5, 0.0, 0.5)),
+        heis(0.1, (0.5, 0.0, 0.5)),
         [np.exp(-0.05 * np.pi), 1.0, np.exp(-0.05 * np.pi)],
     )
+    assert_allclose(heis(0.3, (2.0, 0.0, 0.0)), np.ones(3))  # alpha = 2 is canonicalized to 0
+    assert_allclose(ising(0.0, (0.3, -0.2, 0.9)), np.ones(3))
     assert_allclose(
-        heis(0.3, HeisenbergTimes(2.0, 0.0, 0.0)), np.ones(3)
-    )  # alpha = 2 is canonicalized to 0
-    assert_allclose(ising(0.0, CanonicalParams(0.3, -0.2, 0.9)), np.ones(3))
-    assert_allclose(
-        ising(0.2, CanonicalParams(0.0, 0.0, np.pi / 4)),
+        ising(0.2, (0.0, 0.0, np.pi / 4)),
         [1.0, 1.0, np.exp(-0.1 * np.pi)],
     )
 
@@ -246,16 +243,17 @@ def test_effective_povm_depolarizing_qs_uniform_and_consistent():
 
 
 def test_effective_povm_matches_explicit_kraus_route():
-    from noisyqst.gates import entangler_matrix, single_qubit_gate
+    from noisyqst.gates import entanglers, single_qubit_gate
 
     quorum = standard_mub_params("heisenberg")
     m = quorum.measurements[3]
+    row = m[0]
     noise = NoiseModel("ou", "heisenberg", 0.1)
     effects, _, _ = _povm(m, noise)
-    ops = kraus_ou_heisenberg(ou_gammas(noise.strength, m.entangler.as_tuple(), "heisenberg"))
-    pre = np.kron(single_qubit_gate(m.pre1), single_qubit_gate(m.pre2))
-    tail = entangler_matrix(m.entangler) @ np.kron(
-        single_qubit_gate(m.post1), single_qubit_gate(m.post2)
+    ops = kraus_ou_heisenberg(ou_gammas(noise.strength, row[ENTANGLER_SLOTS], "heisenberg"))
+    pre = np.kron(single_qubit_gate(row[0:3]), single_qubit_gate(row[3:6]))
+    tail = entanglers(row[ENTANGLER_SLOTS], "heisenberg") @ np.kron(
+        single_qubit_gate(row[9:12]), single_qubit_gate(row[12:15])
     )
     for k in range(4):
         pulled = np.outer(pre[k, :].conj(), pre[k, :])
@@ -269,15 +267,12 @@ def test_effective_povm_invariants_random_measurements():
         for channel in ("depolarizing", "ou"):
             noise = NoiseModel(channel, interaction, 0.15)
             for _ in range(10):
-                def sq():
-                    return SingleQubitParams(*rng.uniform(0, 2 * np.pi, 3))
-
+                row = rng.uniform(0, 2 * np.pi, 15)
                 if interaction == "heisenberg":
-                    ent = HeisenbergTimes(*rng.uniform(0, 2, 3))
+                    row[ENTANGLER_SLOTS] = rng.uniform(0, 2, 3)
                 else:
-                    ent = CanonicalParams(*rng.uniform(-np.pi / 2, np.pi / 2, 3))
-                m = MeasurementParams(sq(), sq(), ent, sq(), sq())
-                effects, qs, nominal = _povm(m, noise)
+                    row[ENTANGLER_SLOTS] = rng.uniform(-np.pi / 2, np.pi / 2, 3)
+                effects, qs, nominal = _povm((row, interaction), noise)
                 assert np.max(np.abs(effects.sum(axis=0) - np.eye(4))) < 1e-10
                 for k in range(4):
                     assert np.linalg.eigvalsh(effects[k])[0] > -1e-10
@@ -289,8 +284,9 @@ def test_effective_povm_invariants_random_measurements():
 def test_ou_noise_affects_basis_states_unevenly():
     # A single SWAP^alpha pulse leaves |01>, |10> untouched but dephases
     # |00>, |11>, so the extracted q depends on the outcome.
-    m = MeasurementParams(_IDENT, _IDENT, HeisenbergTimes(0.5, 0.0, 0.0), _IDENT, _IDENT)
-    _, qs, _ = _povm(m, NoiseModel("ou", "heisenberg", 0.2))
+    row = np.zeros(15)
+    row[ENTANGLER_SLOTS] = (0.5, 0.0, 0.0)
+    _, qs, _ = _povm((row, "heisenberg"), NoiseModel("ou", "heisenberg", 0.2))
     assert qs.max() - qs.min() > 0.05
 
 
@@ -307,4 +303,4 @@ def test_noise_model_validation_and_json():
     with pytest.raises(ValueError):
         NoiseModel("ou", "heisenberg", -0.1)
     n = NoiseModel("ou", "ising", 0.2)
-    assert NoiseModel.from_dict(n.to_dict()) == n
+    assert n.to_dict() == {"channel": "ou", "interaction": "ising", "strength": 0.2}

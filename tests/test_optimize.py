@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import rosen
 
 import noisyqst.optimize as optimize_module
-from noisyqst.gates import standard_mub_params
+from noisyqst.gates import ENTANGLER_SLOTS, QuorumParams, quorum_array, standard_mub_params
 from noisyqst.noise import NoiseModel
 from noisyqst.optimize import (
     ObjectiveError,
@@ -18,7 +18,6 @@ from noisyqst.optimize import (
     quorum_distance,
     random_quorum,
     simulated_annealing,
-    vector_to_quorum,
 )
 from noisyqst.quality import (
     analytic_alpha_max,
@@ -106,15 +105,13 @@ def test_vector_round_trip_and_reflection():
     q = standard_mub_params("heisenberg")
     v = q.to_array().ravel()
     assert v.shape == (75,)
-    assert vector_to_quorum(v, "heisenberg") == q
+    assert QuorumParams("heisenberg", quorum_array(v, "heisenberg")) == q
     # reflection maps the real line into [0, 2]
     v2 = v.copy()
     v2[6] = -0.3  # entangler slot of the first measurement
-    q2 = vector_to_quorum(v2, "heisenberg")
-    assert q2.measurements[0].entangler.alpha1 == pytest.approx(0.3)
+    assert quorum_array(v2, "heisenberg")[0, 6] == pytest.approx(0.3)
     v2[6] = 2.7
-    q2 = vector_to_quorum(v2, "heisenberg")
-    assert q2.measurements[0].entangler.alpha1 == pytest.approx(1.3)
+    assert quorum_array(v2, "heisenberg")[0, 6] == pytest.approx(1.3)
 
 
 def test_quorum_distance_basic_properties():
@@ -192,9 +189,9 @@ def test_optimize_mub_seeded_recovers_analytic_alpha():
     res = optimize_quorum(noise, strategy="mub-seeded")[0]
     target = analytic_alpha_max(zeta)
     for j in (3, 4):
-        ent = res.params.measurements[j].entangler
-        assert abs(ent.alpha1 - target) < 1e-3
-        assert abs(ent.alpha3 - target) < 1e-3
+        alpha1, _, alpha3 = res.params.to_array()[j, ENTANGLER_SLOTS]
+        assert abs(alpha1 - target) < 1e-3
+        assert abs(alpha3 - target) < 1e-3
     closed = analytic_heisenberg_qn(target, target, target, target, zeta)
     assert abs(res.q_noisy - closed) < 1e-6
     # Powell never worsens the start, and the report is re-evaluable

@@ -7,15 +7,14 @@ from scipy.optimize import minimize_scalar
 
 from noisyqst.core import bloch_gram_volume
 from noisyqst.gates import (
+    ENTANGLER_SLOTS,
     INTERACTIONS,
-    HeisenbergTimes,
-    MeasurementParams,
     QuorumParams,
     measurement_unitary,
+    quorum_array,
     standard_mub_params,
 )
 from noisyqst.noise import CHANNELS, NoiseModel
-from noisyqst.optimize import vector_to_quorum
 from noisyqst.quality import (
     NOISE_EXPONENT_2D,
     NOISE_EXPONENT_4D,
@@ -97,7 +96,8 @@ def test_quality_report_invariants_and_json():
 @given(x=arrays(np.float64, 75, elements=st.floats(-2 * np.pi, 2 * np.pi)),
        strength=st.floats(0.0, 1.0))
 def test_noise_only_shrinks_q_and_quality(channel, interaction, x, strength):
-    rep = quality_report(vector_to_quorum(x, interaction), NoiseModel(channel, interaction, strength))
+    quorum = QuorumParams(interaction, quorum_array(x, interaction))
+    rep = quality_report(quorum, NoiseModel(channel, interaction, strength))
     assert np.all(rep.per_measurement_q > 0.0)
     assert np.all(rep.per_measurement_q <= 1.0 + 1e-12)
     assert rep.q_noisy <= rep.q_geometric * (1.0 + 1e-12)
@@ -120,23 +120,19 @@ def test_quality_invariant_under_diagonal_phase_postrotation(x, strength, thetas
     for interaction in INTERACTIONS:
         for channel in CHANNELS:
             noise = NoiseModel(channel, interaction, strength)
-            base = quality_report(vector_to_quorum(x, interaction), noise)
-            rep = quality_report(vector_to_quorum(rotated.ravel(), interaction), noise)
+            base = quality_report(QuorumParams(interaction, quorum_array(x, interaction)), noise)
+            rotated_quorum = QuorumParams(interaction, quorum_array(rotated.ravel(), interaction))
+            rep = quality_report(rotated_quorum, noise)
             assert abs(rep.q_geometric - base.q_geometric) <= 1e-12
             assert abs(rep.q_noisy - base.q_noisy) <= 1e-12
             assert np.max(np.abs(rep.per_measurement_q - base.per_measurement_q)) <= 1e-12
 
 
 def _mub_family_quorum(a41, a43, a51, a53):
-    base = standard_mub_params("heisenberg")
-    ms = list(base.measurements)
-    ms[3] = MeasurementParams(
-        ms[3].pre1, ms[3].pre2, HeisenbergTimes(a41, 0.0, a43), ms[3].post1, ms[3].post2
-    )
-    ms[4] = MeasurementParams(
-        ms[4].pre1, ms[4].pre2, HeisenbergTimes(a51, 0.0, a53), ms[4].post1, ms[4].post2
-    )
-    return QuorumParams(measurements=tuple(ms))
+    params = standard_mub_params("heisenberg").to_array().copy()
+    params[3, ENTANGLER_SLOTS] = (a41, 0.0, a43)
+    params[4, ENTANGLER_SLOTS] = (a51, 0.0, a53)
+    return QuorumParams("heisenberg", params)
 
 
 def test_pipeline_matches_closed_form_on_mub_family_grid():
