@@ -1,7 +1,6 @@
 """Measurement-set design and evaluation for two-qubit tomography with noisy entangling gates."""
 
 from .core import (
-    bloch_gram_volume,
     gram_volume,
     haar_random_unitaries,
     random_density,
@@ -24,9 +23,6 @@ from .noise import (
     average_gate_fidelity,
     depolarizing_q,
     ideal_effects,
-    kraus_depolarizing,
-    kraus_ou_heisenberg,
-    kraus_ou_ising,
     ou_gammas,
     povm_stack,
 )
@@ -36,7 +32,6 @@ from .optimize import (
     diverse_starts,
     optimize_quorum,
     powell_minimize,
-    quorum_distance,
     simulated_annealing,
 )
 from .quality import (

@@ -17,24 +17,8 @@ import numpy as np
 
 from . import optimize as opt
 from . import tomography as tomo
-from .gates import (
-    HEISENBERG,
-    INTERACTIONS,
-    QuorumParams,
-    entangling_times,
-    standard_mub_params,
-)
-from .noise import (
-    CHANNELS,
-    DEPOLARIZING,
-    NoiseModel,
-    average_gate_fidelity,
-    depolarizing_q,
-    kraus_depolarizing,
-    kraus_ou_heisenberg,
-    kraus_ou_ising,
-    ou_gammas,
-)
+from .gates import HEISENBERG, INTERACTIONS, QuorumParams, standard_mub_params
+from .noise import CHANNELS, DEPOLARIZING, NoiseModel, average_gate_fidelity
 from .quality import (
     estimate_log_coefficient,
     quality_report,
@@ -136,7 +120,9 @@ def cmd_optimize(args) -> int:
     doc = {
         "config": _effective_config(args),
         "noise": noise.to_dict(),
-        **json.loads(opt.results_to_json(results, args.strategy, args.seed)),
+        "strategy": args.strategy,
+        "seed": args.seed,
+        "results": [r.to_dict() for r in results],
     }
     if args.out:
         _atomic_write(args.out, csv_text)
@@ -162,6 +148,8 @@ def cmd_sweep(args) -> int:
     grid = _parse_grid(args.grid)
     noises = [_noise_model(args.channel, args.interaction, strength) for strength in grid]
     scheme_names = [s.strip() for s in args.schemes.split(",") if s.strip()]
+    if not scheme_names:
+        raise SystemExit2("--schemes needs at least one scheme")
     for name in scheme_names:
         if name not in ("mub", "pauli9", "optimized"):
             raise SystemExit2(f"unknown scheme {name!r} (expected mub, pauli9, optimized)")
@@ -201,22 +189,18 @@ def cmd_gate_fidelity(args) -> int:
     if args.gate != "cnot":
         raise SystemExit2(f"unknown gate {args.gate!r} (only 'cnot' is built in)")
     noise = _noise_from_args(args)
-    heisenberg = noise.interaction == HEISENBERG
     # The CNOT-class entangler row: SWAP^(1/2) pulses, or one beta_z = pi/4 coupling.
-    ent = (0.5, 0.0, 0.5) if heisenberg else (0.0, 0.0, np.pi / 4)
-    if noise.channel == DEPOLARIZING:
-        time = entangling_times(ent, noise.interaction)
-        ops = kraus_depolarizing(depolarizing_q(noise.strength, time))
-    else:
-        kraus_ou = kraus_ou_heisenberg if heisenberg else kraus_ou_ising
-        ops = kraus_ou(ou_gammas(noise.strength, ent, noise.interaction))
-    _emit(args, f"{average_gate_fidelity(ops):.12g}")
+    ent = (0.5, 0.0, 0.5) if noise.interaction == HEISENBERG else (0.0, 0.0, np.pi / 4)
+    _emit(args, f"{average_gate_fidelity(noise, ent):.12g}")
     return 0
 
 
 def cmd_coeff(args) -> int:
     rng = np.random.default_rng(args.seed)
-    slope = estimate_log_coefficient(args.dim, args.samples, rng)
+    try:
+        slope = estimate_log_coefficient(args.dim, args.samples, rng)
+    except ValueError as exc:
+        raise SystemExit2(str(exc))
     doc = {"config": _effective_config(args), "dim": args.dim, "samples": args.samples,
            "coefficient": slope}
     _emit(args, json.dumps(doc, sort_keys=True))

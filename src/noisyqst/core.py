@@ -52,15 +52,6 @@ _COORDINATE_MAP = {
 # validation helpers
 # ---------------------------------------------------------------------------
 
-def assert_unitary(U: np.ndarray, tol: float = 1e-10) -> None:
-    """Raise ValueError unless U'U = 1 entrywise within tol."""
-    d = U.shape[0]
-    _check_dim(d)
-    dev = np.max(np.abs(U.conj().T @ U - np.eye(d)))
-    if not dev < tol:
-        raise ValueError(f"matrix is not unitary (deviation {dev:.3e})")
-
-
 def assert_density(rho: np.ndarray, tol: float = 1e-10) -> None:
     """Raise ValueError unless rho is Hermitian, unit trace, and PSD within tol.
 
@@ -78,20 +69,6 @@ def assert_density(rho: np.ndarray, tol: float = 1e-10) -> None:
     w = np.linalg.eigvalsh((rho + rho.conj().mT) / 2)[..., 0].min()
     if w < -tol:
         raise ValueError(f"density matrix has negative eigenvalue {w:.3e}")
-
-
-def assert_projector(P: np.ndarray, rank: int | None = None, tol: float = 1e-10) -> None:
-    """Raise ValueError unless P is a Hermitian idempotent (of the given rank)."""
-    herm = np.max(np.abs(P - P.conj().T))
-    if not herm < tol:
-        raise ValueError(f"projector not Hermitian (deviation {herm:.3e})")
-    idem = np.max(np.abs(P @ P - P))
-    if not idem < tol:
-        raise ValueError(f"projector not idempotent (deviation {idem:.3e})")
-    if rank is not None:
-        tr = abs(np.trace(P).real - rank)
-        if not tr < 1e-9:
-            raise ValueError(f"projector trace differs from rank {rank} by {tr:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -172,15 +149,6 @@ def traceless_part(op: np.ndarray) -> np.ndarray:
     return (op.reshape(*op.shape[:-2], d * d) @ _COORDINATE_MAP[d]).real
 
 
-def hermitian_from_traceless(coords: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`traceless_part` onto the traceless subspace."""
-    coords = np.asarray(coords, dtype=float)
-    d = 2 if coords.shape[0] == 3 else 4
-    if coords.shape[0] != d * d - 1:
-        raise ValueError(f"expected 3 or 15 coordinates, got {coords.shape[0]}")
-    return np.einsum("k,kij->ij", coords, TRACELESS_BASIS[d])
-
-
 def gram_volume(vectors: list[np.ndarray] | np.ndarray) -> float:
     """Volume sqrt(det G) of the parallelepiped spanned by coordinate vectors.
 
@@ -199,16 +167,3 @@ def gram_volume(vectors: list[np.ndarray] | np.ndarray) -> float:
     g = v @ v.T
     det = np.linalg.det(g)
     return float(np.sqrt(max(det, 0.0)))
-
-
-# Bloch-vector convention for the qubit volume: unit Bloch vectors have
-# traceless-coordinate norm 1/sqrt(2), so the two volumes differ by 2^(3/2).
-BLOCH_VOLUME_FACTOR_2D = 2.0 ** 1.5
-
-
-def bloch_gram_volume(vectors: list[np.ndarray] | np.ndarray) -> float:
-    """Qubit Gram volume rescaled so unit Bloch vectors have unit length."""
-    v = np.asarray(vectors, dtype=float)
-    if v.ndim != 2 or v.shape[1] != 3:
-        raise ValueError("Bloch convention applies to qubit (3-coordinate) vectors only")
-    return BLOCH_VOLUME_FACTOR_2D * gram_volume(v)

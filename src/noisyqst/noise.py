@@ -9,9 +9,11 @@ Bell eigenframe of the entangler, with decay factors
     gamma_k = exp(-r alpha_k pi)     (Heisenberg pulses)
     gamma_k = exp(-2 r |beta_k|)     (Ising couplings)
 
-Both channels commute with the ideal entangler, are unital and self-adjoint,
-and have explicit diagonal Kraus sets which are used to cross-check the map
-form and to evaluate average gate fidelities.
+Both channels commute with the ideal entangler and are unital and
+self-adjoint.  The maps below are the one implementation of each channel:
+they build the effective POVMs and the average gate fidelity alike.  The
+channels' explicit Kraus sets are kept in tests/oracles.py, as the
+independent reference the maps are checked against.
 """
 
 from __future__ import annotations
@@ -20,11 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PAULIS
 from .gates import (
-    BELL_CONVENTIONAL,
     BELL_FRAMES,
-    BELL_SORTED,
     EIGENPHASE_COEFFS,
     ENTANGLER_SLOTS,
     HEISENBERG,
@@ -36,8 +35,6 @@ from .gates import (
 DEPOLARIZING = "depolarizing"
 OVER_UNDER_ROTATION = "ou"
 CHANNELS = (DEPOLARIZING, OVER_UNDER_ROTATION)
-
-KrausSet = list[np.ndarray]
 
 _EYE4 = np.eye(4, dtype=complex)
 
@@ -59,8 +56,8 @@ class NoiseModel:
             raise ValueError(f"unknown channel {self.channel!r}")
         if self.interaction not in INTERACTIONS:
             raise ValueError(f"unknown interaction {self.interaction!r}")
-        if not self.strength >= 0.0:
-            raise ValueError(f"noise strength must be >= 0, got {self.strength}")
+        if not 0.0 <= self.strength < np.inf:
+            raise ValueError(f"noise strength must be finite and >= 0, got {self.strength}")
 
     def to_dict(self) -> dict:
         return {
@@ -90,20 +87,6 @@ def apply_depolarizing(rho: np.ndarray, q) -> np.ndarray:
     d = rho.shape[-1]
     mixed = (1.0 - q) * np.einsum("...ii->...", rho)
     return q[..., None, None] * rho + mixed[..., None, None] * np.eye(d) / d
-
-
-def kraus_depolarizing(q: float) -> KrausSet:
-    """16-operator Pauli-product Kraus set of the two-qubit depolarizing channel."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must lie in [0, 1], got {q}")
-    ops = [np.sqrt(15.0 * q + 1.0) / 4.0 * _EYE4]
-    w = np.sqrt(max(1.0 - q, 0.0)) / 4.0
-    for a in range(4):
-        for b in range(4):
-            if (a, b) == (0, 0):
-                continue
-            ops.append(w * np.kron(PAULIS[a], PAULIS[b]))
-    return ops
 
 
 # ---------------------------------------------------------------------------
@@ -143,50 +126,27 @@ def apply_ou(rho: np.ndarray, gammas, interaction: str) -> np.ndarray:
     return frame @ (pattern * rb) @ frame.conj().T
 
 
-def kraus_ou_heisenberg(gammas: np.ndarray) -> KrausSet:
-    """Eight Bell-diagonal Kraus operators of the Heisenberg OU channel."""
-    g1, g2, g3 = np.asarray(gammas, dtype=float)
-    ops = []
-    for m in (0, 1):
-        for k in (0, 1):
-            for l in (0, 1):
-                w = (1 + (-1) ** m * g1) * (1 + (-1) ** k * g2) * (1 + (-1) ** l * g3) / 8.0
-                signs = np.array([1.0, (-1.0) ** m, (-1.0) ** k, (-1.0) ** l])
-                ops.append(np.sqrt(max(w, 0.0)) * (BELL_SORTED * signs) @ BELL_SORTED.conj().T)
-    return ops
+# ---------------------------------------------------------------------------
+# average gate fidelity
+# ---------------------------------------------------------------------------
 
+def average_gate_fidelity(noise: NoiseModel, ent) -> float:
+    """Haar-average fidelity of the noise on an entangler with parameters ``ent`` (3,).
 
-def kraus_ou_ising(gammas: np.ndarray) -> KrausSet:
-    """Four Bell-diagonal Kraus operators of the Ising OU channel."""
-    gx, gy, gz = np.asarray(gammas, dtype=float)
-    ops = []
-    for k in (0, 1):
-        for l in (0, 1):
-            w = (
-                1
-                + (-1) ** k * gy * gz
-                + (-1) ** l * gx * gy
-                + (-1) ** (k + l) * gx * gz
-            ) / 4.0
-            signs = np.array([1.0, (-1.0) ** k, (-1.0) ** l, (-1.0) ** (k + l)])
-            ops.append(np.sqrt(max(w, 0.0)) * (BELL_CONVENTIONAL * signs) @ BELL_CONVENTIONAL.conj().T)
-    return ops
-
-
-def assert_kraus_complete(ops: KrausSet, tol: float = 1e-10) -> None:
-    d = ops[0].shape[0]
-    total = sum(m.conj().T @ m for m in ops)
-    dev = np.max(np.abs(total - np.eye(d)))
-    if not dev < tol:
-        raise ValueError(f"Kraus set not complete (deviation {dev:.3e})")
-
-
-def average_gate_fidelity(ops: KrausSet) -> float:
-    """Haar-average fidelity (sum_k |Tr M_k|^2 + d) / (d^2 + d) of a residual channel."""
-    assert_kraus_complete(ops)
-    d = ops[0].shape[0]
-    s = sum(abs(np.trace(m)) ** 2 for m in ops)
-    return float((s + d) / (d * d + d))
+    The channel map acts once on the 16 matrix units |i><j|, stacked
+    (16, 4, 4), and F = (sum_ij <i|E(|i><j|)|j> + d) / (d^2 + d) with d = 4.
+    """
+    units = np.eye(16, dtype=complex).reshape(16, 4, 4)  # |i><j| at index 4 i + j
+    if noise.channel == DEPOLARIZING:
+        q = depolarizing_q(noise.strength, entangling_times(ent, noise.interaction))
+        out = apply_depolarizing(units, q)
+    else:
+        gammas = ou_gammas(noise.strength, ent, noise.interaction)
+        out = apply_ou(units, gammas, noise.interaction)
+    fidelity = float((np.einsum("ijij->", out.reshape(4, 4, 4, 4)).real + 4.0) / 20.0)
+    if not np.isfinite(fidelity):
+        raise ValueError(f"average gate fidelity is {fidelity} for {noise} and entangler {ent}")
+    return fidelity
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ for small volumes.
 from __future__ import annotations
 
 import functools
-import json
 import logging
 from dataclasses import dataclass, field
 
@@ -35,6 +34,10 @@ logger = logging.getLogger(__name__)
 
 STRATEGIES = ("mub-seeded", "multistart", "annealing")
 
+# Powell's stopping tolerances on the objective and on the parameters.
+F_TOL = 1e-10
+X_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class SaSchedule:
@@ -52,15 +55,11 @@ class SaSchedule:
 @dataclass(frozen=True)
 class OptimizerOptions:
     max_iters: int = 200
-    f_tol: float = 1e-10
-    x_tol: float = 1e-8
     sa_schedule: SaSchedule = field(default_factory=SaSchedule)
     proposal_std: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
-        if self.f_tol <= 0 or self.x_tol <= 0:
-            raise ValueError("tolerances must be positive")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
@@ -127,8 +126,8 @@ def powell_minimize(f, x0, opts: OptimizerOptions | None = None):
         method="Powell",
         callback=callback,
         options={
-            "xtol": opts.x_tol,
-            "ftol": opts.f_tol,
+            "xtol": X_TOL,
+            "ftol": F_TOL,
             "maxiter": opts.max_iters,
             "maxfev": 10_000 * max(1, x0.size),
         },
@@ -235,12 +234,6 @@ def _jaccard_distance(ha: np.ndarray, hb: np.ndarray) -> np.ndarray:
     # Contiguous, so each mean sums its 20 terms in the same order for any stack.
     nearest_a = np.moveaxis(inter.max(axis=-1), 0, -1).copy()
     return (mean_distance(nearest_a) + mean_distance(inter.max(axis=0))) / 2.0
-
-
-def quorum_distance(a, b, interaction: str) -> float:
-    """Jaccard distance in [0, 1] of two quorums given as (5, 15) parameter arrays."""
-    ha, hb = _projector_histograms(np.stack([a, b]), interaction)
-    return float(_jaccard_distance(ha, hb))
 
 
 def diversity_threshold(
@@ -425,12 +418,3 @@ def results_to_csv(results: list[OptimizationResult], strategy: str, seed: int) 
         fields += [f"{t:.12g}" for t in times]
         lines.append(",".join(fields))
     return "\n".join(lines) + "\n"
-
-
-def results_to_json(results: list[OptimizationResult], strategy: str, seed: int) -> str:
-    doc = {
-        "strategy": strategy,
-        "seed": seed,
-        "results": [r.to_dict() for r in results],
-    }
-    return json.dumps(doc, sort_keys=True)

@@ -2,8 +2,10 @@
 
 Each function builds one gate, one effect or one projector at a time, along
 a route independent of the package's batched kernel: entanglers from their
-pulse or ZZ sequences, channels from their explicit Kraus sets, q and the
-nominal projectors from each effect separately.
+pulse or ZZ sequences, channels and average gate fidelities from their
+explicit Kraus sets, q and the nominal projectors from each effect
+separately.  The validators, coordinate maps and distances at the end are
+used only by the tests.
 """
 
 from __future__ import annotations
@@ -16,19 +18,14 @@ from noisyqst.core import (
     PAULI_I,
     PAULI_X,
     PAULI_Z,
+    PAULIS,
     TRACELESS_BASIS,
-    bloch_gram_volume,
+    _check_dim,
     gram_volume,
 )
-from noisyqst.gates import BELL_SORTED, HEISENBERG, QuorumParams
-from noisyqst.noise import (
-    DEPOLARIZING,
-    DegeneratePovmError,
-    NoiseModel,
-    kraus_depolarizing,
-    kraus_ou_heisenberg,
-    kraus_ou_ising,
-)
+from noisyqst.gates import BELL_CONVENTIONAL, BELL_SORTED, HEISENBERG, QuorumParams
+from noisyqst.noise import DEPOLARIZING, DegeneratePovmError, NoiseModel
+from noisyqst.optimize import _jaccard_distance, _projector_histograms
 from noisyqst.quality import NOISE_EXPONENT_2D, PER_EFFECT_EXPONENT
 
 _EYE4 = np.eye(4, dtype=complex)
@@ -102,6 +99,66 @@ def measurement_unitary(m) -> np.ndarray:
 # channels and effective POVMs
 # ---------------------------------------------------------------------------
 
+def kraus_depolarizing(q: float) -> list[np.ndarray]:
+    """16-operator Pauli-product Kraus set of the two-qubit depolarizing channel."""
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"q must lie in [0, 1], got {q}")
+    ops = [np.sqrt(15.0 * q + 1.0) / 4.0 * _EYE4]
+    w = np.sqrt(max(1.0 - q, 0.0)) / 4.0
+    for a in range(4):
+        for b in range(4):
+            if (a, b) == (0, 0):
+                continue
+            ops.append(w * np.kron(PAULIS[a], PAULIS[b]))
+    return ops
+
+
+def kraus_ou_heisenberg(gammas: np.ndarray) -> list[np.ndarray]:
+    """Eight Bell-diagonal Kraus operators of the Heisenberg OU channel."""
+    g1, g2, g3 = np.asarray(gammas, dtype=float)
+    ops = []
+    for m in (0, 1):
+        for k in (0, 1):
+            for l in (0, 1):
+                w = (1 + (-1) ** m * g1) * (1 + (-1) ** k * g2) * (1 + (-1) ** l * g3) / 8.0
+                signs = np.array([1.0, (-1.0) ** m, (-1.0) ** k, (-1.0) ** l])
+                ops.append(np.sqrt(max(w, 0.0)) * (BELL_SORTED * signs) @ BELL_SORTED.conj().T)
+    return ops
+
+
+def kraus_ou_ising(gammas: np.ndarray) -> list[np.ndarray]:
+    """Four Bell-diagonal Kraus operators of the Ising OU channel."""
+    gx, gy, gz = np.asarray(gammas, dtype=float)
+    ops = []
+    for k in (0, 1):
+        for l in (0, 1):
+            w = (
+                1
+                + (-1) ** k * gy * gz
+                + (-1) ** l * gx * gy
+                + (-1) ** (k + l) * gx * gz
+            ) / 4.0
+            signs = np.array([1.0, (-1.0) ** k, (-1.0) ** l, (-1.0) ** (k + l)])
+            ops.append(np.sqrt(max(w, 0.0)) * (BELL_CONVENTIONAL * signs) @ BELL_CONVENTIONAL.conj().T)
+    return ops
+
+
+def assert_kraus_complete(ops: list[np.ndarray], tol: float = 1e-10) -> None:
+    d = ops[0].shape[0]
+    total = sum(m.conj().T @ m for m in ops)
+    dev = np.max(np.abs(total - np.eye(d)))
+    if not dev < tol:
+        raise ValueError(f"Kraus set not complete (deviation {dev:.3e})")
+
+
+def kraus_average_gate_fidelity(ops: list[np.ndarray]) -> float:
+    """Haar-average fidelity (sum_k |Tr M_k|^2 + d) / (d^2 + d) of a residual channel."""
+    assert_kraus_complete(ops)
+    d = ops[0].shape[0]
+    s = sum(abs(np.trace(m)) ** 2 for m in ops)
+    return float((s + d) / (d * d + d))
+
+
 def apply_kraus(rho: np.ndarray, ops) -> np.ndarray:
     """rho -> sum_k M_k rho M_k'."""
     out = np.zeros_like(rho, dtype=complex)
@@ -110,9 +167,9 @@ def apply_kraus(rho: np.ndarray, ops) -> np.ndarray:
     return out
 
 
-def _kraus_set(m, noise: NoiseModel):
-    row, interaction = m
-    vals = np.array(row[6:9])
+def kraus_set(ent, interaction: str, noise: NoiseModel) -> list[np.ndarray]:
+    """Kraus operators of the noise on an entangler with parameters ``ent`` (3,)."""
+    vals = np.array(ent, dtype=float)
     r = noise.strength
     if interaction == HEISENBERG:
         time, gammas = vals.sum(), np.exp(-r * np.pi * vals)
@@ -144,7 +201,7 @@ def effective_povm(m, noise: NoiseModel):
     one effect at a time."""
     pre, ent, post = _factors(m)
     tail = ent @ post
-    ops = _kraus_set(m, noise)
+    ops = kraus_set(m[0][6:9], m[1], noise)
     effects = np.empty((4, 4, 4), dtype=complex)
     for k in range(4):
         pulled = np.outer(pre[k, :].conj(), pre[k, :])
@@ -273,3 +330,59 @@ def single_qubit_quality_decomposed(theta: float, r: float) -> float:
     vol = bloch_gram_volume(scheme.bloch_vectors() / np.sqrt(2.0))
     q = np.exp(-r * abs(theta))
     return float(vol * q ** (3.0 * NOISE_EXPONENT_2D))
+
+
+# ---------------------------------------------------------------------------
+# validators, coordinates and distances used only by the tests
+# ---------------------------------------------------------------------------
+
+def assert_unitary(U: np.ndarray, tol: float = 1e-10) -> None:
+    """Raise ValueError unless U'U = 1 entrywise within tol."""
+    d = U.shape[0]
+    _check_dim(d)
+    dev = np.max(np.abs(U.conj().T @ U - np.eye(d)))
+    if not dev < tol:
+        raise ValueError(f"matrix is not unitary (deviation {dev:.3e})")
+
+
+def assert_projector(P: np.ndarray, rank: int | None = None, tol: float = 1e-10) -> None:
+    """Raise ValueError unless P is a Hermitian idempotent (of the given rank)."""
+    herm = np.max(np.abs(P - P.conj().T))
+    if not herm < tol:
+        raise ValueError(f"projector not Hermitian (deviation {herm:.3e})")
+    idem = np.max(np.abs(P @ P - P))
+    if not idem < tol:
+        raise ValueError(f"projector not idempotent (deviation {idem:.3e})")
+    if rank is not None:
+        tr = abs(np.trace(P).real - rank)
+        if not tr < 1e-9:
+            raise ValueError(f"projector trace differs from rank {rank} by {tr:.3e}")
+
+
+def hermitian_from_traceless(coords: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`noisyqst.core.traceless_part` onto the traceless subspace."""
+    coords = np.asarray(coords, dtype=float)
+    d = 2 if coords.shape[0] == 3 else 4
+    if coords.shape[0] != d * d - 1:
+        raise ValueError(f"expected 3 or 15 coordinates, got {coords.shape[0]}")
+    return np.einsum("k,kij->ij", coords, TRACELESS_BASIS[d])
+
+
+# Bloch-vector convention for the qubit volume: unit Bloch vectors have
+# traceless-coordinate norm 1/sqrt(2), so the two volumes differ by 2^(3/2).
+BLOCH_VOLUME_FACTOR_2D = 2.0 ** 1.5
+
+
+def bloch_gram_volume(vectors: list[np.ndarray] | np.ndarray) -> float:
+    """Qubit Gram volume rescaled so unit Bloch vectors have unit length."""
+    v = np.asarray(vectors, dtype=float)
+    if v.ndim != 2 or v.shape[1] != 3:
+        raise ValueError("Bloch convention applies to qubit (3-coordinate) vectors only")
+    return BLOCH_VOLUME_FACTOR_2D * gram_volume(v)
+
+
+def quorum_distance(a, b, interaction: str) -> float:
+    """Jaccard distance in [0, 1] of two quorums given as (5, 15) parameter arrays,
+    through the package's batched histograms and distance."""
+    ha, hb = _projector_histograms(np.stack([a, b]), interaction)
+    return float(_jaccard_distance(ha, hb))

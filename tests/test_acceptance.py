@@ -19,11 +19,7 @@ from noisyqst.noise import (
     NoiseModel,
     apply_depolarizing,
     apply_ou,
-    assert_kraus_complete,
     average_gate_fidelity,
-    kraus_depolarizing,
-    kraus_ou_heisenberg,
-    kraus_ou_ising,
     povm_stack,
 )
 from noisyqst.optimize import optimize_quorum
@@ -38,7 +34,14 @@ from noisyqst.quality import (
     single_qubit_quality,
 )
 from noisyqst.tomography import mub_scheme, pauli9_scheme, run_experiment
-from oracles import apply_kraus
+from oracles import (
+    apply_kraus,
+    assert_kraus_complete,
+    kraus_average_gate_fidelity,
+    kraus_depolarizing,
+    kraus_ou_heisenberg,
+    kraus_ou_ising,
+)
 
 
 class _Timer:
@@ -64,29 +67,33 @@ def test_criterion_1_mub_calibration():
 
 
 def test_criterion_2_gate_fidelities():
+    # The CNOT entanglers: SWAP^(1/2) pulses, or one beta_z = pi/4 coupling.
+    cnot_h, cnot_i = np.array([0.5, 0.0, 0.5]), np.array([0.0, 0.0, np.pi / 4])
     with _Timer() as t:
         # (a) depolarizing Heisenberg CNOT, zeta = 0.08
         q = np.exp(-0.08 * np.pi)
-        f_a = average_gate_fidelity(kraus_depolarizing(q))
+        f_a = average_gate_fidelity(NoiseModel("depolarizing", "heisenberg", 0.08), cnot_h)
         assert abs(f_a - 0.83) < 0.005
         assert abs(f_a - (1 + 3 * q) / 4) < 1e-12
+        assert abs(f_a - kraus_average_gate_fidelity(kraus_depolarizing(q))) < 1e-14
         # (b) depolarizing Ising CNOT, zeta = 0.034
         q = np.exp(-0.034 * np.pi / 4)
-        f_b = average_gate_fidelity(kraus_depolarizing(q))
+        f_b = average_gate_fidelity(NoiseModel("depolarizing", "ising", 0.034), cnot_i)
         assert abs(f_b - 0.98) < 0.002
         assert abs(f_b - (1 + 3 * q) / 4) < 1e-12
+        assert abs(f_b - kraus_average_gate_fidelity(kraus_depolarizing(q))) < 1e-14
         # (c) OU CNOT at r = 0.2, both interactions
         r = 0.2
-        f_h = average_gate_fidelity(
-            kraus_ou_heisenberg(np.exp(-r * np.pi * np.array([0.5, 0.0, 0.5])))
-        )
+        f_h = average_gate_fidelity(NoiseModel("ou", "heisenberg", r), cnot_h)
         closed_h = 0.5 + 0.4 * np.exp(-r * np.pi / 2) + 0.1 * np.exp(-r * np.pi)
         assert abs(f_h - 0.85) < 0.005 and abs(f_h - closed_h) < 1e-12
-        f_i = average_gate_fidelity(
-            kraus_ou_ising(np.exp(-2 * r * np.array([0.0, 0.0, np.pi / 4])))
-        )
+        kraus_h = kraus_ou_heisenberg(np.exp(-r * np.pi * cnot_h))
+        assert abs(f_h - kraus_average_gate_fidelity(kraus_h)) < 1e-14
+        f_i = average_gate_fidelity(NoiseModel("ou", "ising", r), cnot_i)
         closed_i = 0.6 + 0.4 * np.exp(-r * np.pi / 2)
         assert abs(f_i - 0.89) < 0.005 and abs(f_i - closed_i) < 1e-12
+        kraus_i = kraus_ou_ising(np.exp(-2 * r * np.abs(cnot_i)))
+        assert abs(f_i - kraus_average_gate_fidelity(kraus_i)) < 1e-14
     _report(
         2,
         f"CNOT fidelities {f_a:.4f}/{f_b:.4f} (depolarizing), {f_h:.4f}/{f_i:.4f} (OU)",

@@ -75,6 +75,13 @@ def test_quality_missing_strength_is_usage_error():
     ["sweep", "--grid", "-0.1"],
     ["sweep", "--grid", "0,-0.1", "--schemes", "pauli9"],
     ["sweep", "--grid", ""],
+    ["quality", "--channel", "ou", "-r", "inf"],
+    ["single-qubit", "-r", "inf"],
+    ["gate-fidelity", "--channel", "ou", "-r", "inf"],
+    ["gate-fidelity", "--zeta", "inf"],
+    ["sweep", "--grid", "inf"],
+    ["sweep", "--grid", "0", "--schemes", ","],
+    ["coeff", "--samples", "10"],
 ], ids=" ".join)
 def test_invalid_noise_strength_is_usage_error(argv, capsys):
     from noisyqst.cli import main
@@ -110,8 +117,8 @@ def test_gate_fidelity_values():
 
 def test_gate_fidelity_matches_inline_closed_forms_bytewise(capsys):
     from noisyqst.cli import main
-    from noisyqst.noise import (
-        average_gate_fidelity,
+    from oracles import (
+        kraus_average_gate_fidelity,
         kraus_depolarizing,
         kraus_ou_heisenberg,
         kraus_ou_ising,
@@ -130,7 +137,7 @@ def test_gate_fidelity_matches_inline_closed_forms_bytewise(capsys):
             code = main(["gate-fidelity", "--channel", channel, "--interaction", interaction,
                          "--zeta", str(s)])
             assert code == 0
-            assert capsys.readouterr().out == f"{average_gate_fidelity(ops):.12g}\n"
+            assert capsys.readouterr().out == f"{kraus_average_gate_fidelity(ops):.12g}\n"
 
 
 def test_single_qubit_command():

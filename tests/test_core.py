@@ -9,17 +9,15 @@ from numpy.testing import assert_allclose
 from noisyqst.core import (
     TRACELESS_BASIS,
     assert_density,
-    assert_projector,
-    assert_unitary,
-    bloch_gram_volume,
     gram_volume,
     haar_random_unitaries,
-    hermitian_from_traceless,
     random_density,
     state_fidelity,
     traceless_part,
 )
 from noisyqst.gates import measurement_unitary, standard_mub_params
+
+from oracles import assert_projector, assert_unitary, bloch_gram_volume, hermitian_from_traceless
 
 
 def test_haar_unitary_deterministic_under_seed():

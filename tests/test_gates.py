@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
-from noisyqst.core import PAULI_X, PAULI_Y, PAULI_Z, assert_unitary
+from noisyqst.core import PAULI_X, PAULI_Y, PAULI_Z
 from noisyqst.gates import (
     BELL_CONVENTIONAL,
     ENTANGLER_SLOTS,
@@ -26,7 +26,7 @@ from noisyqst.gates import (
     standard_mub_params,
 )
 
-from oracles import heisenberg_two_qubit_sequence, ising_two_qubit
+from oracles import assert_unitary, heisenberg_two_qubit_sequence, ising_two_qubit
 
 MAGIC = np.array(
     [[1, 0, 0, 1j], [0, 1j, 1, 0], [0, 1j, -1, 0], [1, 0, 0, -1j]], dtype=complex

@@ -18,18 +18,22 @@ from noisyqst.noise import (
     NoiseModel,
     apply_depolarizing,
     apply_ou,
-    assert_kraus_complete,
     average_gate_fidelity,
     depolarizing_q,
     ideal_effects,
-    kraus_depolarizing,
-    kraus_ou_heisenberg,
-    kraus_ou_ising,
     ou_gammas,
     povm_stack,
 )
 
-from oracles import apply_kraus
+from oracles import (
+    apply_kraus,
+    assert_kraus_complete,
+    kraus_average_gate_fidelity,
+    kraus_depolarizing,
+    kraus_ou_heisenberg,
+    kraus_ou_ising,
+    kraus_set,
+)
 
 def _povm(m, noise: NoiseModel):
     """(effects, qs, nominal projectors) of one ``(row, interaction)`` measurement."""
@@ -192,29 +196,59 @@ def test_every_channel_is_cptp_and_unital_at_every_strength(channel, interaction
 
 
 def test_average_gate_fidelity_identity_and_depolarizing():
-    assert average_gate_fidelity([np.eye(4, dtype=complex)]) == pytest.approx(1.0)
+    assert kraus_average_gate_fidelity([np.eye(4, dtype=complex)]) == pytest.approx(1.0)
     for q in (0.3, 0.7778, 1.0):
-        assert average_gate_fidelity(kraus_depolarizing(q)) == pytest.approx(
+        assert kraus_average_gate_fidelity(kraus_depolarizing(q)) == pytest.approx(
             (1 + 3 * q) / 4, abs=1e-12
         )
     with pytest.raises(ValueError):
-        average_gate_fidelity([np.eye(4, dtype=complex) * 0.5])
+        kraus_average_gate_fidelity([np.eye(4, dtype=complex) * 0.5])
 
 
 def test_average_gate_fidelity_ou_cnot_closed_forms():
     r = 0.2
-    heis = average_gate_fidelity(
+    heis = kraus_average_gate_fidelity(
         kraus_ou_heisenberg(np.exp(-r * np.pi * np.array([0.5, 0.0, 0.5])))
     )
     closed = 0.5 + 0.4 * np.exp(-r * np.pi / 2) + 0.1 * np.exp(-r * np.pi)
     assert heis == pytest.approx(closed, abs=1e-12)
     assert heis == pytest.approx(0.85, abs=0.005)
-    isg = average_gate_fidelity(
+    isg = kraus_average_gate_fidelity(
         kraus_ou_ising(np.exp(-2 * r * np.array([0.0, 0.0, np.pi / 4])))
     )
     closed = 0.6 + 0.4 * np.exp(-r * np.pi / 2)
     assert isg == pytest.approx(closed, abs=1e-12)
     assert isg == pytest.approx(0.89, abs=0.005)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    channel=st.sampled_from(["depolarizing", "ou"]),
+    interaction=st.sampled_from(["heisenberg", "ising"]),
+    strength=st.floats(0.0, 5.0),
+    data=st.data(),
+)
+def test_average_gate_fidelity_equals_the_kraus_route(channel, interaction, strength, data):
+    # Heisenberg pulses in [0, 2), Ising couplings in [-pi/2, pi/2]
+    if interaction == "heisenberg":
+        elements = st.floats(0.0, 2.0, exclude_max=True)
+    else:
+        elements = st.floats(-np.pi / 2, np.pi / 2)
+    ent = data.draw(arrays(np.float64, 3, elements=elements))
+    noise = NoiseModel(channel, interaction, strength)
+    fidelity = average_gate_fidelity(noise, ent)
+    assert abs(fidelity - kraus_average_gate_fidelity(kraus_set(ent, interaction, noise))) < 1e-14
+    if channel == "depolarizing":
+        time = ent.sum() if interaction == "heisenberg" else np.abs(ent).sum() / np.pi
+        q = np.exp(-strength * np.pi * time)
+        assert abs(fidelity - (1 + 3 * q) / 4) < 1e-14
+
+
+def test_average_gate_fidelity_rejects_a_non_finite_result():
+    # exp(-0 * inf) is NaN: the fidelity of an infinite pulse at zero noise is undefined
+    for channel in ("depolarizing", "ou"):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+            average_gate_fidelity(NoiseModel(channel, "heisenberg", 0.0), (np.inf, 0.0, 0.0))
 
 
 def test_effective_povm_without_entangler_is_ideal():

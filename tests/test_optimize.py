@@ -15,7 +15,6 @@ from noisyqst.optimize import (
     diversity_threshold,
     optimize_quorum,
     powell_minimize,
-    quorum_distance,
     random_quorum,
     simulated_annealing,
 )
@@ -26,6 +25,8 @@ from noisyqst.quality import (
     single_qubit_optimal_angle,
     single_qubit_quality,
 )
+
+from oracles import quorum_distance
 
 # Mean quorum distance over 1000 random pairs at seed 20260810, pinned once
 # against the frozen 0.05-wide binning; guards the distance definition.

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import minimize_scalar
 
-from noisyqst.core import bloch_gram_volume
 from noisyqst.gates import (
     ENTANGLER_SLOTS,
     INTERACTIONS,
@@ -30,7 +29,7 @@ from noisyqst.quality import (
     single_qubit_optimal_angle,
     single_qubit_quality,
 )
-from oracles import SingleQubitScheme, single_qubit_quality_decomposed
+from oracles import SingleQubitScheme, bloch_gram_volume, single_qubit_quality_decomposed
 
 
 def test_geometric_quality_mub_is_one_over_32():
