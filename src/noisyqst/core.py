@@ -142,11 +142,12 @@ def traceless_part(op: np.ndarray) -> np.ndarray:
     The coordinates live in the orthonormal basis ``TRACELESS_BASIS[d]``;
     the identity component is discarded, so ``op`` and ``op + c*eye`` map to
     the same vector and Tr(A B) of traceless parts equals the dot product.
-    A stack of operators (..., d, d) maps to coordinates (..., d*d - 1).
+    A stack of operators (..., d, d) maps to coordinates (..., d*d - 1), by
+    one flat matrix product, which is cheaper than a stacked one.
     """
     d = op.shape[-1]
     _check_dim(d)
-    return (op.reshape(*op.shape[:-2], d * d) @ _COORDINATE_MAP[d]).real
+    return (op.reshape(-1, d * d) @ _COORDINATE_MAP[d]).real.reshape(*op.shape[:-2], d * d - 1)
 
 
 def gram_volume(vectors: list[np.ndarray] | np.ndarray) -> float:

@@ -36,8 +36,6 @@ DEPOLARIZING = "depolarizing"
 OVER_UNDER_ROTATION = "ou"
 CHANNELS = (DEPOLARIZING, OVER_UNDER_ROTATION)
 
-_EYE4 = np.eye(4, dtype=complex)
-
 
 class DegeneratePovmError(ValueError):
     """Raised when noise wipes out a measurement effect entirely."""
@@ -126,6 +124,14 @@ def apply_ou(rho: np.ndarray, gammas, interaction: str) -> np.ndarray:
     return frame @ (pattern * rb) @ frame.conj().T
 
 
+def _apply_channel(rho: np.ndarray, ent, noise: NoiseModel) -> np.ndarray:
+    """The noise of entanglers with parameters ``ent`` (..., 3), broadcast against stacked rho."""
+    if noise.channel == DEPOLARIZING:
+        q = depolarizing_q(noise.strength, entangling_times(ent, noise.interaction))
+        return apply_depolarizing(rho, q)
+    return apply_ou(rho, ou_gammas(noise.strength, ent, noise.interaction), noise.interaction)
+
+
 # ---------------------------------------------------------------------------
 # average gate fidelity
 # ---------------------------------------------------------------------------
@@ -137,12 +143,7 @@ def average_gate_fidelity(noise: NoiseModel, ent) -> float:
     (16, 4, 4), and F = (sum_ij <i|E(|i><j|)|j> + d) / (d^2 + d) with d = 4.
     """
     units = np.eye(16, dtype=complex).reshape(16, 4, 4)  # |i><j| at index 4 i + j
-    if noise.channel == DEPOLARIZING:
-        q = depolarizing_q(noise.strength, entangling_times(ent, noise.interaction))
-        out = apply_depolarizing(units, q)
-    else:
-        gammas = ou_gammas(noise.strength, ent, noise.interaction)
-        out = apply_ou(units, gammas, noise.interaction)
+    out = _apply_channel(units, ent, noise)
     fidelity = float((np.einsum("ijij->", out.reshape(4, 4, 4, 4)).real + 4.0) / 20.0)
     if not np.isfinite(fidelity):
         raise ValueError(f"average gate fidelity is {fidelity} for {noise} and entangler {ent}")
@@ -163,47 +164,28 @@ def ideal_effects(unitaries) -> np.ndarray:
     return unitaries.conj()[..., :, :, None] * unitaries[..., :, None, :]
 
 
-def _require_nondegenerate(qs: np.ndarray) -> None:
-    if np.any(qs <= 1e-12):
-        j, k = np.argwhere(qs <= 1e-12)[0]
-        raise DegeneratePovmError(
-            f"effect {k} of measurement {j} is fully depolarized (q={qs[j, k]:.3e})"
-        )
-
-
-def povm_stack(params, noise: NoiseModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def povm_stack(params, noise: NoiseModel) -> np.ndarray:
     """Effective POVMs of stacked measurements with a noisy entangler.
 
     ``params`` has shape (n, 15) in the slot order of
     :data:`~noisyqst.gates.SLOT_NAMES`, with Heisenberg durations already
-    canonicalized.  Returns the effects (n, 4, 4, 4), the
-    per-effect scales q (n, 4) and the nominal projectors (n, 4, 4, 4) of
-    the decomposition F_k = q_k (P_k - 1/4) + 1/4.
+    canonicalized.  Returns the effects (n, 4, 4, 4), from which
+    :mod:`~noisyqst.quality` derives the per-effect scales q, Q and Q_N.
 
     Readout projectors are pulled back through the pre-readout single-qubit
     layer, passed through the (self-adjoint) noise channel sitting at the
     entangler, then pulled back through the ideal entangler and the first
-    single-qubit layer.  Single-qubit gates are taken error-free.  The
-    depolarizing channel commutes with every unitary, so its nominal
-    projectors are the ideal ones and its q is one scalar per measurement.
+    single-qubit layer.  Single-qubit gates are taken error-free.
     """
     params = np.asarray(params, dtype=float)
-    ent = params[..., ENTANGLER_SLOTS]
+    ent = params[..., None, ENTANGLER_SLOTS]  # one entangler per measurement, for its 4 effects
     pre, entangler, post = measurement_layers(params, noise.interaction)
     if noise.channel == DEPOLARIZING:
-        q = depolarizing_q(noise.strength, entangling_times(ent, noise.interaction))
-        qs = np.repeat(q[..., None], 4, axis=-1)
-        _require_nondegenerate(qs)
-        nominal = ideal_effects(pre @ entangler @ post)
-        return apply_depolarizing(nominal, qs), qs, nominal
+        # The depolarizing channel commutes with every unitary, so it acts on the
+        # ideal effects of the whole circuit: cheaper than pulling each one back.
+        return _apply_channel(ideal_effects(pre @ entangler @ post), ent, noise)
     tail = (entangler @ post)[..., None, :, :]
-    gammas = ou_gammas(noise.strength, ent, noise.interaction)[..., None, :]
-    dephased = apply_ou(ideal_effects(pre), gammas, noise.interaction)
-    effects = tail.conj().swapaxes(-1, -2) @ dephased @ tail
-    traceless = effects - _EYE4 / 4.0
-    qs = np.sqrt((4.0 / 3.0) * np.sum(np.abs(traceless) ** 2, axis=(-2, -1)))
-    _require_nondegenerate(qs)
-    return effects, qs, traceless / qs[..., None, None] + _EYE4 / 4.0
+    return tail.conj().swapaxes(-1, -2) @ _apply_channel(ideal_effects(pre), ent, noise) @ tail
 
 
 def _require_interaction(interaction: str, noise: NoiseModel) -> None:

@@ -24,7 +24,7 @@ from .core import (
     traceless_part,
 )
 from .gates import ENTANGLER_SLOTS, QuorumParams, entangling_times, quorum_array
-from .noise import NoiseModel, _require_interaction, ideal_effects, povm_stack
+from .noise import DegeneratePovmError, NoiseModel, _require_interaction, ideal_effects, povm_stack
 
 # Linear coefficient of the Haar-averaged log outcome probability and the
 # per-measurement exponents derived from it.
@@ -55,19 +55,22 @@ class QualityReport:
         }
 
 
-def _geometric(nominal: np.ndarray) -> float:
-    """Q of nominal projectors (5, 4, 4, 4): the Gram volume of each measurement's first three.
+def _log_qualities(effects: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """(ln Q, ln Q_N, q (5, 4)) of a quorum's effects (5, 4, 4, 4), for either channel.
 
-    Dropping the fourth is immaterial for orthonormal bases since the four
-    traceless parts sum to zero.
+    From the traceless coordinates C (5, 4, 15), ln q_jk = ln(4/3 |c_jk|^2) / 2 and
+    ln Q = ln|det C_3| - sum_{k<=3} ln q_jk, C_3 (15, 15) being the first three effects of
+    each measurement (the four sum to zero), and -inf where C_3 is singular.
     """
-    return gram_volume(traceless_part(nominal[:, :3].reshape(15, 4, 4)))
-
-
-def _qualities(nominal: np.ndarray, qs: np.ndarray) -> tuple[float, float]:
-    """(Q, Q_N) from nominal projectors (5, 4, 4, 4) and effect scales q (5, 4)."""
-    q_geometric = _geometric(nominal)
-    return q_geometric, q_geometric * float(np.prod(qs ** PER_EFFECT_EXPONENT))
+    coords = traceless_part(effects)
+    q_squared = (4.0 / 3.0) * np.einsum("jki,jki->jk", coords, coords)
+    if not q_squared.min() > 1e-24:  # some q <= 1e-12, or NaN
+        j, k = np.argwhere(~(q_squared > 1e-24))[0]
+        raise DegeneratePovmError(f"effect {k} of measurement {j} is fully depolarized "
+                                  f"(q={np.sqrt(q_squared[j, k]):.3e})")
+    log_q = 0.5 * np.log(q_squared)
+    log_geometric = np.linalg.slogdet(coords[:, :3].reshape(15, 15))[1] - log_q[:, :3].sum()
+    return log_geometric, log_geometric + PER_EFFECT_EXPONENT * log_q.sum(), np.exp(log_q)
 
 
 def geometric_quality(unitaries) -> float:
@@ -75,19 +78,17 @@ def geometric_quality(unitaries) -> float:
     unitaries = np.asarray(unitaries)
     if unitaries.shape != (5, 4, 4):
         raise ValueError(f"expected five 4x4 unitaries, got shape {unitaries.shape}")
-    return _geometric(ideal_effects(unitaries))
+    return gram_volume(traceless_part(ideal_effects(unitaries)[:, :3].reshape(15, 4, 4)))
 
 
 def quality_report(quorum: QuorumParams, noise: NoiseModel) -> QualityReport:
     """Evaluate a parametrized quorum under a noise model."""
     _require_interaction(quorum.interaction, noise)
     params = quorum.to_array()
-    _, qs, nominal = povm_stack(params, noise)
-    q_geometric, q_noisy = _qualities(nominal, qs)
+    log_geometric, log_noisy, qs = _log_qualities(povm_stack(params, noise))
     times = entangling_times(params[:, ENTANGLER_SLOTS], quorum.interaction)
-    return QualityReport(
-        q_geometric=q_geometric, q_noisy=q_noisy, per_measurement_q=qs, entangling_times=times
-    )
+    return QualityReport(q_geometric=float(np.exp(log_geometric)), q_noisy=float(np.exp(log_noisy)),
+                         per_measurement_q=qs, entangling_times=times)
 
 
 def neg_log_qn(x: np.ndarray, noise: NoiseModel) -> float:
@@ -95,13 +96,12 @@ def neg_log_qn(x: np.ndarray, noise: NoiseModel) -> float:
 
     The vector is read by :func:`~noisyqst.gates.quorum_array`.  This is the
     optimizers' objective: it has the argmax of Q_N and avoids underflow for
-    small volumes.  It is NaN where a parameter is not finite.
+    small volumes.  It is capped at -ln(1e-300), and NaN where a parameter is not finite.
     """
     params = quorum_array(x, noise.interaction)
     if not np.all(np.isfinite(params)):
         return float("nan")
-    _, qs, nominal = povm_stack(params, noise)
-    return -float(np.log(max(_qualities(nominal, qs)[1], _QN_FLOOR)))
+    return float(min(-_log_qualities(povm_stack(params, noise))[1], -np.log(_QN_FLOOR)))
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +174,7 @@ def log_average_qubit_exact(c: float) -> float:
 def single_qubit_quality(theta: float, r: float) -> float:
     """(3 sqrt(3) / 2) exp(-9 r |theta| / 2) cos(theta) sin^2(theta)."""
     return float(
-        1.5 * np.sqrt(3.0) * np.exp(-4.5 * r * abs(theta)) * np.cos(theta) * np.sin(theta) ** 2
+        1.5 * np.sqrt(3.0) * np.exp(-4.5 * abs(theta) * r) * np.cos(theta) * np.sin(theta) ** 2
     )
 
 
@@ -182,7 +182,9 @@ def single_qubit_optimal_angle(r: float) -> float:
     """Polar angle maximizing the single-qubit quality at noise strength r."""
     if r < 0:
         raise ValueError("r must be >= 0")
-    return float(np.arctan(np.sqrt(81.0 * r * r / 16.0 + 2.0) - 9.0 * r / 4.0))
+    # tan(theta) = sqrt(a^2 + 2) - a with a = 9r/4, rewritten without cancellation
+    a = 2.25 * r
+    return float(np.arctan(2.0 / (np.hypot(a, np.sqrt(2.0)) + a)))
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,8 @@ projected onto density matrices, and stops each state once a certificate
 bounds its log-likelihood gap to the maximum below a set number of nats.
 A scheme's effects are one (m, 4, 4, 4) array: m measurements of four
 outcomes.  The reconstruction uses whichever effects it is given; the
-true noisy effects give the noise-aware likelihood, and the nominal
-projectors of :func:`~noisyqst.noise.povm_stack` a noise-ignorant one,
-for sensitivity studies.
+noisy effects of :func:`~noisyqst.noise.povm_stack` give the noise-aware
+likelihood, and its noise-free effects (strength 0) a noise-ignorant one.
 """
 
 from __future__ import annotations
@@ -67,7 +66,7 @@ def pauli9_scheme(*, label: str = "pauli9") -> Scheme:
 def quorum_scheme(quorum: QuorumParams, noise: NoiseModel, label: str) -> Scheme:
     """The noisy effects of a parametrized quorum."""
     _require_interaction(quorum.interaction, noise)
-    return Scheme(label, povm_stack(quorum.to_array(), noise)[0])
+    return Scheme(label, povm_stack(quorum.to_array(), noise))
 
 
 # ---------------------------------------------------------------------------

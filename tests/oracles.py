@@ -219,9 +219,15 @@ def traceless_coords(op: np.ndarray) -> np.ndarray:
 
 
 def quality(quorum: QuorumParams, noise: NoiseModel) -> tuple[float, np.ndarray, float]:
-    """(Q, q per effect (5, 4), Q_N), one measurement and one projector at a time."""
+    """(Q, q per effect (5, 4), Q_N), one measurement and one projector at a time.
+
+    Q is |det| of the 15 nominal projectors' coordinates.  The Gram route
+    sqrt(det(V V^T)) squares the condition number: near a singular quorum
+    its absolute error reaches 1e-11, which is more than the kernel test allows.
+    """
     povms = [effective_povm(m, noise) for m in quorum.measurements]
-    q_geometric = gram_volume([traceless_coords(n[k]) for _, _, n in povms for k in range(3)])
+    coords = [traceless_coords(n[k]) for _, _, n in povms for k in range(3)]
+    q_geometric = abs(float(np.linalg.det(np.array(coords))))
     penalty = 1.0
     for _, qs, _ in povms:
         penalty *= float(np.prod(qs ** PER_EFFECT_EXPONENT))

@@ -30,6 +30,7 @@ from noisyqst.quality import (
     analytic_ising_qn,
     estimate_log_coefficient,
     geometric_quality,
+    quality_report,
     single_qubit_optimal_angle,
     single_qubit_quality,
 )
@@ -37,6 +38,7 @@ from noisyqst.tomography import mub_scheme, pauli9_scheme, run_experiment
 from oracles import (
     apply_kraus,
     assert_kraus_complete,
+    extract_q_and_nominal,
     kraus_average_gate_fidelity,
     kraus_depolarizing,
     kraus_ou_heisenberg,
@@ -228,8 +230,11 @@ def test_criterion_7_channel_algebra_suite():
             ("ising", "ou"),
         ):
             noise = NoiseModel(channel, interaction, 0.1)
-            povms = povm_stack(standard_mub_params(interaction).to_array(), noise)
-            for effects, qs, nominal in zip(*povms):
+            quorum = standard_mub_params(interaction)
+            povms = povm_stack(quorum.to_array(), noise)
+            per_measurement_q = quality_report(quorum, noise).per_measurement_q
+            for effects, qs in zip(povms, per_measurement_q):
+                nominal = extract_q_and_nominal(effects)[1]
                 assert np.max(np.abs(effects.sum(axis=0) - np.eye(4))) < 1e-10
                 for k in range(4):
                     recon = qs[k] * (nominal[k] - np.eye(4) / 4) + np.eye(4) / 4

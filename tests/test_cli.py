@@ -95,11 +95,12 @@ def test_invalid_noise_strength_is_usage_error(argv, capsys):
 def test_quality_mub_output_is_pinned(capsys):
     from noisyqst.cli import main
 
-    # SHA-256 of this command's stdout before quorums became one array
+    # SHA-256 of this command's stdout since q, Q and Q_N come from the
+    # effects' traceless coordinates
     assert main(["quality", "--mub", "heisenberg", "--zeta", "0.05", "--threads", "1"]) == 0
     out = capsys.readouterr().out
     assert (hashlib.sha256(out.encode()).hexdigest()
-            == "b87d1f45fe59d7ca04f5f66f4208b5f97524d8a4f251de66431f747616bff1b5")
+            == "b58b6c531f0411fab3da414f22377e9c36a1f11bb05523f91d45c0b59539963a")
 
 
 def test_gate_fidelity_values():
@@ -353,3 +354,7 @@ def test_runtime_error_exits_1():
     proc = run_cli("quality", "--mub", "heisenberg", "--zeta", "1e6", check=False)
     assert proc.returncode == 1
     assert "error" in proc.stderr.lower()
+    # near the float limit the OU decay factors of zero-duration pulses are NaN
+    proc = run_cli("quality", "--mub", "heisenberg", "--channel", "ou", "-r", "1e308", check=False)
+    assert proc.returncode == 1
+    assert "fully depolarized (q=nan)" in proc.stderr

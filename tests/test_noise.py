@@ -24,10 +24,12 @@ from noisyqst.noise import (
     ou_gammas,
     povm_stack,
 )
+from noisyqst.quality import _log_qualities, quality_report
 
 from oracles import (
     apply_kraus,
     assert_kraus_complete,
+    extract_q_and_nominal,
     kraus_average_gate_fidelity,
     kraus_depolarizing,
     kraus_ou_heisenberg,
@@ -36,9 +38,15 @@ from oracles import (
 )
 
 def _povm(m, noise: NoiseModel):
-    """(effects, qs, nominal projectors) of one ``(row, interaction)`` measurement."""
-    effects, qs, nominal = povm_stack(m[0][None], noise)
-    return effects[0], qs[0], nominal[0]
+    """(effects, qs, nominal projectors) of one ``(row, interaction)`` measurement.
+
+    q comes from the package's quality function, on a quorum of five copies
+    of the measurement (its volume is zero); the nominal projectors, which
+    the package does not build, come from the per-effect oracle.
+    """
+    effects = povm_stack(np.repeat(m[0][None], 5, axis=0), noise)
+    qs = _log_qualities(effects)[2][0]
+    return effects[0], qs, extract_q_and_nominal(effects[0])[1]
 
 
 def _bell_rho():
@@ -326,9 +334,11 @@ def test_ou_noise_affects_basis_states_unevenly():
 
 def test_effective_povm_degenerate_error():
     quorum = standard_mub_params("heisenberg")
-    m = quorum.measurements[3]
-    with pytest.raises(DegeneratePovmError):
-        _povm(m, NoiseModel("depolarizing", "heisenberg", 1e4))
+    with pytest.raises(DegeneratePovmError, match="effect 0 of measurement 3"):
+        quality_report(quorum, NoiseModel("depolarizing", "heisenberg", 1e4))
+    # -r * pi overflows to -inf, so a zero-duration pulse gives NaN effects
+    with np.errstate(invalid="ignore"), pytest.raises(DegeneratePovmError, match="q=nan"):
+        quality_report(quorum, NoiseModel("ou", "heisenberg", 1e308))
 
 
 def test_noise_model_validation_and_json():

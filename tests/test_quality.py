@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from noisyqst.quality import (
     estimate_log_coefficient,
     geometric_quality,
     log_average_qubit_exact,
+    neg_log_qn,
     quality_report,
     single_qubit_optimal_angle,
     single_qubit_quality,
@@ -147,6 +150,33 @@ def test_pipeline_matches_closed_form_on_mub_family_grid():
         assert rep.q_noisy == pytest.approx(closed, abs=1e-10)
 
 
+# Near the edge of the family Q is small: a Gram determinant, which squares
+# the condition number, loses about 1e-7 nats there.
+@pytest.mark.parametrize("zeta", (0.0, 0.05))
+def test_neg_log_qn_matches_closed_forms_near_a_singular_quorum(zeta):
+    a = 1e-5
+    heisenberg = _mub_family_quorum(a, a, 0.5, 0.5).to_array()
+    closed = analytic_heisenberg_qn(a, a, 0.5, 0.5, zeta)
+    noise = NoiseModel("depolarizing", "heisenberg", zeta)
+    assert abs(neg_log_qn(heisenberg.ravel(), noise) + np.log(closed)) < 1e-9
+    ising = standard_mub_params("ising").to_array().copy()
+    ising[3, ENTANGLER_SLOTS.start + 1] = a  # beta_y of measurement 4
+    closed = analytic_ising_qn(a, np.pi / 4.0, zeta)
+    noise = NoiseModel("depolarizing", "ising", zeta)
+    assert abs(neg_log_qn(ising.ravel(), noise) + np.log(closed)) < 1e-9
+
+
+def test_singular_quorum_is_capped_without_warnings():
+    # Five product measurements in the standard basis span a volume of zero;
+    # RuntimeWarnings are errors in this suite.
+    for interaction in INTERACTIONS:
+        for channel in CHANNELS:
+            noise = NoiseModel(channel, interaction, 0.1)
+            assert neg_log_qn(np.zeros(75), noise) == -np.log(1e-300)
+            rep = quality_report(QuorumParams(interaction, np.zeros((5, 15))), noise)
+            assert rep.q_geometric == 0.0 and rep.q_noisy == 0.0
+
+
 def test_estimate_log_coefficient_deterministic_and_near_paper_value():
     c1 = estimate_log_coefficient(4, 150_000, np.random.default_rng(42))
     c2 = estimate_log_coefficient(4, 150_000, np.random.default_rng(42))
@@ -198,6 +228,19 @@ def test_single_qubit_optimal_angle():
             options={"xatol": 1e-12},
         )
         assert abs(res.x - single_qubit_optimal_angle(r)) < 1e-8
+
+
+def test_single_qubit_optimal_angle_at_large_r():
+    # theta -> 4 / (9 r); the form sqrt(a^2 + 2) - a cancels, then overflows
+    for r in (1e4, 1e8, 1e200):
+        assert abs(single_qubit_optimal_angle(r) * 9.0 * r / 4.0 - 1.0) < 2e-9
+    grid = np.concatenate([[0.0], np.logspace(-6, 300, 2000)])
+    angles = [single_qubit_optimal_angle(r) for r in grid]
+    assert all(a > b for a, b in zip(angles, angles[1:]))
+    # 9r/4 overflows above about 8e307, where theta is below 6e-309 and reads 0
+    for r in (1e300, 1e308, sys.float_info.max):
+        theta = single_qubit_optimal_angle(r)
+        assert np.isfinite(theta) and np.isfinite(single_qubit_quality(theta, r))
 
 
 def test_analytic_alpha_max():

@@ -115,10 +115,12 @@ def test_ml_reconstruct_output_is_valid_density():
 
 def test_noise_ignorant_mode_differs_under_noise():
     # The noise-ignorant reconstruction is the same estimator given the
-    # nominal projectors in place of the noisy effects.
+    # noise-free effects, the depolarizing channel's nominal projectors, in
+    # place of the noisy effects.
     noise = NoiseModel("depolarizing", "heisenberg", 0.2)
     scheme = mub_scheme(noise)
-    nominal = povm_stack(standard_mub_params("heisenberg").to_array(), noise)[2]
+    nominal = povm_stack(standard_mub_params("heisenberg").to_array(),
+                         NoiseModel("depolarizing", "heisenberg", 0.0))
     rng = np.random.default_rng(6)
     rho = random_density(4, rng)
     counts = sample_measurement(rho, scheme.effects, 2000, rng)
