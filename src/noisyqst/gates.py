@@ -173,9 +173,28 @@ def single_qubit_gate(angles) -> np.ndarray:
     return single_qubit_gates(angles)
 
 
+def single_qubit_gate_derivatives(angles) -> np.ndarray:
+    """Derivatives of :func:`single_qubit_gates` by (phi, psi, chi), shape (..., 3, 2, 2)."""
+    angles = np.asarray(angles, dtype=float)
+    c, s = np.cos(angles[..., 0]), np.sin(angles[..., 0])
+    phases = np.exp(1j * angles[..., 1:])
+    e_psi, e_chi = phases[..., 0], phases[..., 1]
+    out = np.zeros(angles.shape[:-1] + (3, 2, 2), dtype=complex)
+    out[..., 0, 0, 0] = -s * e_psi
+    out[..., 0, 0, 1] = c * e_chi
+    out[..., 0, 1, 0] = -c * e_chi.conj()
+    out[..., 0, 1, 1] = -s * e_psi.conj()
+    out[..., 1, 0, 0] = 1j * c * e_psi
+    out[..., 1, 1, 1] = -1j * c * e_psi.conj()
+    out[..., 2, 0, 1] = 1j * s * e_chi
+    out[..., 2, 1, 0] = 1j * s * e_chi.conj()
+    return out
+
+
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of stacked 2x2 matrices, shape (..., 4, 4)."""
-    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(*a.shape[:-2], 4, 4)
+    """Kronecker product of stacked 2x2 matrices whose stacks broadcast, shape (..., 4, 4)."""
+    product = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return product.reshape(*product.shape[:-4], 4, 4)
 
 
 def entanglers(ent, interaction: str) -> np.ndarray:
@@ -191,6 +210,22 @@ def entanglers(ent, interaction: str) -> np.ndarray:
     return (frame * phases[..., None, :]) @ _FRAMES_INVERSE[interaction]
 
 
+def entangler_derivatives(ent, interaction: str) -> np.ndarray:
+    """Derivatives of :func:`entanglers` by its three parameters, shape (..., 3, 4, 4).
+
+    In the Bell frame the gate is diag(e^(i phi)), so the derivative by
+    parameter m is frame . diag(d phi / d m . e^(i phi)) . frame^dagger.
+    """
+    coeffs = EIGENPHASE_COEFFS[interaction]
+    eta = np.asarray(ent, dtype=float) @ coeffs.T
+    if interaction == HEISENBERG:
+        dphases = 1j * np.pi * coeffs.T * np.exp(1j * np.pi * eta)[..., None, :]
+    else:
+        dphases = -1j * coeffs.T * np.exp(-1j * eta)[..., None, :]
+    frame = BELL_FRAMES[interaction]
+    return (frame * dphases[..., None, :]) @ _FRAMES_INVERSE[interaction]
+
+
 def measurement_layers(params, interaction: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The three factors (pre1 x pre2, entangler, post1 x post2) of stacked measurements.
 
@@ -202,6 +237,23 @@ def measurement_layers(params, interaction: str) -> tuple[np.ndarray, np.ndarray
     layers = _kron(gates[..., 0::2, :, :], gates[..., 1::2, :, :])
     pre, post = layers[..., 0, :, :], layers[..., 1, :, :]
     return pre, entanglers(params[..., ENTANGLER_SLOTS], interaction), post
+
+
+def measurement_layer_derivatives(params, interaction: str):
+    """Derivatives of the three factors of :func:`measurement_layers` by their own parameters.
+
+    Returns (d pre, d entangler, d post) of shapes (..., 6, 4, 4), (..., 3, 4, 4)
+    and (..., 6, 4, 4), by parameters 0-5, 6-8 and 9-14 of ``SLOT_NAMES`` order.
+    """
+    params = np.asarray(params, dtype=float)
+    angles = params[..., _SINGLE_SLOTS]
+    gates = single_qubit_gates(angles)[..., None, :, :]
+    dgates = single_qubit_gate_derivatives(angles)
+    # d(a x b) = da x b + a x db, for (pre1, pre2) and (post1, post2)
+    dlayers = np.concatenate([_kron(dgates[..., 0::2, :, :, :], gates[..., 1::2, :, :, :]),
+                              _kron(gates[..., 0::2, :, :, :], dgates[..., 1::2, :, :, :])], axis=-3)
+    dent = entangler_derivatives(params[..., ENTANGLER_SLOTS], interaction)
+    return dlayers[..., 0, :, :, :], dent, dlayers[..., 1, :, :, :]
 
 
 def measurement_unitary(m) -> np.ndarray:

@@ -11,7 +11,8 @@ Bell eigenframe of the entangler, with decay factors
 
 Both channels commute with the ideal entangler and are unital and
 self-adjoint.  The maps below are the one implementation of each channel:
-they build the effective POVMs and the average gate fidelity alike.  The
+they build the effective POVMs and the average gate fidelity alike, and
+:func:`channel_derivatives` differentiates them by the noise weights.  The
 channels' explicit Kraus sets are kept in tests/oracles.py, as the
 independent reference the maps are checked against.
 """
@@ -132,6 +133,34 @@ def _apply_channel(rho: np.ndarray, ent, noise: NoiseModel) -> np.ndarray:
     return apply_ou(rho, ou_gammas(noise.strength, ent, noise.interaction), noise.interaction)
 
 
+def channel_derivatives(rho: np.ndarray, weights, noise: NoiseModel) -> np.ndarray:
+    """Derivatives of the channel by its three noise weights, applied to stacked rho (..., 4, 4).
+
+    The weights (..., 3) >= 0 stand where the channel reads the entangler's
+    parameters: pulse durations alpha, or coupling magnitudes |beta|.  Each
+    weight m enters through one log-rate, d ln q / dw_m = -zeta pi
+    (Heisenberg) or -zeta (Ising) for the depolarizing q, and
+    d ln gamma_m / dw_m = -r pi or -2 r for OU.  Returns shape (..., 3, 4, 4).
+    """
+    weights = np.asarray(weights, dtype=float)
+    heisenberg = noise.interaction == HEISENBERG
+    if noise.channel == DEPOLARIZING:
+        # d/dw_m [q rho + (1 - q) Tr(rho) 1/4] = q d(ln q)/dw_m (rho - Tr(rho) 1/4)
+        q = depolarizing_q(noise.strength, entangling_times(weights, noise.interaction))
+        rate = -noise.strength * (np.pi if heisenberg else 1.0)
+        traceless = rho - np.einsum("...ii->...", rho)[..., None, None] * np.eye(4) / 4.0
+        return np.repeat((rate * q)[..., None, None, None] * traceless[..., None, :, :], 3, axis=-3)
+    rates = -noise.strength * (np.pi if heisenberg else 2.0)
+    g = ou_gammas(noise.strength, weights, noise.interaction)[..., None, None, :]
+    mask = _DEPHASED_BY[noise.interaction]
+    pattern = np.prod(np.where(mask, g, 1.0), axis=-1)
+    # d pattern / dw_m = pattern * [m dephases the entry] * d(ln gamma_m)/dw_m
+    dpattern = np.moveaxis(rates * mask * pattern[..., None], -1, -3)
+    frame = BELL_FRAMES[noise.interaction]
+    rb = (frame.conj().T @ rho @ frame)[..., None, :, :]
+    return frame @ (dpattern * rb) @ frame.conj().T
+
+
 # ---------------------------------------------------------------------------
 # average gate fidelity
 # ---------------------------------------------------------------------------
@@ -178,14 +207,21 @@ def povm_stack(params, noise: NoiseModel) -> np.ndarray:
     single-qubit layer.  Single-qubit gates are taken error-free.
     """
     params = np.asarray(params, dtype=float)
-    ent = params[..., None, ENTANGLER_SLOTS]  # one entangler per measurement, for its 4 effects
-    pre, entangler, post = measurement_layers(params, noise.interaction)
+    layers = measurement_layers(params, noise.interaction)
+    return _layer_effects(layers, params[..., ENTANGLER_SLOTS], noise)
+
+
+def _layer_effects(layers, weights, noise: NoiseModel) -> np.ndarray:
+    """Effects (..., 4, 4, 4) of measurement layers (pre, entangler, post) whose
+    channels read the noise weights (..., 3) in place of the entangler parameters."""
+    pre, entangler, post = layers
+    weights = np.asarray(weights, dtype=float)[..., None, :]  # one channel for the 4 effects
     if noise.channel == DEPOLARIZING:
         # The depolarizing channel commutes with every unitary, so it acts on the
         # ideal effects of the whole circuit: cheaper than pulling each one back.
-        return _apply_channel(ideal_effects(pre @ entangler @ post), ent, noise)
+        return _apply_channel(ideal_effects(pre @ entangler @ post), weights, noise)
     tail = (entangler @ post)[..., None, :, :]
-    return tail.conj().swapaxes(-1, -2) @ _apply_channel(ideal_effects(pre), ent, noise) @ tail
+    return tail.conj().swapaxes(-1, -2) @ _apply_channel(ideal_effects(pre), weights, noise) @ tail
 
 
 def _require_interaction(interaction: str, noise: NoiseModel) -> None:

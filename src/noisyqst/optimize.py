@@ -1,13 +1,14 @@
-"""Derivative-free search for high-quality measurement quorums.
+"""Search for high-quality measurement quorums.
 
 Inside the search a quorum is its (5, 15) parameter array, flattened to 75
-reals for the optimizers.  Local refinement uses Powell's direction-set
-method; global exploration uses simulated annealing with Gaussian proposals
-and geometric cooling followed by a Powell polish.  Multistart runs draw
-starting points that are mutually diverse under a binned Jaccard distance on
-the projector dot-product multisets, scored on (n, 5, 15) stacks.  The
-objective is -ln Q_N, which has the same argmax as Q_N and avoids underflow
-for small volumes.
+reals for the optimizers.  The MUB seed is refined by bounded L-BFGS-B on
+the analytic gradient of -ln Q_N.  Random starts are refined by Powell's
+direction-set method; global exploration uses simulated annealing with
+Gaussian proposals and geometric cooling followed by a Powell polish.
+Multistart runs draw starting points that are mutually diverse under a
+binned Jaccard distance on the projector dot-product multisets, scored on
+(n, 5, 15) stacks.  The objective is -ln Q_N, which has the same argmax as
+Q_N and avoids underflow for small volumes.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 from .gates import (
     ENTANGLER_SLOTS,
     HEISENBERG,
+    ISING,
     QuorumParams,
     entangling_times,
     measurement_layers,
@@ -28,7 +30,7 @@ from .gates import (
     standard_mub_params,
 )
 from .noise import NoiseModel
-from .quality import neg_log_qn, quality_report
+from .quality import neg_log_qn, neg_log_qn_and_grad, quality_report
 
 logger = logging.getLogger(__name__)
 
@@ -37,6 +39,13 @@ STRATEGIES = ("mub-seeded", "multistart", "annealing")
 # Powell's stopping tolerances on the objective and on the parameters.
 F_TOL = 1e-10
 X_TOL = 1e-8
+
+# L-BFGS-B runs until a step gains less than LBFGS_F_TOL relative, or its
+# line search fails: at the rounding floor of -ln Q_N, whatever its message.
+# The refinement has converged if the max-norm of the projected gradient is
+# then at most G_TOL.
+G_TOL = 1e-6
+LBFGS_F_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -133,6 +142,46 @@ def powell_minimize(f, x0, opts: OptimizerOptions | None = None):
         },
     )
     return np.atleast_1d(res.x), float(res.fun), trajectory
+
+
+def lbfgs_minimize(fg, x0, bounds, opts: OptimizerOptions | None = None):
+    """Bounded L-BFGS-B minimization of ``fg(x) -> (f, grad)``.
+
+    Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput. 16, 1190 (1995), as in
+    scipy.  ``bounds`` is a pair of arrays (low, high), infinite where a
+    coordinate is free.  Returns (x_min, f_min, trajectory, pg) where trajectory lists the
+    objective after each iteration and pg is the max-norm of the projected
+    gradient at x_min.  Raises :class:`ObjectiveError` if the objective or
+    its gradient ever evaluates non-finite.
+    """
+    from scipy import optimize as spopt
+
+    opts = opts or OptimizerOptions()
+
+    def checked(x):
+        val, grad = fg(x)
+        if not (np.isfinite(val) and np.all(np.isfinite(grad))):
+            raise ObjectiveError(f"objective returned {val} at x={np.asarray(x).tolist()}")
+        return float(val), grad
+
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    checked(x0)  # fail fast if the start is bad
+    trajectory = []
+
+    def callback(intermediate_result):
+        trajectory.append((len(trajectory), float(intermediate_result.fun)))
+
+    res = spopt.minimize(
+        checked,
+        x0,
+        jac=True,
+        method="L-BFGS-B",
+        bounds=spopt.Bounds(*bounds),
+        callback=callback,
+        options={"gtol": 0.0, "ftol": LBFGS_F_TOL, "maxiter": opts.max_iters},
+    )
+    pg = float(np.max(np.abs(np.clip(res.x - res.jac, *bounds) - res.x)))
+    return res.x, float(res.fun), trajectory, pg
 
 
 def simulated_annealing(f, x0, opts: OptimizerOptions, rng: np.random.Generator):
@@ -312,6 +361,66 @@ def _run_powell_start(args) -> OptimizationResult:
     return _finish(x, noise, traj, label)
 
 
+# Every coordinate of the bounded refinement is a phase in radians, so that
+# L-BFGS-B's first step, of unit length, means the same for each: a
+# Heisenberg pulse alpha is held as its phase pi alpha, boxed to [0, 2 pi],
+# where quorum_array's reflection is the identity.  (Held as alpha, the first
+# step from the MUB seed lands every entangled pulse on 0, a singular quorum.)
+# Each Ising coupling is split as beta = b+ - b-, with b+ and b- in [0, pi/2]
+# and the noise charged on b+ + b-: beta = 0 is then no kink, and
+# exp(-i pi/2 sigma x sigma) is local, so the box holds every optimum.  (Local
+# gates flip the signs of couplings only in pairs, so one sign of beta alone
+# would not.)
+_PHASE_BOX = {HEISENBERG: (0.0, 2.0 * np.pi), ISING: (0.0, np.pi / 2)}
+
+
+def _bounded_start(params: np.ndarray, interaction: str):
+    """The bounded vector of a quorum's (5, 15) parameters, and its bounds (low, high)."""
+    params = np.array(params, dtype=float)
+    low, high = np.full((5, 15), -np.inf), np.full((5, 15), np.inf)
+    low[:, ENTANGLER_SLOTS], high[:, ENTANGLER_SLOTS] = _PHASE_BOX[interaction]
+    if interaction == HEISENBERG:
+        params[:, ENTANGLER_SLOTS] *= np.pi
+        return params.ravel(), (low.ravel(), high.ravel())
+    beta = params[:, ENTANGLER_SLOTS].copy()
+    params[:, ENTANGLER_SLOTS] = np.maximum(beta, 0.0)
+    z = np.concatenate([params.ravel(), np.maximum(-beta, 0.0).ravel()])
+    return z, (np.append(low, low[:, ENTANGLER_SLOTS]), np.append(high, high[:, ENTANGLER_SLOTS]))
+
+
+def _unpack(z: np.ndarray, interaction: str):
+    """(5, 15) parameters and (5, 3) noise weights of a bounded vector."""
+    params = z[:75].reshape(5, 15).copy()
+    if interaction == HEISENBERG:
+        params[:, ENTANGLER_SLOTS] /= np.pi
+        return params, params[:, ENTANGLER_SLOTS]
+    b_plus, b_minus = params[:, ENTANGLER_SLOTS].copy(), z[75:].reshape(5, 3)
+    params[:, ENTANGLER_SLOTS] = b_plus - b_minus
+    return params, b_plus + b_minus
+
+
+def _bounded_objective(z: np.ndarray, noise: NoiseModel):
+    """-ln Q_N of a bounded vector and its gradient by the vector."""
+    params, weights = _unpack(z, noise.interaction)
+    val, grad_params, grad_weights = neg_log_qn_and_grad(params, weights, noise)
+    grad_beta = grad_params[:, ENTANGLER_SLOTS].copy()
+    grad_params[:, ENTANGLER_SLOTS] += grad_weights
+    if noise.interaction == HEISENBERG:
+        grad_params[:, ENTANGLER_SLOTS] /= np.pi
+        return val, grad_params.ravel()
+    return val, np.concatenate([grad_params.ravel(), (grad_weights - grad_beta).ravel()])
+
+
+def _run_lbfgs_start(args) -> OptimizationResult:
+    noise, x0, opts, label = args
+    z0, bounds = _bounded_start(np.reshape(x0, (5, 15)), noise.interaction)
+    z, _, traj, pg = lbfgs_minimize(lambda v: _bounded_objective(v, noise), z0, bounds, opts)
+    if pg > G_TOL:
+        logger.warning("start %s did not converge: projected gradient %.2e > %.0e after %d "
+                       "iterations", label, pg, G_TOL, len(traj))
+    return _finish(_unpack(z, noise.interaction)[0].ravel(), noise, traj, label)
+
+
 def _run_annealing(args) -> OptimizationResult:
     noise, x0, opts, seed, label = args
     rng = np.random.default_rng(seed)
@@ -360,10 +469,11 @@ def optimize_quorum(
 ) -> list[OptimizationResult]:
     """Maximize Q_N over the 75-parameter quorum space.
 
-    ``mub-seeded`` refines the standard MUB quorum with Powell's method;
-    ``multistart`` refines ``n_starts`` diversity-filtered random starts;
-    ``annealing`` runs ``n_starts`` seeded annealing chains.  Results are
-    sorted by decreasing Q_N.
+    ``mub-seeded`` refines the standard MUB quorum by bounded L-BFGS-B on
+    the analytic gradient, and logs a warning if it stops short of
+    convergence; ``multistart`` refines ``n_starts`` diversity-filtered
+    random starts with Powell's method; ``annealing`` runs ``n_starts``
+    seeded annealing chains.  Results are sorted by decreasing Q_N.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -372,7 +482,7 @@ def optimize_quorum(
     if strategy == "mub-seeded":
         x0 = standard_mub_params(noise.interaction).to_array().ravel()
         jobs = [(noise, x0, opts, "mub")]
-        runner = _run_powell_start
+        runner = _run_lbfgs_start
     elif strategy == "multistart":
         rng = np.random.default_rng(opts.seed)
         starts = diverse_starts(n_starts, noise.interaction, rng, threshold_pairs)

@@ -9,6 +9,8 @@ MUB quorum it equals 1/32.  Noise multiplies Q by per-effect penalties
 whose exponent comes from the linear coefficient of the Haar-averaged
 log-probability; when q is uniform within a measurement this reduces to
 Q * prod_j q_j^s with s = 2.39 in dimension 4 (s = 3/2 for a qubit).
+The optimizers minimize -ln Q_N; :func:`neg_log_qn_and_grad` adds its
+analytic gradient.
 """
 
 from __future__ import annotations
@@ -18,13 +20,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    TRACELESS_BASIS,
     gram_volume,
     haar_random_unitaries,
     random_eigenvalues,
     traceless_part,
 )
-from .gates import ENTANGLER_SLOTS, QuorumParams, entangling_times, quorum_array
-from .noise import DegeneratePovmError, NoiseModel, _require_interaction, ideal_effects, povm_stack
+from .gates import (
+    ENTANGLER_SLOTS,
+    QuorumParams,
+    entangling_times,
+    measurement_layer_derivatives,
+    measurement_layers,
+    quorum_array,
+)
+from .noise import (
+    DegeneratePovmError,
+    NoiseModel,
+    _apply_channel,
+    _layer_effects,
+    _require_interaction,
+    channel_derivatives,
+    ideal_effects,
+    povm_stack,
+)
 
 # Linear coefficient of the Haar-averaged log outcome probability and the
 # per-measurement exponents derived from it.
@@ -35,6 +54,11 @@ NOISE_EXPONENT_2D = 1.5
 
 # Q_N below this is treated as this, so -ln Q_N stays finite.
 _QN_FLOOR = 1e-300
+
+# -ln Q_N = -ln|det C_3| - sum_jk w_k ln q_jk, with w_k = 0.5975 - [k <= 3].
+_LOG_Q_WEIGHTS = PER_EFFECT_EXPONENT - np.array([1.0, 1.0, 1.0, 0.0])
+# The traceless basis flattened (15, 16): coordinates h map to the operator sum_i h_i B_i.
+_BASIS_ROWS = TRACELESS_BASIS[4].reshape(15, 16)
 
 
 @dataclass(frozen=True)
@@ -55,8 +79,8 @@ class QualityReport:
         }
 
 
-def _log_qualities(effects: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """(ln Q, ln Q_N, q (5, 4)) of a quorum's effects (5, 4, 4, 4), for either channel.
+def _log_qualities(effects: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """(ln Q, ln Q_N, q (5, 4), C (5, 4, 15)) of a quorum's effects (5, 4, 4, 4), for either channel.
 
     From the traceless coordinates C (5, 4, 15), ln q_jk = ln(4/3 |c_jk|^2) / 2 and
     ln Q = ln|det C_3| - sum_{k<=3} ln q_jk, C_3 (15, 15) being the first three effects of
@@ -69,8 +93,12 @@ def _log_qualities(effects: np.ndarray) -> tuple[float, float, np.ndarray]:
         raise DegeneratePovmError(f"effect {k} of measurement {j} is fully depolarized "
                                   f"(q={np.sqrt(q_squared[j, k]):.3e})")
     log_q = 0.5 * np.log(q_squared)
-    log_geometric = np.linalg.slogdet(coords[:, :3].reshape(15, 15))[1] - log_q[:, :3].sum()
-    return log_geometric, log_geometric + PER_EFFECT_EXPONENT * log_q.sum(), np.exp(log_q)
+    # A singular C_3 gives ln|det| = -inf; for some patterns of exact zeros
+    # slogdet reaches it through log(0), which is no fault here.
+    with np.errstate(divide="ignore"):
+        log_det = np.linalg.slogdet(coords[:, :3].reshape(15, 15))[1]
+    log_geometric = log_det - log_q[:, :3].sum()
+    return log_geometric, log_geometric + PER_EFFECT_EXPONENT * log_q.sum(), np.exp(log_q), coords
 
 
 def geometric_quality(unitaries) -> float:
@@ -85,7 +113,7 @@ def quality_report(quorum: QuorumParams, noise: NoiseModel) -> QualityReport:
     """Evaluate a parametrized quorum under a noise model."""
     _require_interaction(quorum.interaction, noise)
     params = quorum.to_array()
-    log_geometric, log_noisy, qs = _log_qualities(povm_stack(params, noise))
+    log_geometric, log_noisy, qs, _ = _log_qualities(povm_stack(params, noise))
     times = entangling_times(params[:, ENTANGLER_SLOTS], quorum.interaction)
     return QualityReport(q_geometric=float(np.exp(log_geometric)), q_noisy=float(np.exp(log_noisy)),
                          per_measurement_q=qs, entangling_times=times)
@@ -102,6 +130,65 @@ def neg_log_qn(x: np.ndarray, noise: NoiseModel) -> float:
     if not np.all(np.isfinite(params)):
         return float("nan")
     return float(min(-_log_qualities(povm_stack(params, noise))[1], -np.log(_QN_FLOOR)))
+
+
+def neg_log_qn_and_grad(params, weights, noise: NoiseModel) -> tuple[float, np.ndarray, np.ndarray]:
+    """-ln Q_N of a quorum and its gradient by the parameters and by the noise weights.
+
+    ``params`` (5, 15) sets the gates, and the channel of entangler j reads
+    ``weights[j]`` (3,) >= 0 where it would read the pulses alpha or the
+    coupling magnitudes |beta|; at those weights the value is that of
+    :func:`neg_log_qn`.  Returns (value, d/d params (5, 15), d/d weights (5, 3)).
+
+    By Jacobi's formula, with w_k = 0.5975 - [k <= 3],
+
+        d ln Q_N = tr(C_3^-1 dC_3) + sum_jk w_k (c_jk . dc_jk) / |c_jk|^2
+                 = sum_jk Tr(A_jk dE_jk),
+
+    A_jk being the Hermitian operator with traceless coordinates
+    (C_3^-T)_jk [k <= 3] + w_k c_jk / |c_jk|^2.  Each effect is
+    E_jk = tail^dagger N(pre^dagger P_k pre) tail, with tail = entangler . post
+    and N the self-adjoint channel, so each Tr(A dE) moves onto the
+    derivative of one layer or of N.  Where the value is capped at
+    -ln(1e-300) the gradient is zero; all is NaN where an input is not finite.
+    """
+    params, weights = np.asarray(params, dtype=float), np.asarray(weights, dtype=float)
+    if not (np.all(np.isfinite(params)) and np.all(np.isfinite(weights))):
+        return float("nan"), np.full((5, 15), np.nan), np.full((5, 3), np.nan)
+    cap = -np.log(_QN_FLOOR)
+    grad_params, grad_weights = np.zeros((5, 15)), np.zeros((5, 3))
+    layers = measurement_layers(params, noise.interaction)
+    _, log_noisy, _, coords = _log_qualities(_layer_effects(layers, weights, noise))
+    if not -log_noisy < cap:
+        return cap, grad_params, grad_weights
+    h = coords * (_LOG_Q_WEIGHTS[:, None] / np.einsum("jki,jki->jk", coords, coords)[..., None])
+    h[:, :3] += np.linalg.inv(coords[:, :3].reshape(15, 15)).T.reshape(5, 3, 15)
+    a = (h.reshape(20, 15) @ _BASIS_ROWS).reshape(5, 4, 4, 4)
+
+    pre, entangler, post = layers
+    tail = (entangler @ post)[:, None]
+    tail_dag = tail.conj().swapaxes(-1, -2)
+    weights = weights[:, None, :]  # one channel per measurement, for its 4 effects
+    readout = ideal_effects(pre)  # pre^dagger P_k pre
+    pulled = tail @ a @ tail_dag  # Tr(A tail^dagger X tail) = Tr(pulled X)
+
+    def trace_products(dlayers, s):
+        # 2 Re Tr(dL_p S) for derivatives dL (5, n, 4, 4) and S (5, 4, 4)
+        return 2.0 * np.einsum("jpab,jba->jp", dlayers, s).real
+
+    dpre, dent, dpost = measurement_layer_derivatives(params, noise.interaction)
+    # sum_k Tr(N(pulled_k) d(pre^dagger P_k pre)) = 2 Re Tr(d pre S), column k of S
+    # being column k of N(pulled_k) pre^dagger
+    s_pre = np.einsum("jkak->jak", _apply_channel(pulled, weights, noise)
+                      @ pre.conj().swapaxes(-1, -2)[:, None])
+    # sum_k Tr(A_k d(tail^dagger M_k tail)) = 2 Re Tr(d tail T), M_k = N(pre^dagger P_k pre)
+    t = (a @ tail_dag @ _apply_channel(readout, weights, noise)).sum(axis=1)
+    grad_params[:, :6] = trace_products(dpre, s_pre)
+    grad_params[:, ENTANGLER_SLOTS] = trace_products(dent, post @ t)
+    grad_params[:, 9:] = trace_products(dpost, t @ entangler)
+    grad_weights[:] = np.einsum("jkab,jkmba->jm", pulled,
+                                channel_derivatives(readout, weights, noise)).real
+    return float(-log_noisy), -grad_params, -grad_weights
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import subprocess
 import sys
 
@@ -206,6 +207,41 @@ def test_optimize_command_deterministic(tmp_path):
     header, row = out1.read_text().strip().split("\n")
     assert header.startswith("strategy,seed,start_label,q_geometric,q_noisy")
     assert row.startswith("mub-seeded,4,mub,")
+
+
+def test_mub_seeded_ou_ising_keeps_short_couplings(tmp_path):
+    # Unbounded Powell drifted here to couplings of up to 1,446 (total entangling
+    # time 746.1) that cost no Q_N: the OU dephasing of a product measurement
+    # touches only components its readout does not see.
+    from noisyqst.cli import main
+
+    out = tmp_path / "ou.csv"
+    assert main(["optimize", "--strategy", "mub-seeded", "--channel", "ou", "--interaction",
+                 "ising", "-r", "0.05", "--seed", "2", "--threads", "1", "--out", str(out)]) == 0
+    best = json.loads((tmp_path / "ou.csv.json").read_text())["results"][0]
+    assert best["entangling_time_total"] < 1.0
+    # no lower than the Q_N Powell reached with the long couplings
+    assert best["q_noisy"] >= 0.0243884802518 * (1 - 1e-9)
+
+
+def test_unconverged_refinement_is_logged_not_written(tmp_path, caplog):
+    # OU noise with the Heisenberg entangler needs about 55 L-BFGS-B iterations
+    from noisyqst.cli import main
+
+    argv = ["optimize", "--strategy", "mub-seeded", "--channel", "ou", "--interaction",
+            "heisenberg", "-r", "0.05", "--max-iters", "1", "--threads", "1", "--out"]
+    with caplog.at_level(logging.WARNING, logger="noisyqst.optimize"):
+        assert main(argv + [str(tmp_path / "warned.csv")]) == 0
+    assert "start mub did not converge" in caplog.text
+    caplog.clear()
+    logging.disable(logging.WARNING)
+    try:
+        assert main(argv + [str(tmp_path / "quiet.csv")]) == 0
+    finally:
+        logging.disable(logging.NOTSET)
+    assert not caplog.records
+    for suffix in (".csv", ".csv.json"):
+        assert (tmp_path / f"warned{suffix}").read_bytes() == (tmp_path / f"quiet{suffix}").read_bytes()
 
 
 def test_sweep_zero_noise_ordering(tmp_path):

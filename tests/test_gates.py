@@ -19,6 +19,8 @@ from noisyqst.gates import (
     QuorumParams,
     entanglers,
     entangling_times,
+    measurement_layer_derivatives,
+    measurement_layers,
     measurement_unitary,
     nine_pauli_bases,
     quorum_array,
@@ -285,3 +287,18 @@ MUB_JSON_SHA256 = {
 def test_standard_mub_json_is_pinned(interaction):
     text = standard_mub_params(interaction).to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == MUB_JSON_SHA256[interaction]
+
+
+@pytest.mark.parametrize("interaction", INTERACTIONS)
+def test_layer_derivatives_match_central_differences(interaction):
+    params = np.random.default_rng(5).uniform(-np.pi, np.pi, size=(5, 15))
+    derivatives = measurement_layer_derivatives(params, interaction)
+    h = 1e-6
+    for slot in range(15):
+        step = np.zeros(15)
+        step[slot] = h
+        plus = measurement_layers(params + step, interaction)
+        minus = measurement_layers(params - step, interaction)
+        layer, first = (0, 0) if slot < 6 else (1, 6) if slot < 9 else (2, 9)
+        central = (plus[layer] - minus[layer]) / (2 * h)
+        assert_allclose(derivatives[layer][:, slot - first], central, atol=1e-9)

@@ -3,12 +3,20 @@ import pytest
 from scipy.optimize import rosen
 
 import noisyqst.optimize as optimize_module
-from noisyqst.gates import ENTANGLER_SLOTS, QuorumParams, quorum_array, standard_mub_params
-from noisyqst.noise import NoiseModel
+from noisyqst.gates import (
+    ENTANGLER_SLOTS,
+    INTERACTIONS,
+    QuorumParams,
+    quorum_array,
+    standard_mub_params,
+)
+from noisyqst.noise import CHANNELS, NoiseModel
 from noisyqst.optimize import (
     ObjectiveError,
     OptimizerOptions,
     SaSchedule,
+    _bounded_objective,
+    _bounded_start,
     _run_powell_start,
     _run_starts,
     diverse_starts,
@@ -21,6 +29,7 @@ from noisyqst.optimize import (
 from noisyqst.quality import (
     analytic_alpha_max,
     analytic_heisenberg_qn,
+    neg_log_qn,
     quality_report,
     single_qubit_optimal_angle,
     single_qubit_quality,
@@ -195,10 +204,38 @@ def test_optimize_mub_seeded_recovers_analytic_alpha():
         assert abs(alpha3 - target) < 1e-3
     closed = analytic_heisenberg_qn(target, target, target, target, zeta)
     assert abs(res.q_noisy - closed) < 1e-6
-    # Powell never worsens the start, and the report is re-evaluable
+    # L-BFGS-B only accepts steps that lower -ln Q_N, so the result never
+    # scores below the start, and the report is re-evaluable
     start_qn = quality_report(standard_mub_params("heisenberg"), noise).q_noisy
     assert res.q_noisy >= start_qn - 1e-9
     assert res.q_noisy == pytest.approx(quality_report(res.params, noise).q_noisy, abs=1e-9)
+
+
+@pytest.mark.parametrize("channel", CHANNELS)
+@pytest.mark.parametrize("interaction", INTERACTIONS)
+def test_bounded_objective_value_and_gradient(channel, interaction):
+    noise = NoiseModel(channel, interaction, 0.1)
+    rng = np.random.default_rng(3)
+    params = random_quorum(interaction, rng)
+    z, bounds = _bounded_start(params, interaction)
+    # the start is the quorum itself: pulses as phases pi alpha, at most one
+    # part of each coupling nonzero
+    assert _bounded_objective(z, noise)[0] == pytest.approx(neg_log_qn(params.ravel(), noise),
+                                                            abs=1e-12)
+    low, high = bounds
+    assert len(z) == len(low) == len(high) == (75 if interaction == "heisenberg" else 90)
+    assert np.all((low <= z) & (z <= high))
+    # an interior point, where both parts of a coupling are free
+    z = np.where(np.isfinite(low), rng.uniform(0.1, 1.4, size=len(z)), z)
+    _, grad = _bounded_objective(z, noise)
+    h = 1e-7
+    central = np.empty(len(z))
+    for i in range(len(z)):
+        step = np.zeros(len(z))
+        step[i] = h
+        central[i] = (_bounded_objective(z + step, noise)[0]
+                      - _bounded_objective(z - step, noise)[0]) / (2 * h)
+    assert np.max(np.abs(grad - central)) <= 1e-5 * (1.0 + np.max(np.abs(grad)))
 
 
 def test_optimize_multistart_smoke_sorted():

@@ -2,7 +2,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import minimize_scalar
@@ -28,6 +28,7 @@ from noisyqst.quality import (
     geometric_quality,
     log_average_qubit_exact,
     neg_log_qn,
+    neg_log_qn_and_grad,
     quality_report,
     single_qubit_optimal_angle,
     single_qubit_quality,
@@ -168,13 +169,66 @@ def test_neg_log_qn_matches_closed_forms_near_a_singular_quorum(zeta):
 
 def test_singular_quorum_is_capped_without_warnings():
     # Five product measurements in the standard basis span a volume of zero;
-    # RuntimeWarnings are errors in this suite.
+    # RuntimeWarnings are errors in this suite, so neither the gradient's
+    # inverse of the coordinate matrix nor a log(0) may run.
     for interaction in INTERACTIONS:
         for channel in CHANNELS:
             noise = NoiseModel(channel, interaction, 0.1)
             assert neg_log_qn(np.zeros(75), noise) == -np.log(1e-300)
             rep = quality_report(QuorumParams(interaction, np.zeros((5, 15))), noise)
             assert rep.q_geometric == 0.0 and rep.q_noisy == 0.0
+            value, grad_params, grad_weights = neg_log_qn_and_grad(
+                np.zeros((5, 15)), np.zeros((5, 3)), noise)
+            assert value == -np.log(1e-300)
+            assert not grad_params.any() and not grad_weights.any()
+    # a singular quorum on which slogdet takes log(0) of a zero pivot
+    x = np.zeros(75)
+    x[[2, 10, 30, 36, 58, 60]] = [2.26846167e-307, 1.0, 2.26846167e-307, 3.0, 2.0, -1.0]
+    assert neg_log_qn(x, NoiseModel("ou", "heisenberg", 0.0)) == -np.log(1e-300)
+
+
+def _noise_weights(params, interaction):
+    """The weights the channel reads from canonical parameters: alpha, or |beta|."""
+    ent = params[:, ENTANGLER_SLOTS]
+    return ent.copy() if interaction == "heisenberg" else np.abs(ent)
+
+
+@pytest.mark.parametrize("channel", CHANNELS)
+@pytest.mark.parametrize("interaction", INTERACTIONS)
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(params=arrays(np.float64, (5, 15), elements=st.floats(-2 * np.pi, 2 * np.pi)),
+       weights=arrays(np.float64, (5, 3), elements=st.floats(0.05, 2.0)),
+       strength=st.floats(0.0, 0.3))
+def test_neg_log_qn_gradient_matches_central_differences(channel, interaction, params, weights,
+                                                         strength):
+    # The weights stay clear of 0, where the channel reads |beta| and has a kink.
+    noise = NoiseModel(channel, interaction, strength)
+    value, grad_params, grad_weights = neg_log_qn_and_grad(params, weights, noise)
+    grad = np.concatenate([grad_params.ravel(), grad_weights.ravel()])
+    # The gradient grows as one over the distance to a singular quorum, and
+    # central differences are exact only for steps far below that distance;
+    # at a singular quorum the value is capped and its gradient zero.
+    assume(value < -np.log(1e-300) and np.max(np.abs(grad)) < 1e3)
+    def value_at(v):
+        return neg_log_qn_and_grad(v[:75].reshape(5, 15), v[75:].reshape(5, 3), noise)[0]
+
+    h = 1e-7
+    x = np.concatenate([params.ravel(), weights.ravel()])
+    central = np.array([(value_at(x + step) - value_at(x - step)) / (2 * h)
+                        for step in h * np.eye(90)])
+    assert np.max(np.abs(grad - central)) <= 1e-5 * (1.0 + np.max(np.abs(grad)))
+
+
+@pytest.mark.parametrize("channel", CHANNELS)
+@pytest.mark.parametrize("interaction", INTERACTIONS)
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(x=arrays(np.float64, 75, elements=st.floats(-2 * np.pi, 2 * np.pi)),
+       strength=st.floats(0.0, 0.3))
+def test_neg_log_qn_and_grad_value_is_neg_log_qn(channel, interaction, x, strength):
+    noise = NoiseModel(channel, interaction, strength)
+    params = quorum_array(x, interaction)
+    value = neg_log_qn_and_grad(params, _noise_weights(params, interaction), noise)[0]
+    assert abs(value - neg_log_qn(x, noise)) <= 1e-12
 
 
 def test_estimate_log_coefficient_deterministic_and_near_paper_value():
