@@ -31,7 +31,6 @@ from .optimize import (
     OptimizerOptions,
     diverse_starts,
     optimize_quorum,
-    powell_minimize,
     simulated_annealing,
 )
 from .quality import (

@@ -232,8 +232,8 @@ def _add_common(p: argparse.ArgumentParser, *, noise: bool = True) -> None:
                        help="noise strength (zeta for depolarizing, r for ou)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output path (atomic write)")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="worker processes for multistart optimization")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes for optimize starts")
     p.add_argument("--config", default=None, help="JSON file of flag defaults")
 
 

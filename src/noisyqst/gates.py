@@ -275,27 +275,6 @@ def entangling_times(ent, interaction: str) -> np.ndarray:
     return np.abs(ent).sum(axis=-1) / np.pi
 
 
-def _reflect_unit(x):
-    """Triangle wave mapping the real line onto [0, 2] with period 4."""
-    return 2.0 - np.abs(2.0 - (x % 4.0))
-
-
-def quorum_array(x, interaction: str) -> np.ndarray:
-    """(5, 15) parameter rows of a flat 75-vector.
-
-    Heisenberg entangler slots are reflected into [0, 2] and then reduced
-    mod 2, as :class:`QuorumParams` does, so a bounded optimizer sees a
-    continuous parametrization of the pulse durations.
-    """
-    params = np.array(x, dtype=float)
-    if params.shape != (75,):
-        raise ValueError(f"expected 75 parameters, got shape {params.shape}")
-    params = params.reshape(5, 15)
-    if interaction == HEISENBERG:
-        params[:, ENTANGLER_SLOTS] = _reflect_unit(params[:, ENTANGLER_SLOTS]) % 2.0
-    return params
-
-
 # ---------------------------------------------------------------------------
 # reference measurement sets
 # ---------------------------------------------------------------------------

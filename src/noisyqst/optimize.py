@@ -1,14 +1,15 @@
 """Search for high-quality measurement quorums.
 
-Inside the search a quorum is its (5, 15) parameter array, flattened to 75
-reals for the optimizers.  The MUB seed is refined by bounded L-BFGS-B on
-the analytic gradient of -ln Q_N.  Random starts are refined by Powell's
-direction-set method; global exploration uses simulated annealing with
-Gaussian proposals and geometric cooling followed by a Powell polish.
-Multistart runs draw starting points that are mutually diverse under a
-binned Jaccard distance on the projector dot-product multisets, scored on
-(n, 5, 15) stacks.  The objective is -ln Q_N, which has the same argmax as
-Q_N and avoids underflow for small volumes.
+Inside the search a quorum is its canonical (5, 15) parameter array.  Every
+start, whatever the strategy, ends in one bounded L-BFGS-B refinement on the
+analytic gradient of -ln Q_N: the MUB seed, each diversity-filtered random
+start of a multistart run, and the best point of each annealing walk.  The
+walk makes Gaussian proposals on the (5, 15) array, clipped into the box of
+Heisenberg pulses in [0, 2] or Ising couplings in [-pi/2, pi/2], under
+geometric cooling.  Multistart runs draw starting points that are mutually
+diverse under a binned Jaccard distance on the projector dot-product
+multisets, scored on (n, 5, 15) stacks.  The objective is -ln Q_N, which has
+the same argmax as Q_N and avoids underflow for small volumes.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .gates import (
     QuorumParams,
     entangling_times,
     measurement_layers,
-    quorum_array,
     standard_mub_params,
 )
 from .noise import NoiseModel
@@ -35,10 +35,6 @@ from .quality import neg_log_qn, neg_log_qn_and_grad, quality_report
 logger = logging.getLogger(__name__)
 
 STRATEGIES = ("mub-seeded", "multistart", "annealing")
-
-# Powell's stopping tolerances on the objective and on the parameters.
-F_TOL = 1e-10
-X_TOL = 1e-8
 
 # L-BFGS-B runs until a step gains less than LBFGS_F_TOL relative, or its
 # line search fails: at the rounding floor of -ln Q_N, whatever its message.
@@ -101,47 +97,11 @@ class ObjectiveError(RuntimeError):
     """Non-finite objective value encountered during a search."""
 
 
-def _finite_wrapper(f):
-    def wrapped(x):
-        val = float(f(np.asarray(x, dtype=float)))
-        if not np.isfinite(val):
-            raise ObjectiveError(f"objective returned {val} at x={np.asarray(x).tolist()}")
-        return val
-
-    return wrapped
-
-
-def powell_minimize(f, x0, opts: OptimizerOptions | None = None):
-    """Powell direction-set minimization with Brent line searches.
-
-    Returns (x_min, f_min, trajectory) where trajectory lists the objective
-    after each outer iteration.  Raises :class:`ObjectiveError` if the
-    objective ever evaluates non-finite.
-    """
-    from scipy import optimize as spopt
-
-    opts = opts or OptimizerOptions()
-    fw = _finite_wrapper(f)
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    fw(x0)  # fail fast if the start is bad
-    trajectory = []
-
-    def callback(xk):
-        trajectory.append((len(trajectory), fw(xk)))
-
-    res = spopt.minimize(
-        fw,
-        x0,
-        method="Powell",
-        callback=callback,
-        options={
-            "xtol": X_TOL,
-            "ftol": F_TOL,
-            "maxiter": opts.max_iters,
-            "maxfev": 10_000 * max(1, x0.size),
-        },
-    )
-    return np.atleast_1d(res.x), float(res.fun), trajectory
+def _finite(val, x, grad=0.0) -> float:
+    """The objective value ``val`` at ``x``; :class:`ObjectiveError` if it or ``grad`` is not finite."""
+    if not (np.isfinite(val) and np.all(np.isfinite(grad))):
+        raise ObjectiveError(f"objective returned {val} at x={np.asarray(x).tolist()}")
+    return float(val)
 
 
 def lbfgs_minimize(fg, x0, bounds, opts: OptimizerOptions | None = None):
@@ -160,9 +120,7 @@ def lbfgs_minimize(fg, x0, bounds, opts: OptimizerOptions | None = None):
 
     def checked(x):
         val, grad = fg(x)
-        if not (np.isfinite(val) and np.all(np.isfinite(grad))):
-            raise ObjectiveError(f"objective returned {val} at x={np.asarray(x).tolist()}")
-        return float(val), grad
+        return _finite(val, x, grad), grad
 
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     checked(x0)  # fail fast if the start is bad
@@ -184,33 +142,32 @@ def lbfgs_minimize(fg, x0, bounds, opts: OptimizerOptions | None = None):
     return res.x, float(res.fun), trajectory, pg
 
 
-def simulated_annealing(f, x0, opts: OptimizerOptions, rng: np.random.Generator):
-    """Metropolis search with Gaussian proposals, geometric cooling, Powell polish.
+def simulated_annealing(f, x0, bounds, opts: OptimizerOptions, rng: np.random.Generator):
+    """Metropolis walk in a box, with Gaussian proposals and geometric cooling.
 
-    ``opts.max_iters`` counts temperature ladders; each ladder performs
-    ``steps_per_temp`` proposals at temperature t0 * cooling^ladder.
+    ``bounds`` is a pair (low, high), infinite where a coordinate is free;
+    each proposal is clipped into it.  ``opts.max_iters`` counts temperature
+    ladders; each ladder performs ``steps_per_temp`` proposals at temperature
+    t0 * cooling^ladder.  Returns (x_best, f_best, trajectory) where
+    trajectory lists the best value at the start and after each ladder.
+    Raises :class:`ObjectiveError` if the objective ever evaluates non-finite.
     """
-    fw = _finite_wrapper(f)
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    fx = fw(x)
+    fx = _finite(f(x), x)
     best, fbest = x.copy(), fx
     sched = opts.sa_schedule
     t = sched.t0
     trajectory = [(0, fbest)]
     for ladder in range(opts.max_iters):
         for _ in range(sched.steps_per_temp):
-            cand = x + rng.normal(0.0, opts.proposal_std, size=x.size)
-            fc = fw(cand)
+            cand = np.clip(x + rng.normal(0.0, opts.proposal_std, size=x.size), *bounds)
+            fc = _finite(f(cand), cand)
             if fc < fx or rng.random() < np.exp(-(fc - fx) / t):
                 x, fx = cand, fc
                 if fx < fbest:
                     best, fbest = x.copy(), fx
         t *= sched.cooling
         trajectory.append((ladder + 1, fbest))
-    xp, fp, _ = powell_minimize(fw, best, opts)
-    if fp < fbest:
-        best, fbest = xp, fp
-    trajectory.append((opts.max_iters + 1, fbest))
     return best, fbest, trajectory
 
 
@@ -218,13 +175,24 @@ def simulated_annealing(f, x0, opts: OptimizerOptions, rng: np.random.Generator)
 # quorum parameters
 # ---------------------------------------------------------------------------
 
+# The box of canonical entangler parameters: Heisenberg pulses alpha and
+# Ising couplings beta.  Angles are free.
+_ENTANGLER_BOX = {HEISENBERG: (0.0, 2.0), ISING: (-np.pi / 2, np.pi / 2)}
+
+
+def _box(entangler_bounds):
+    """Bounds (low, high), each (5, 15): free angles, entangler slots in ``entangler_bounds``."""
+    low, high = np.full((5, 15), -np.inf), np.full((5, 15), np.inf)
+    low[:, ENTANGLER_SLOTS], high[:, ENTANGLER_SLOTS] = entangler_bounds
+    return low, high
+
+
 def random_quorum(interaction: str, rng: np.random.Generator) -> np.ndarray:
-    """(5, 15) parameters as :func:`~noisyqst.gates.quorum_array` gives them: uniform angles,
-    then the entanglers' Heisenberg pulses in [0, 2) or Ising couplings in [-pi/2, pi/2)."""
+    """(5, 15) parameters: uniform angles in [0, 2 pi), then the entanglers'
+    Heisenberg pulses in [0, 2) or Ising couplings in [-pi/2, pi/2)."""
     x = rng.uniform(0.0, 2.0 * np.pi, size=(5, 15))
-    lo, hi = (0.0, 2.0) if interaction == HEISENBERG else (-np.pi / 2, np.pi / 2)
-    x[:, ENTANGLER_SLOTS] = rng.uniform(lo, hi, size=(5, 3))
-    return quorum_array(x.ravel(), interaction)
+    x[:, ENTANGLER_SLOTS] = rng.uniform(*_ENTANGLER_BOX[interaction], size=(5, 3))
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +309,8 @@ def diverse_starts(
 # quorum optimization
 # ---------------------------------------------------------------------------
 
-def _finish(x: np.ndarray, noise: NoiseModel, trajectory, label: str) -> OptimizationResult:
-    qp = QuorumParams(noise.interaction, quorum_array(x, noise.interaction))
+def _finish(params: np.ndarray, noise: NoiseModel, trajectory, label: str) -> OptimizationResult:
+    qp = QuorumParams(noise.interaction, params)
     rep = quality_report(qp, noise)
     total = float(sum(rep.entangling_times))
     return OptimizationResult(
@@ -355,17 +323,11 @@ def _finish(x: np.ndarray, noise: NoiseModel, trajectory, label: str) -> Optimiz
     )
 
 
-def _run_powell_start(args) -> OptimizationResult:
-    noise, x0, opts, label = args
-    x, _, traj = powell_minimize(lambda v: neg_log_qn(v, noise), x0, opts)
-    return _finish(x, noise, traj, label)
-
-
 # Every coordinate of the bounded refinement is a phase in radians, so that
 # L-BFGS-B's first step, of unit length, means the same for each: a
-# Heisenberg pulse alpha is held as its phase pi alpha, boxed to [0, 2 pi],
-# where quorum_array's reflection is the identity.  (Held as alpha, the first
-# step from the MUB seed lands every entangled pulse on 0, a singular quorum.)
+# Heisenberg pulse alpha is held as its phase pi alpha, boxed to [0, 2 pi].
+# (Held as alpha, the first step from the MUB seed lands every entangled
+# pulse on 0, a singular quorum.)
 # Each Ising coupling is split as beta = b+ - b-, with b+ and b- in [0, pi/2]
 # and the noise charged on b+ + b-: beta = 0 is then no kink, and
 # exp(-i pi/2 sigma x sigma) is local, so the box holds every optimum.  (Local
@@ -377,8 +339,7 @@ _PHASE_BOX = {HEISENBERG: (0.0, 2.0 * np.pi), ISING: (0.0, np.pi / 2)}
 def _bounded_start(params: np.ndarray, interaction: str):
     """The bounded vector of a quorum's (5, 15) parameters, and its bounds (low, high)."""
     params = np.array(params, dtype=float)
-    low, high = np.full((5, 15), -np.inf), np.full((5, 15), np.inf)
-    low[:, ENTANGLER_SLOTS], high[:, ENTANGLER_SLOTS] = _PHASE_BOX[interaction]
+    low, high = _box(_PHASE_BOX[interaction])
     if interaction == HEISENBERG:
         params[:, ENTANGLER_SLOTS] *= np.pi
         return params.ravel(), (low.ravel(), high.ravel())
@@ -411,23 +372,26 @@ def _bounded_objective(z: np.ndarray, noise: NoiseModel):
     return val, np.concatenate([grad_params.ravel(), (grad_weights - grad_beta).ravel()])
 
 
-def _run_lbfgs_start(args) -> OptimizationResult:
+def _run_lbfgs_start(args, walk=()) -> OptimizationResult:
+    """Refine one start by bounded L-BFGS-B, logging a warning if it stops short of
+    convergence; its iterations follow the entries of ``walk`` in the trajectory."""
     noise, x0, opts, label = args
     z0, bounds = _bounded_start(np.reshape(x0, (5, 15)), noise.interaction)
     z, _, traj, pg = lbfgs_minimize(lambda v: _bounded_objective(v, noise), z0, bounds, opts)
     if pg > G_TOL:
         logger.warning("start %s did not converge: projected gradient %.2e > %.0e after %d "
                        "iterations", label, pg, G_TOL, len(traj))
-    return _finish(_unpack(z, noise.interaction)[0].ravel(), noise, traj, label)
+    traj = list(walk) + [(len(walk) + i, f) for i, f in traj]
+    return _finish(_unpack(z, noise.interaction)[0], noise, traj, label)
 
 
 def _run_annealing(args) -> OptimizationResult:
+    """One annealing walk on the canonical (5, 15) array, refined from its best point."""
     noise, x0, opts, seed, label = args
-    rng = np.random.default_rng(seed)
-    x, _, traj = simulated_annealing(
-        lambda v: neg_log_qn(v, noise), x0, opts, rng
-    )
-    return _finish(x, noise, traj, label)
+    bounds = [bound.ravel() for bound in _box(_ENTANGLER_BOX[noise.interaction])]
+    best, _, walk = simulated_annealing(lambda v: neg_log_qn(v.reshape(5, 15), noise), x0,
+                                        bounds, opts, np.random.default_rng(seed))
+    return _run_lbfgs_start((noise, best, opts, label), walk)
 
 
 def _attempt(runner, job):
@@ -467,13 +431,14 @@ def optimize_quorum(
     threads: int = 1,
     threshold_pairs: int = 10_000,
 ) -> list[OptimizationResult]:
-    """Maximize Q_N over the 75-parameter quorum space.
+    """Maximize Q_N over the (5, 15) quorum parameters.
 
-    ``mub-seeded`` refines the standard MUB quorum by bounded L-BFGS-B on
-    the analytic gradient, and logs a warning if it stops short of
-    convergence; ``multistart`` refines ``n_starts`` diversity-filtered
-    random starts with Powell's method; ``annealing`` runs ``n_starts``
-    seeded annealing chains.  Results are sorted by decreasing Q_N.
+    ``mub-seeded`` starts from the standard MUB quorum, ``multistart`` from
+    ``n_starts`` diversity-filtered random quorums, and ``annealing`` from
+    the best points of ``n_starts`` seeded annealing walks.  Every start is
+    refined by bounded L-BFGS-B on the analytic gradient, which logs a
+    warning if it stops short of convergence.  Results are sorted by
+    decreasing Q_N.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -487,7 +452,7 @@ def optimize_quorum(
         rng = np.random.default_rng(opts.seed)
         starts = diverse_starts(n_starts, noise.interaction, rng, threshold_pairs)
         jobs = [(noise, x0, opts, f"multistart-{i}") for i, x0 in enumerate(starts)]
-        runner = _run_powell_start
+        runner = _run_lbfgs_start
     else:
         seeds = np.random.SeedSequence(opts.seed).spawn(n_starts)
         rng = np.random.default_rng(opts.seed)

@@ -32,7 +32,6 @@ from .gates import (
     entangling_times,
     measurement_layer_derivatives,
     measurement_layers,
-    quorum_array,
 )
 from .noise import (
     DegeneratePovmError,
@@ -119,14 +118,16 @@ def quality_report(quorum: QuorumParams, noise: NoiseModel) -> QualityReport:
                          per_measurement_q=qs, entangling_times=times)
 
 
-def neg_log_qn(x: np.ndarray, noise: NoiseModel) -> float:
-    """-ln Q_N of the quorum encoded by a flat 75-vector.
+def neg_log_qn(params, noise: NoiseModel) -> float:
+    """-ln Q_N of the quorum of (5, 15) parameters, taken as given (canonical).
 
-    The vector is read by :func:`~noisyqst.gates.quorum_array`.  This is the
-    optimizers' objective: it has the argmax of Q_N and avoids underflow for
-    small volumes.  It is capped at -ln(1e-300), and NaN where a parameter is not finite.
+    This is the optimizers' objective: it has the argmax of Q_N and avoids
+    underflow for small volumes.  It is capped at -ln(1e-300), and NaN where a
+    parameter is not finite.
     """
-    params = quorum_array(x, noise.interaction)
+    params = np.asarray(params, dtype=float)
+    if params.shape != (5, 15):
+        raise ValueError(f"a quorum needs (5, 15) parameters, got shape {params.shape}")
     if not np.all(np.isfinite(params)):
         return float("nan")
     return float(min(-_log_qualities(povm_stack(params, noise))[1], -np.log(_QN_FLOOR)))

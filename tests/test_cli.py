@@ -104,6 +104,17 @@ def test_quality_mub_output_is_pinned(capsys):
             == "b58b6c531f0411fab3da414f22377e9c36a1f11bb05523f91d45c0b59539963a")
 
 
+def test_output_does_not_depend_on_the_core_count(monkeypatch, capsys):
+    from noisyqst.cli import main
+
+    outputs = []
+    for cores in (1, 64):
+        monkeypatch.setattr("os.cpu_count", lambda: cores)
+        assert main(["quality", "--mub", "heisenberg", "--zeta", "0.05"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_gate_fidelity_values():
     cases = [
         (["--channel", "depolarizing", "--interaction", "ising", "--zeta", "0.034"], 0.98, 0.002),
@@ -224,15 +235,22 @@ def test_mub_seeded_ou_ising_keeps_short_couplings(tmp_path):
     assert best["q_noisy"] >= 0.0243884802518 * (1 - 1e-9)
 
 
-def test_unconverged_refinement_is_logged_not_written(tmp_path, caplog):
+@pytest.mark.parametrize("strategy, extra, labels", [
+    ("mub-seeded", [], ["mub"]),
+    ("multistart", ["--starts", "2", "--threshold-pairs", "60"], ["multistart-0", "multistart-1"]),
+    ("annealing", ["--starts", "2"], ["annealing-0", "annealing-1"]),
+], ids=["mub-seeded", "multistart", "annealing"])
+def test_unconverged_refinement_is_logged_not_written(tmp_path, caplog, strategy, extra, labels):
     # OU noise with the Heisenberg entangler needs about 55 L-BFGS-B iterations
+    # from the MUB seed, and more from a random start
     from noisyqst.cli import main
 
-    argv = ["optimize", "--strategy", "mub-seeded", "--channel", "ou", "--interaction",
+    argv = ["optimize", "--strategy", strategy, *extra, "--channel", "ou", "--interaction",
             "heisenberg", "-r", "0.05", "--max-iters", "1", "--threads", "1", "--out"]
     with caplog.at_level(logging.WARNING, logger="noisyqst.optimize"):
         assert main(argv + [str(tmp_path / "warned.csv")]) == 0
-    assert "start mub did not converge" in caplog.text
+    for label in labels:
+        assert f"start {label} did not converge" in caplog.text
     caplog.clear()
     logging.disable(logging.WARNING)
     try:

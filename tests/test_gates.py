@@ -23,7 +23,6 @@ from noisyqst.gates import (
     measurement_layers,
     measurement_unitary,
     nine_pauli_bases,
-    quorum_array,
     single_qubit_gate,
     standard_mub_params,
 )
@@ -207,7 +206,7 @@ def test_nine_pauli_bases_shape_and_product_structure():
 @given(x=arrays(np.float64, 75, elements=st.floats(-2 * np.pi, 2 * np.pi)),
        interaction=st.sampled_from(INTERACTIONS))
 def test_quorum_json_round_trip(x, interaction):
-    quorum = QuorumParams(interaction, quorum_array(x, interaction))
+    quorum = QuorumParams(interaction, x.reshape(5, 15))
     text = quorum.to_json()
     back = QuorumParams.from_json(text)
     assert back == quorum

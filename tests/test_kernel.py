@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from noisyqst.gates import INTERACTIONS, QuorumParams, quorum_array
+from noisyqst.gates import INTERACTIONS, QuorumParams
 from noisyqst.noise import CHANNELS, NoiseModel, povm_stack
 from noisyqst.optimize import _jaccard_distance, _projector_histograms, random_quorum
 from noisyqst.quality import neg_log_qn, quality_report
@@ -34,7 +34,7 @@ strengths = st.floats(0.0, 0.3)
 @given(x=vectors, strength=strengths)
 def test_kernel_matches_per_matrix_oracle(channel, interaction, x, strength):
     noise = NoiseModel(channel, interaction, strength)
-    quorum = QuorumParams(interaction, quorum_array(x, interaction))
+    quorum = QuorumParams(interaction, x.reshape(5, 15))
     effects = povm_stack(quorum.to_array(), noise)
     rep = quality_report(quorum, noise)
     for j, m in enumerate(quorum.measurements):
@@ -44,14 +44,14 @@ def test_kernel_matches_per_matrix_oracle(channel, interaction, x, strength):
     q_geometric, _, q_noisy = oracles.quality(quorum, noise)
     assert abs(rep.q_geometric - q_geometric) <= TOL
     assert abs(rep.q_noisy - q_noisy) <= TOL
-    assert abs(np.exp(-neg_log_qn(x, noise)) - q_noisy) <= TOL
+    assert abs(np.exp(-neg_log_qn(quorum.to_array(), noise)) - q_noisy) <= TOL
 
 
 @pytest.mark.parametrize("interaction", INTERACTIONS)
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(x=vectors)
 def test_projector_histograms_equal_oracle(interaction, x):
-    quorum = QuorumParams(interaction, quorum_array(x, interaction))
+    quorum = QuorumParams(interaction, x.reshape(5, 15))
     scaled = (oracles.projector_dots(quorum) + 0.25) / 0.05
     # Bins are cut by truncation: a dot product within rounding of an inner
     # bin edge may fall on either side of it, on either route.

@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
-from scipy.optimize import rosen
+from scipy.optimize import rosen, rosen_der
 
 import noisyqst.optimize as optimize_module
 from noisyqst.gates import (
     ENTANGLER_SLOTS,
     INTERACTIONS,
-    QuorumParams,
-    quorum_array,
     standard_mub_params,
 )
 from noisyqst.noise import CHANNELS, NoiseModel
@@ -17,12 +15,12 @@ from noisyqst.optimize import (
     SaSchedule,
     _bounded_objective,
     _bounded_start,
-    _run_powell_start,
+    _run_lbfgs_start,
     _run_starts,
     diverse_starts,
     diversity_threshold,
+    lbfgs_minimize,
     optimize_quorum,
-    powell_minimize,
     random_quorum,
     simulated_annealing,
 )
@@ -31,8 +29,6 @@ from noisyqst.quality import (
     analytic_heisenberg_qn,
     neg_log_qn,
     quality_report,
-    single_qubit_optimal_angle,
-    single_qubit_quality,
 )
 
 from oracles import quorum_distance
@@ -60,41 +56,71 @@ ANNEALING_STARTS_SEED_5 = [
 ]
 
 
-def test_powell_quadratic_bowl():
-    f = lambda x: float(np.sum((x - 1.0) ** 2))
-    x, fx, traj = powell_minimize(f, np.zeros(5))
+FREE = (-np.inf, np.inf)
+
+
+def test_lbfgs_quadratic_bowl():
+    fg = lambda x: (float(np.sum((x - 1.0) ** 2)), 2.0 * (x - 1.0))
+    x, fx, traj, _ = lbfgs_minimize(fg, np.zeros(5), FREE)
     assert np.max(np.abs(x - 1.0)) < 1e-6
     assert fx < 1e-10
-    assert traj and traj[-1][1] == pytest.approx(fx, abs=1e-12)
+    assert traj and traj[-1][1] == fx
 
 
-def test_powell_rosenbrock():
-    x, fx, _ = powell_minimize(lambda v: float(rosen(v)), np.array([-1.2, 1.0]))
+def test_lbfgs_rosenbrock():
+    fg = lambda v: (float(rosen(v)), rosen_der(v))
+    x, fx, _, _ = lbfgs_minimize(fg, np.array([-1.2, 1.0]), FREE)
     assert fx < 1e-8
     assert np.max(np.abs(x - 1.0)) < 1e-3  # known minimum at (1, 1)
 
 
-def test_powell_single_qubit_closed_form():
-    r = 0.1
-    x, _, _ = powell_minimize(lambda th: -single_qubit_quality(th[0], r), np.array([0.9]))
-    assert abs(x[0] - single_qubit_optimal_angle(r)) < 1e-6
+def test_lbfgs_stops_on_an_active_bound():
+    fg = lambda x: (float((x[0] - 3.0) ** 2), 2.0 * (x - 3.0))
+    x, fx, _, pg = lbfgs_minimize(fg, np.array([0.5]), (np.zeros(1), np.ones(1)))
+    assert x[0] == 1.0 and fx == 4.0
+    assert pg == 0.0  # the gradient points out of the box
 
 
-def test_powell_aborts_on_non_finite_objective():
-    def bad(x):
-        return np.inf if x[0] > 0.5 else float(np.sum(x**2))
+def test_lbfgs_aborts_on_non_finite_objective():
+    box = (np.array([0.0, -1.0]), np.array([2.0, 1.0]))
 
-    with pytest.raises(ObjectiveError):
-        powell_minimize(bad, np.array([0.4, 0.0]))
+    def bowl(x):
+        # minimum at (1, 0), past x[0] = 0.5
+        return float(np.sum((x - [1.0, 0.0]) ** 2)), 2.0 * (x - [1.0, 0.0])
+
+    def bad_value(x):
+        return (np.inf, bowl(x)[1]) if x[0] > 0.5 else bowl(x)
+
+    def bad_gradient(x):
+        return (bowl(x)[0], np.full(2, np.nan)) if x[0] > 0.5 else bowl(x)
+
+    for bad in (bad_value, bad_gradient):
+        with pytest.raises(ObjectiveError, match="objective returned"):
+            lbfgs_minimize(bad, np.array([0.4, 0.0]), box)
 
 
 def test_simulated_annealing_convex_and_deterministic():
     opts = OptimizerOptions(max_iters=40, sa_schedule=SaSchedule(1.0, 0.9, 50))
     f = lambda x: float(np.sum(x**2))
-    x1, f1, _ = simulated_annealing(f, np.array([2.0, -1.0]), opts, np.random.default_rng(0))
+    x1, f1, _ = simulated_annealing(f, np.array([2.0, -1.0]), FREE, opts, np.random.default_rng(0))
     assert f1 < 1e-4
-    x2, f2, _ = simulated_annealing(f, np.array([2.0, -1.0]), opts, np.random.default_rng(0))
+    x2, f2, _ = simulated_annealing(f, np.array([2.0, -1.0]), FREE, opts, np.random.default_rng(0))
     assert np.array_equal(x1, x2) and f1 == f2
+
+
+def test_simulated_annealing_stays_in_its_box():
+    low, high = np.array([-1.0, 0.0, -np.inf]), np.array([1.0, 0.5, 2.0])
+    seen = []
+
+    def f(x):
+        seen.append(x.copy())
+        return -float(np.sum(x))
+
+    opts = OptimizerOptions(max_iters=20, sa_schedule=SaSchedule(1.0, 0.8, 50), proposal_std=0.3)
+    x, fx, _ = simulated_annealing(f, np.zeros(3), (low, high), opts, np.random.default_rng(1))
+    assert np.array_equal(x, high) and fx == -3.5  # every coordinate ends on its upper bound
+    seen = np.array(seen)
+    assert np.all((low <= seen) & (seen <= high))
 
 
 def test_simulated_annealing_multimodal_finds_global_basin():
@@ -106,22 +132,9 @@ def test_simulated_annealing_multimodal_finds_global_basin():
     )
     hits = 0
     for seed in range(10):
-        x, _, _ = simulated_annealing(f, np.array([4.0]), opts, np.random.default_rng(seed))
+        x, _, _ = simulated_annealing(f, np.array([4.0]), FREE, opts, np.random.default_rng(seed))
         hits += abs(x[0] - x_star) < 0.3
     assert hits >= 8
-
-
-def test_vector_round_trip_and_reflection():
-    q = standard_mub_params("heisenberg")
-    v = q.to_array().ravel()
-    assert v.shape == (75,)
-    assert QuorumParams("heisenberg", quorum_array(v, "heisenberg")) == q
-    # reflection maps the real line into [0, 2]
-    v2 = v.copy()
-    v2[6] = -0.3  # entangler slot of the first measurement
-    assert quorum_array(v2, "heisenberg")[0, 6] == pytest.approx(0.3)
-    v2[6] = 2.7
-    assert quorum_array(v2, "heisenberg")[0, 6] == pytest.approx(1.3)
 
 
 def test_quorum_distance_basic_properties():
@@ -220,7 +233,7 @@ def test_bounded_objective_value_and_gradient(channel, interaction):
     z, bounds = _bounded_start(params, interaction)
     # the start is the quorum itself: pulses as phases pi alpha, at most one
     # part of each coupling nonzero
-    assert _bounded_objective(z, noise)[0] == pytest.approx(neg_log_qn(params.ravel(), noise),
+    assert _bounded_objective(z, noise)[0] == pytest.approx(neg_log_qn(params, noise),
                                                             abs=1e-12)
     low, high = bounds
     assert len(z) == len(low) == len(high) == (75 if interaction == "heisenberg" else 90)
@@ -249,6 +262,20 @@ def test_optimize_multistart_smoke_sorted():
     assert qs == sorted(qs, reverse=True)
     labels = {r.start_label for r in results}
     assert len(labels) == 3
+
+
+@pytest.mark.parametrize("interaction", INTERACTIONS)
+def test_multistart_and_annealing_results_stay_in_the_box(interaction):
+    noise = NoiseModel("ou", interaction, 0.05)
+    opts = OptimizerOptions(seed=2, sa_schedule=SaSchedule(1.0, 0.9, 10), proposal_std=0.5)
+    results = (optimize_quorum(noise, "multistart", 2, opts, threshold_pairs=50)
+               + optimize_quorum(noise, "annealing", 2, opts))
+    for r in results:
+        ent = r.params.to_array()[:, ENTANGLER_SLOTS]
+        if interaction == "heisenberg":
+            assert np.all((0.0 <= ent) & (ent < 2.0))
+        else:
+            assert np.all(np.abs(ent) <= np.pi / 2)
 
 
 def test_optimize_annealing_smoke():
@@ -292,8 +319,8 @@ def test_failed_start_recorded_alike_serially_and_in_the_pool():
         (noise, np.full(75, np.nan), opts, "nan"),
         (noise, x0 + 0.05, opts, "shifted"),
     ]
-    serial = _run_starts(_run_powell_start, jobs, threads=1)
-    pooled = _run_starts(_run_powell_start, jobs, threads=2)
+    serial = _run_starts(_run_lbfgs_start, jobs, threads=1)
+    pooled = _run_starts(_run_lbfgs_start, jobs, threads=2)
     assert serial == pooled
     results, failures = serial
     assert [r.start_label for r in results] == ["mub", "shifted"]

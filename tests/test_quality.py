@@ -12,7 +12,6 @@ from noisyqst.gates import (
     INTERACTIONS,
     QuorumParams,
     measurement_unitary,
-    quorum_array,
     standard_mub_params,
 )
 from noisyqst.noise import CHANNELS, NoiseModel
@@ -99,7 +98,7 @@ def test_quality_report_invariants_and_json():
 @given(x=arrays(np.float64, 75, elements=st.floats(-2 * np.pi, 2 * np.pi)),
        strength=st.floats(0.0, 1.0))
 def test_noise_only_shrinks_q_and_quality(channel, interaction, x, strength):
-    quorum = QuorumParams(interaction, quorum_array(x, interaction))
+    quorum = QuorumParams(interaction, x.reshape(5, 15))
     rep = quality_report(quorum, NoiseModel(channel, interaction, strength))
     assert np.all(rep.per_measurement_q > 0.0)
     assert np.all(rep.per_measurement_q <= 1.0 + 1e-12)
@@ -123,8 +122,8 @@ def test_quality_invariant_under_diagonal_phase_postrotation(x, strength, thetas
     for interaction in INTERACTIONS:
         for channel in CHANNELS:
             noise = NoiseModel(channel, interaction, strength)
-            base = quality_report(QuorumParams(interaction, quorum_array(x, interaction)), noise)
-            rotated_quorum = QuorumParams(interaction, quorum_array(rotated.ravel(), interaction))
+            base = quality_report(QuorumParams(interaction, x.reshape(5, 15)), noise)
+            rotated_quorum = QuorumParams(interaction, rotated)
             rep = quality_report(rotated_quorum, noise)
             assert abs(rep.q_geometric - base.q_geometric) <= 1e-12
             assert abs(rep.q_noisy - base.q_noisy) <= 1e-12
@@ -159,12 +158,12 @@ def test_neg_log_qn_matches_closed_forms_near_a_singular_quorum(zeta):
     heisenberg = _mub_family_quorum(a, a, 0.5, 0.5).to_array()
     closed = analytic_heisenberg_qn(a, a, 0.5, 0.5, zeta)
     noise = NoiseModel("depolarizing", "heisenberg", zeta)
-    assert abs(neg_log_qn(heisenberg.ravel(), noise) + np.log(closed)) < 1e-9
+    assert abs(neg_log_qn(heisenberg, noise) + np.log(closed)) < 1e-9
     ising = standard_mub_params("ising").to_array().copy()
     ising[3, ENTANGLER_SLOTS.start + 1] = a  # beta_y of measurement 4
     closed = analytic_ising_qn(a, np.pi / 4.0, zeta)
     noise = NoiseModel("depolarizing", "ising", zeta)
-    assert abs(neg_log_qn(ising.ravel(), noise) + np.log(closed)) < 1e-9
+    assert abs(neg_log_qn(ising, noise) + np.log(closed)) < 1e-9
 
 
 def test_singular_quorum_is_capped_without_warnings():
@@ -174,7 +173,7 @@ def test_singular_quorum_is_capped_without_warnings():
     for interaction in INTERACTIONS:
         for channel in CHANNELS:
             noise = NoiseModel(channel, interaction, 0.1)
-            assert neg_log_qn(np.zeros(75), noise) == -np.log(1e-300)
+            assert neg_log_qn(np.zeros((5, 15)), noise) == -np.log(1e-300)
             rep = quality_report(QuorumParams(interaction, np.zeros((5, 15))), noise)
             assert rep.q_geometric == 0.0 and rep.q_noisy == 0.0
             value, grad_params, grad_weights = neg_log_qn_and_grad(
@@ -184,7 +183,8 @@ def test_singular_quorum_is_capped_without_warnings():
     # a singular quorum on which slogdet takes log(0) of a zero pivot
     x = np.zeros(75)
     x[[2, 10, 30, 36, 58, 60]] = [2.26846167e-307, 1.0, 2.26846167e-307, 3.0, 2.0, -1.0]
-    assert neg_log_qn(x, NoiseModel("ou", "heisenberg", 0.0)) == -np.log(1e-300)
+    params = QuorumParams("heisenberg", x.reshape(5, 15)).to_array()
+    assert neg_log_qn(params, NoiseModel("ou", "heisenberg", 0.0)) == -np.log(1e-300)
 
 
 def _noise_weights(params, interaction):
@@ -226,9 +226,9 @@ def test_neg_log_qn_gradient_matches_central_differences(channel, interaction, p
        strength=st.floats(0.0, 0.3))
 def test_neg_log_qn_and_grad_value_is_neg_log_qn(channel, interaction, x, strength):
     noise = NoiseModel(channel, interaction, strength)
-    params = quorum_array(x, interaction)
+    params = QuorumParams(interaction, x.reshape(5, 15)).to_array()
     value = neg_log_qn_and_grad(params, _noise_weights(params, interaction), noise)[0]
-    assert abs(value - neg_log_qn(x, noise)) <= 1e-12
+    assert abs(value - neg_log_qn(params, noise)) <= 1e-12
 
 
 def test_estimate_log_coefficient_deterministic_and_near_paper_value():
