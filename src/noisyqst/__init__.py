@@ -28,7 +28,6 @@ from .noise import (
 )
 from .optimize import (
     OptimizationResult,
-    OptimizerOptions,
     diverse_starts,
     optimize_quorum,
     simulated_annealing,

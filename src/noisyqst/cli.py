@@ -107,12 +107,12 @@ def cmd_optimize(args) -> int:
     if min(args.max_iters, args.starts, args.threshold_pairs) < 1:
         raise SystemExit2("--max-iters, --starts and --threshold-pairs must be >= 1")
     noise = _noise_from_args(args)
-    opts = opt.OptimizerOptions(seed=args.seed, max_iters=args.max_iters)
     results = opt.optimize_quorum(
         noise,
         strategy=args.strategy,
         n_starts=args.starts,
-        opts=opts,
+        max_iters=args.max_iters,
+        seed=args.seed,
         threads=args.threads,
         threshold_pairs=args.threshold_pairs,
     )
@@ -167,9 +167,7 @@ def cmd_sweep(args) -> int:
             if name == "mub":
                 schemes.append(tomo.mub_scheme(noise))
             else:
-                best = opt.optimize_quorum(
-                    noise, strategy="mub-seeded", opts=opt.OptimizerOptions(seed=args.seed)
-                )[0]
+                best = opt.optimize_quorum(noise, strategy="mub-seeded", seed=args.seed)[0]
                 schemes.append(tomo.quorum_scheme(best.params, noise, "optimized"))
             streams.append(i)
             keys.append((i, noise.strength))
@@ -290,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> dict:
+    """Set the --config file's keys as defaults of every subcommand; returns them."""
     for idx, arg in enumerate(argv):
         if arg == "--config":
             if idx + 1 == len(argv):
@@ -301,7 +300,7 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
             path = arg.split("=", 1)[1]
             break
     else:
-        return argv
+        return {}
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -314,15 +313,22 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
     defaults = {k: v for k, v in cfg.items() if k != "config"}
     for sp in parser.subcommand_parsers.values():
         sp.set_defaults(**defaults)
-    return argv
+    return defaults
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
+        config = _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
+        flags = {action.dest for action in parser.subcommand_parsers[args.command]._actions}
+        unknown = sorted(set(config) - flags)
+        if unknown:
+            raise SystemExit2(f"unknown config key(s) for {args.command}: "
+                              + ", ".join(map(repr, unknown)))
+        if args.threads < 1:
+            raise SystemExit2("--threads must be >= 1")
         return args.func(args)
     except SystemExit2 as exc:
         return int(exc.code)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,29 +44,8 @@ G_TOL = 1e-6
 LBFGS_F_TOL = 1e-15
 
 
-@dataclass(frozen=True)
-class SaSchedule:
-    t0: float = 1.0
-    cooling: float = 0.95
-    steps_per_temp: int = 100
-
-    def __post_init__(self):
-        if not 0.0 < self.cooling < 1.0:
-            raise ValueError("cooling factor must lie in (0, 1)")
-        if self.t0 <= 0 or self.steps_per_temp < 1:
-            raise ValueError("invalid annealing schedule")
-
-
-@dataclass(frozen=True)
-class OptimizerOptions:
-    max_iters: int = 200
-    sa_schedule: SaSchedule = field(default_factory=SaSchedule)
-    proposal_std: float = 0.1
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+# The schedule of simulated_annealing.
+SA_T0, SA_COOLING, SA_STEPS, SA_STEP = 1.0, 0.95, 100, 0.1
 
 
 @dataclass(frozen=True)
@@ -104,8 +83,8 @@ def _finite(val, x, grad=0.0) -> float:
     return float(val)
 
 
-def lbfgs_minimize(fg, x0, bounds, opts: OptimizerOptions | None = None):
-    """Bounded L-BFGS-B minimization of ``fg(x) -> (f, grad)``.
+def lbfgs_minimize(fg, x0, bounds, max_iters: int):
+    """Bounded L-BFGS-B minimization of ``fg(x) -> (f, grad)``, at most ``max_iters`` iterations.
 
     Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput. 16, 1190 (1995), as in
     scipy.  ``bounds`` is a pair of arrays (low, high), infinite where a
@@ -115,8 +94,6 @@ def lbfgs_minimize(fg, x0, bounds, opts: OptimizerOptions | None = None):
     its gradient ever evaluates non-finite.
     """
     from scipy import optimize as spopt
-
-    opts = opts or OptimizerOptions()
 
     def checked(x):
         val, grad = fg(x)
@@ -136,37 +113,37 @@ def lbfgs_minimize(fg, x0, bounds, opts: OptimizerOptions | None = None):
         method="L-BFGS-B",
         bounds=spopt.Bounds(*bounds),
         callback=callback,
-        options={"gtol": 0.0, "ftol": LBFGS_F_TOL, "maxiter": opts.max_iters},
+        options={"gtol": 0.0, "ftol": LBFGS_F_TOL, "maxiter": max_iters},
     )
     pg = float(np.max(np.abs(np.clip(res.x - res.jac, *bounds) - res.x)))
     return res.x, float(res.fun), trajectory, pg
 
 
-def simulated_annealing(f, x0, bounds, opts: OptimizerOptions, rng: np.random.Generator):
+def simulated_annealing(f, x0, bounds, n_ladders: int, rng: np.random.Generator):
     """Metropolis walk in a box, with Gaussian proposals and geometric cooling.
 
     ``bounds`` is a pair (low, high), infinite where a coordinate is free;
-    each proposal is clipped into it.  ``opts.max_iters`` counts temperature
-    ladders; each ladder performs ``steps_per_temp`` proposals at temperature
-    t0 * cooling^ladder.  Returns (x_best, f_best, trajectory) where
-    trajectory lists the best value at the start and after each ladder.
+    each proposal is clipped into it.  Each of the ``n_ladders`` temperature
+    ladders performs SA_STEPS proposals of standard deviation SA_STEP at
+    temperature SA_T0 * SA_COOLING^ladder.  Returns (x_best, f_best,
+    trajectory) where trajectory lists the best value at the start and after
+    each ladder.
     Raises :class:`ObjectiveError` if the objective ever evaluates non-finite.
     """
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     fx = _finite(f(x), x)
     best, fbest = x.copy(), fx
-    sched = opts.sa_schedule
-    t = sched.t0
+    t = SA_T0
     trajectory = [(0, fbest)]
-    for ladder in range(opts.max_iters):
-        for _ in range(sched.steps_per_temp):
-            cand = np.clip(x + rng.normal(0.0, opts.proposal_std, size=x.size), *bounds)
+    for ladder in range(n_ladders):
+        for _ in range(SA_STEPS):
+            cand = np.clip(x + rng.normal(0.0, SA_STEP, size=x.shape), *bounds)
             fc = _finite(f(cand), cand)
             if fc < fx or rng.random() < np.exp(-(fc - fx) / t):
                 x, fx = cand, fc
                 if fx < fbest:
                     best, fbest = x.copy(), fx
-        t *= sched.cooling
+        t *= SA_COOLING
         trajectory.append((ladder + 1, fbest))
     return best, fbest, trajectory
 
@@ -276,7 +253,7 @@ def diverse_starts(
 ) -> np.ndarray:
     """Rejection-sample n quorums that are pairwise at least a threshold apart.
 
-    Returns their flat parameter vectors, shape (n, 75).  The threshold is
+    Returns their parameter arrays, shape (n, 5, 15).  The threshold is
     estimated once per call from ``threshold_pairs`` random pairs; if 100 n
     consecutive candidates fail, it is relaxed by 10% and the relaxation is
     logged.
@@ -302,7 +279,7 @@ def diverse_starts(
                 logger.warning(
                     "diversity threshold unreachable, relaxing to %.4f", threshold
                 )
-    return starts.reshape(n, 75)
+    return starts
 
 
 # ---------------------------------------------------------------------------
@@ -372,52 +349,52 @@ def _bounded_objective(z: np.ndarray, noise: NoiseModel):
     return val, np.concatenate([grad_params.ravel(), (grad_weights - grad_beta).ravel()])
 
 
-def _run_lbfgs_start(args, walk=()) -> OptimizationResult:
-    """Refine one start by bounded L-BFGS-B, logging a warning if it stops short of
-    convergence; its iterations follow the entries of ``walk`` in the trajectory."""
-    noise, x0, opts, label = args
-    z0, bounds = _bounded_start(np.reshape(x0, (5, 15)), noise.interaction)
-    z, _, traj, pg = lbfgs_minimize(lambda v: _bounded_objective(v, noise), z0, bounds, opts)
+def _run_start(noise: NoiseModel, max_iters: int, label: str, x0: np.ndarray,
+               walk_seed=None) -> OptimizationResult:
+    """Refine one (5, 15) start by bounded L-BFGS-B, logging a warning if it stops short of
+    convergence.  Given ``walk_seed``, an annealing walk of ``max_iters`` ladders runs
+    from ``x0`` first and the refinement starts at its best point; the walk's entries
+    then precede the refinement's iterations in the trajectory."""
+    walk = []
+    if walk_seed is not None:
+        x0, _, walk = simulated_annealing(lambda x: neg_log_qn(x, noise), x0,
+                                          _box(_ENTANGLER_BOX[noise.interaction]), max_iters,
+                                          np.random.default_rng(walk_seed))
+    z0, bounds = _bounded_start(x0, noise.interaction)
+    z, _, traj, pg = lbfgs_minimize(lambda v: _bounded_objective(v, noise), z0, bounds, max_iters)
     if pg > G_TOL:
         logger.warning("start %s did not converge: projected gradient %.2e > %.0e after %d "
                        "iterations", label, pg, G_TOL, len(traj))
-    traj = list(walk) + [(len(walk) + i, f) for i, f in traj]
+    traj = walk + [(len(walk) + i, f) for i, f in traj]
     return _finish(_unpack(z, noise.interaction)[0], noise, traj, label)
 
 
-def _run_annealing(args) -> OptimizationResult:
-    """One annealing walk on the canonical (5, 15) array, refined from its best point."""
-    noise, x0, opts, seed, label = args
-    bounds = [bound.ravel() for bound in _box(_ENTANGLER_BOX[noise.interaction])]
-    best, _, walk = simulated_annealing(lambda v: neg_log_qn(v.reshape(5, 15), noise), x0,
-                                        bounds, opts, np.random.default_rng(seed))
-    return _run_lbfgs_start((noise, best, opts, label), walk)
-
-
-def _attempt(runner, job):
+def _attempt(runner, start):
     """Run one start; a non-finite objective becomes a (label, message) failure record."""
     try:
-        return runner(job), None
+        return runner(*start), None
     except ObjectiveError as exc:
-        return None, (job[-1], str(exc))
+        return None, (start[0], str(exc))
 
 
-def _run_starts(runner, jobs: list, threads: int):
-    """Run every start, in a process pool when threads > 1; failures are recorded, not raised.
+def _run_starts(runner, starts: list, threads: int):
+    """Call ``runner(*start)`` on every start, in a pool of at most ``threads`` processes
+    when threads > 1; failures are recorded, not raised.
 
-    Returns the successful results and the failure records, both in job
+    Returns the successful results and the failure records, both in start
     order, so the outcome does not depend on ``threads``.
     """
     attempt = functools.partial(_attempt, runner)
-    if threads > 1 and len(jobs) > 1:
+    if threads > 1 and len(starts) > 1:
         # imported here: the pool pulls in multiprocessing and socket, which
         # commands that never run one should not pay for
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(attempt, jobs))
+        # under fork the pool starts all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(threads, len(starts))) as pool:
+            outcomes = list(pool.map(attempt, starts))
     else:
-        outcomes = [attempt(job) for job in jobs]
+        outcomes = [attempt(start) for start in starts]
     results = [result for result, _ in outcomes if result is not None]
     failures = [failure for _, failure in outcomes if failure is not None]
     return results, failures
@@ -427,7 +404,8 @@ def optimize_quorum(
     noise: NoiseModel,
     strategy: str = "mub-seeded",
     n_starts: int = 1,
-    opts: OptimizerOptions | None = None,
+    max_iters: int = 200,
+    seed: int = 0,
     threads: int = 1,
     threshold_pairs: int = 10_000,
 ) -> list[OptimizationResult]:
@@ -435,40 +413,37 @@ def optimize_quorum(
 
     ``mub-seeded`` starts from the standard MUB quorum, ``multistart`` from
     ``n_starts`` diversity-filtered random quorums, and ``annealing`` from
-    the best points of ``n_starts`` seeded annealing walks.  Every start is
-    refined by bounded L-BFGS-B on the analytic gradient, which logs a
-    warning if it stops short of convergence.  Results are sorted by
+    the best points of ``n_starts`` seeded annealing walks of ``max_iters``
+    ladders.  Every start is refined by at most ``max_iters`` iterations of
+    bounded L-BFGS-B on the analytic gradient, which logs a warning if it
+    stops short of convergence.  ``seed`` draws the starts and the walks,
+    and up to ``threads`` processes run them.  Results are sorted by
     decreasing Q_N.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    opts = opts or OptimizerOptions()
-    jobs = []
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    # (label, x0 (5, 15), walk seed or None)
     if strategy == "mub-seeded":
-        x0 = standard_mub_params(noise.interaction).to_array().ravel()
-        jobs = [(noise, x0, opts, "mub")]
-        runner = _run_lbfgs_start
+        starts = [("mub", standard_mub_params(noise.interaction).to_array(), None)]
     elif strategy == "multistart":
-        rng = np.random.default_rng(opts.seed)
-        starts = diverse_starts(n_starts, noise.interaction, rng, threshold_pairs)
-        jobs = [(noise, x0, opts, f"multistart-{i}") for i, x0 in enumerate(starts)]
-        runner = _run_lbfgs_start
+        rng = np.random.default_rng(seed)
+        starts = [(f"multistart-{i}", x0, None) for i, x0 in
+                  enumerate(diverse_starts(n_starts, noise.interaction, rng, threshold_pairs))]
     else:
-        seeds = np.random.SeedSequence(opts.seed).spawn(n_starts)
-        rng = np.random.default_rng(opts.seed)
-        jobs = [
-            (noise, random_quorum(noise.interaction, rng).ravel(), opts, seeds[i],
-             f"annealing-{i}")
-            for i in range(n_starts)
-        ]
-        runner = _run_annealing
+        walk_seeds = np.random.SeedSequence(seed).spawn(n_starts)
+        rng = np.random.default_rng(seed)
+        starts = [(f"annealing-{i}", random_quorum(noise.interaction, rng), walk_seeds[i])
+                  for i in range(n_starts)]
 
     # scipy is imported lazily, keeping it out of commands that never
     # minimize; importing it before the pool forks spares each worker the
     # import.
     import scipy.optimize  # noqa: F401
 
-    results, failures = _run_starts(runner, jobs, threads)
+    runner = functools.partial(_run_start, noise, max_iters)
+    results, failures = _run_starts(runner, starts, threads)
     for label, message in failures:
         logger.warning("start %s failed: %s", label, message)
     if not results:

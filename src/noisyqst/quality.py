@@ -196,19 +196,16 @@ def neg_log_qn_and_grad(params, weights, noise: NoiseModel) -> tuple[float, np.n
 # averaged log-probability coefficient
 # ---------------------------------------------------------------------------
 
-def estimate_log_coefficient(
-    d: int,
-    n_samples: int,
-    rng: np.random.Generator,
-    q_min: float = 0.9,
-    n_grid: int = 40,
-    chunk: int = 50_000,
-) -> float:
+# estimate_log_coefficient's grid on q in [COEFF_Q_MIN, 1], and its samples per draw.
+COEFF_Q_MIN, COEFF_N_GRID, COEFF_CHUNK = 0.9, 40, 50_000
+
+
+def estimate_log_coefficient(d: int, n_samples: int, rng: np.random.Generator) -> float:
     """Monte-Carlo slope of <ln(p + (1-q)/(d q))> versus (1 - q).
 
     Random densities are drawn as U D U' with Haar U and gap-of-uniforms D;
     p runs over all d diagonal entries.  The same samples are reused across
-    the 40-point grid on q in [q_min, 1] and the slope is obtained by linear
+    the 40-point grid on q in [0.9, 1] and the slope is obtained by linear
     regression.  Around 10^6 samples reproduce the d=4 coefficient 1.195 to
     within a few percent.
 
@@ -220,12 +217,12 @@ def estimate_log_coefficient(
     """
     if n_samples < 100_000:
         raise ValueError("n_samples must be at least 10^5 for a stable slope")
-    qs = np.linspace(q_min, 1.0, n_grid)
+    qs = np.linspace(COEFF_Q_MIN, 1.0, COEFF_N_GRID)
     cs = (1.0 - qs) / (d * qs)
-    acc = np.zeros(n_grid)
+    acc = np.zeros(COEFF_N_GRID)
     done = 0
     while done < n_samples:
-        m = int(min(chunk, n_samples - done))
+        m = int(min(COEFF_CHUNK, n_samples - done))
         ev = random_eigenvalues(d, m, rng)
         u = haar_random_unitaries(d, m, rng)
         p = np.einsum("nki,ni->nk", np.abs(u) ** 2, ev).ravel()

@@ -53,14 +53,14 @@ class ExperimentReport:
     seed: int
 
 
-def mub_scheme(noise: NoiseModel, *, label: str = "mub") -> Scheme:
+def mub_scheme(noise: NoiseModel) -> Scheme:
     """Standard MUB quorum under the given noise model."""
-    return quorum_scheme(standard_mub_params(noise.interaction), noise, label)
+    return quorum_scheme(standard_mub_params(noise.interaction), noise, "mub")
 
 
-def pauli9_scheme(*, label: str = "pauli9") -> Scheme:
+def pauli9_scheme() -> Scheme:
     """Nine entanglement-free Pauli product bases; unaffected by entangler noise."""
-    return Scheme(label, ideal_effects(nine_pauli_bases()))
+    return Scheme("pauli9", ideal_effects(nine_pauli_bases()))
 
 
 def quorum_scheme(quorum: QuorumParams, noise: NoiseModel, label: str) -> Scheme:

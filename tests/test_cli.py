@@ -383,12 +383,13 @@ def test_echoed_config_reproduces_the_run(tmp_path):
     assert run_cli("coeff", "--config", tmp_path / "coeff.json").stdout == coeff
 
 
-def test_optimize_output_does_not_depend_on_threads(tmp_path):
+@pytest.mark.parametrize("strategy", ["multistart", "annealing"])
+def test_optimize_output_does_not_depend_on_threads(tmp_path, strategy):
     results = []
     for threads in (1, 2):
         out = tmp_path / f"threads{threads}.csv"
         run_cli(
-            "optimize", "--zeta", "0.02", "--strategy", "multistart", "--starts", "2",
+            "optimize", "--zeta", "0.02", "--strategy", strategy, "--starts", "2",
             "--max-iters", "1", "--threshold-pairs", "50", "--seed", "4",
             "--threads", threads, "--out", out,
         )
@@ -396,6 +397,39 @@ def test_optimize_output_does_not_depend_on_threads(tmp_path):
         assert doc.pop("config")["threads"] == threads
         results.append((out.read_bytes(), json.dumps(doc, sort_keys=True)))
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("command", [
+    ["quality", "--mub", "heisenberg", "--zeta", "0"],
+    ["optimize", "--zeta", "0.02"],
+    ["sweep", "--grid", "0", "--states", "1", "--shots", "2304"],
+    ["gate-fidelity", "--zeta", "0"],
+    ["coeff", "--samples", "100000"],
+    ["single-qubit", "-r", "0"],
+], ids=lambda argv: argv[0])
+def test_threads_below_one_is_usage_error(command, capsys, tmp_path):
+    from noisyqst.cli import main
+
+    for value in ("0", "-3"):
+        assert main(command + ["--threads", value]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: --threads must be >= 1\n"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"threads": -3}))
+    assert main(command + ["--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: --threads must be >= 1\n"
+
+
+def test_unknown_config_key_is_usage_error(tmp_path, capsys):
+    from noisyqst.cli import main
+
+    cfg = tmp_path / "cfg.json"
+    # max_iter is a misspelling; grid is a flag of sweep, not of optimize
+    cfg.write_text(json.dumps({"strength": 0.02, "max_iter": 5, "grid": "0"}))
+    out = tmp_path / "out.csv"
+    assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: unknown config key(s) for optimize: 'grid', 'max_iter'\n"
+    assert not out.exists()
 
 
 def test_unknown_subcommand_exits_2():

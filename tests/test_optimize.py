@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from scipy.optimize import rosen, rosen_der
@@ -11,11 +13,9 @@ from noisyqst.gates import (
 from noisyqst.noise import CHANNELS, NoiseModel
 from noisyqst.optimize import (
     ObjectiveError,
-    OptimizerOptions,
-    SaSchedule,
     _bounded_objective,
     _bounded_start,
-    _run_lbfgs_start,
+    _run_start,
     _run_starts,
     diverse_starts,
     diversity_threshold,
@@ -37,8 +37,8 @@ from oracles import quorum_distance
 # against the frozen 0.05-wide binning; guards the distance definition.
 GOLDEN_MEAN_DISTANCE = 0.381033169674
 
-# Entries [0, 1, 6, 7, 8, 74] of start vectors drawn by the search; a change
-# to the order or the form of the random draws moves them.
+# Entries [0, 1, 6, 7, 8, 74] of the flattened start arrays drawn by the
+# search; a change to the order or the form of the random draws moves them.
 PINNED_SLOTS = [0, 1, 6, 7, 8, 74]
 # diverse_starts(2, "heisenberg", default_rng(7), threshold_pairs=300)
 DIVERSE_STARTS_SEED_7 = [
@@ -56,12 +56,28 @@ ANNEALING_STARTS_SEED_5 = [
 ]
 
 
+# (label, repr of q_noisy, trajectory length) of two tiny runs, pinned before
+# the strategies shared one start runner:
+# multistart, 2 starts, max_iters 3, seed 11, 100 threshold pairs, OU/Ising at 0.05
+MULTISTART_PINNED = [("multistart-1", "0.00036459834990860973", 3),
+                     ("multistart-0", "0.00016620479781146854", 3)]
+# annealing, 2 starts, max_iters 2, seed 3, depolarizing/Heisenberg at 0.05
+ANNEALING_PINNED = [("annealing-0", "6.122942046200958e-05", 5),
+                    ("annealing-1", "7.0116026170635796e-06", 5)]
+
 FREE = (-np.inf, np.inf)
+
+
+def _schedule(monkeypatch, t0, cooling, steps, step=optimize_module.SA_STEP):
+    """Set the annealing schedule's module constants for one test."""
+    for name, value in (("SA_T0", t0), ("SA_COOLING", cooling), ("SA_STEPS", steps),
+                        ("SA_STEP", step)):
+        monkeypatch.setattr(optimize_module, name, value)
 
 
 def test_lbfgs_quadratic_bowl():
     fg = lambda x: (float(np.sum((x - 1.0) ** 2)), 2.0 * (x - 1.0))
-    x, fx, traj, _ = lbfgs_minimize(fg, np.zeros(5), FREE)
+    x, fx, traj, _ = lbfgs_minimize(fg, np.zeros(5), FREE, 200)
     assert np.max(np.abs(x - 1.0)) < 1e-6
     assert fx < 1e-10
     assert traj and traj[-1][1] == fx
@@ -69,14 +85,14 @@ def test_lbfgs_quadratic_bowl():
 
 def test_lbfgs_rosenbrock():
     fg = lambda v: (float(rosen(v)), rosen_der(v))
-    x, fx, _, _ = lbfgs_minimize(fg, np.array([-1.2, 1.0]), FREE)
+    x, fx, _, _ = lbfgs_minimize(fg, np.array([-1.2, 1.0]), FREE, 200)
     assert fx < 1e-8
     assert np.max(np.abs(x - 1.0)) < 1e-3  # known minimum at (1, 1)
 
 
 def test_lbfgs_stops_on_an_active_bound():
     fg = lambda x: (float((x[0] - 3.0) ** 2), 2.0 * (x - 3.0))
-    x, fx, _, pg = lbfgs_minimize(fg, np.array([0.5]), (np.zeros(1), np.ones(1)))
+    x, fx, _, pg = lbfgs_minimize(fg, np.array([0.5]), (np.zeros(1), np.ones(1)), 200)
     assert x[0] == 1.0 and fx == 4.0
     assert pg == 0.0  # the gradient points out of the box
 
@@ -96,19 +112,19 @@ def test_lbfgs_aborts_on_non_finite_objective():
 
     for bad in (bad_value, bad_gradient):
         with pytest.raises(ObjectiveError, match="objective returned"):
-            lbfgs_minimize(bad, np.array([0.4, 0.0]), box)
+            lbfgs_minimize(bad, np.array([0.4, 0.0]), box, 200)
 
 
-def test_simulated_annealing_convex_and_deterministic():
-    opts = OptimizerOptions(max_iters=40, sa_schedule=SaSchedule(1.0, 0.9, 50))
+def test_simulated_annealing_convex_and_deterministic(monkeypatch):
+    _schedule(monkeypatch, 1.0, 0.9, 50)
     f = lambda x: float(np.sum(x**2))
-    x1, f1, _ = simulated_annealing(f, np.array([2.0, -1.0]), FREE, opts, np.random.default_rng(0))
+    x1, f1, _ = simulated_annealing(f, np.array([2.0, -1.0]), FREE, 40, np.random.default_rng(0))
     assert f1 < 1e-4
-    x2, f2, _ = simulated_annealing(f, np.array([2.0, -1.0]), FREE, opts, np.random.default_rng(0))
+    x2, f2, _ = simulated_annealing(f, np.array([2.0, -1.0]), FREE, 40, np.random.default_rng(0))
     assert np.array_equal(x1, x2) and f1 == f2
 
 
-def test_simulated_annealing_stays_in_its_box():
+def test_simulated_annealing_stays_in_its_box(monkeypatch):
     low, high = np.array([-1.0, 0.0, -np.inf]), np.array([1.0, 0.5, 2.0])
     seen = []
 
@@ -116,23 +132,21 @@ def test_simulated_annealing_stays_in_its_box():
         seen.append(x.copy())
         return -float(np.sum(x))
 
-    opts = OptimizerOptions(max_iters=20, sa_schedule=SaSchedule(1.0, 0.8, 50), proposal_std=0.3)
-    x, fx, _ = simulated_annealing(f, np.zeros(3), (low, high), opts, np.random.default_rng(1))
+    _schedule(monkeypatch, 1.0, 0.8, 50, step=0.3)
+    x, fx, _ = simulated_annealing(f, np.zeros(3), (low, high), 20, np.random.default_rng(1))
     assert np.array_equal(x, high) and fx == -3.5  # every coordinate ends on its upper bound
     seen = np.array(seen)
     assert np.all((low <= seen) & (seen <= high))
 
 
-def test_simulated_annealing_multimodal_finds_global_basin():
+def test_simulated_annealing_multimodal_finds_global_basin(monkeypatch):
     f = lambda x: float(np.sin(5 * x[0]) + 0.1 * x[0] ** 2)
     xs = np.linspace(-5, 5, 20001)
     x_star = xs[np.argmin(np.sin(5 * xs) + 0.1 * xs**2)]  # grid-search oracle
-    opts = OptimizerOptions(
-        max_iters=80, sa_schedule=SaSchedule(1.0, 0.95, 100), proposal_std=0.5
-    )
+    _schedule(monkeypatch, 1.0, 0.95, 100, step=0.5)
     hits = 0
     for seed in range(10):
-        x, _, _ = simulated_annealing(f, np.array([4.0]), FREE, opts, np.random.default_rng(seed))
+        x, _, _ = simulated_annealing(f, np.array([4.0]), FREE, 80, np.random.default_rng(seed))
         hits += abs(x[0] - x_star) < 0.3
     assert hits >= 8
 
@@ -164,10 +178,9 @@ def test_quorum_distance_golden_mean():
 def test_diverse_starts_respects_threshold_and_seed():
     threshold = diversity_threshold("heisenberg", np.random.default_rng(7), n_pairs=300)
     starts = diverse_starts(2, "heisenberg", np.random.default_rng(7), threshold_pairs=300)
-    assert starts.shape == (2, 75)
-    a, b = starts.reshape(2, 5, 15)
-    assert quorum_distance(a, b, "heisenberg") >= threshold
-    assert np.array_equal(starts[:, PINNED_SLOTS], DIVERSE_STARTS_SEED_7)
+    assert starts.shape == (2, 5, 15)
+    assert quorum_distance(*starts, "heisenberg") >= threshold
+    assert np.array_equal(starts.reshape(2, 75)[:, PINNED_SLOTS], DIVERSE_STARTS_SEED_7)
     again = diverse_starts(2, "heisenberg", np.random.default_rng(7), threshold_pairs=300)
     assert np.array_equal(starts, again)
 
@@ -175,16 +188,17 @@ def test_diverse_starts_respects_threshold_and_seed():
 def test_annealing_start_vectors_pinned(monkeypatch):
     jobs = []
 
-    def capture(runner, start_jobs, threads):
-        jobs.extend(start_jobs)
+    def capture(runner, starts, threads):
+        jobs.extend(starts)
         return [], [("none", "captured")]
 
     monkeypatch.setattr(optimize_module, "_run_starts", capture)
     noise = NoiseModel("depolarizing", "ising", 0.02)
     with pytest.raises(RuntimeError):
-        optimize_quorum(noise, strategy="annealing", n_starts=2, opts=OptimizerOptions(seed=5))
-    starts = np.array([job[1] for job in jobs])
-    assert np.array_equal(starts[:, PINNED_SLOTS], ANNEALING_STARTS_SEED_5)
+        optimize_quorum(noise, strategy="annealing", n_starts=2, seed=5)
+    starts = np.array([x0 for _, x0, _ in jobs])
+    assert starts.shape == (2, 5, 15)
+    assert np.array_equal(starts.reshape(2, 75)[:, PINNED_SLOTS], ANNEALING_STARTS_SEED_5)
 
 
 @pytest.mark.parametrize("n_pairs", [0, -5])
@@ -196,7 +210,7 @@ def test_diversity_threshold_rejects_empty_sample(n_pairs):
 @pytest.mark.slow
 def test_diverse_starts_500_completes():
     starts = diverse_starts(500, "heisenberg", np.random.default_rng(3), threshold_pairs=200)
-    assert starts.shape == (500, 75)
+    assert starts.shape == (500, 5, 15)
 
 
 def test_optimize_mub_seeded_zero_noise_keeps_mubs():
@@ -253,9 +267,8 @@ def test_bounded_objective_value_and_gradient(channel, interaction):
 
 def test_optimize_multistart_smoke_sorted():
     noise = NoiseModel("depolarizing", "heisenberg", 0.02)
-    opts = OptimizerOptions(max_iters=2, seed=11)
     results = optimize_quorum(
-        noise, strategy="multistart", n_starts=3, opts=opts, threshold_pairs=100
+        noise, strategy="multistart", n_starts=3, max_iters=2, seed=11, threshold_pairs=100
     )
     assert len(results) == 3
     qs = [r.q_noisy for r in results]
@@ -265,11 +278,11 @@ def test_optimize_multistart_smoke_sorted():
 
 
 @pytest.mark.parametrize("interaction", INTERACTIONS)
-def test_multistart_and_annealing_results_stay_in_the_box(interaction):
+def test_multistart_and_annealing_results_stay_in_the_box(interaction, monkeypatch):
     noise = NoiseModel("ou", interaction, 0.05)
-    opts = OptimizerOptions(seed=2, sa_schedule=SaSchedule(1.0, 0.9, 10), proposal_std=0.5)
-    results = (optimize_quorum(noise, "multistart", 2, opts, threshold_pairs=50)
-               + optimize_quorum(noise, "annealing", 2, opts))
+    _schedule(monkeypatch, 1.0, 0.9, 10, step=0.5)
+    results = (optimize_quorum(noise, "multistart", 2, seed=2, threshold_pairs=50)
+               + optimize_quorum(noise, "annealing", 2, seed=2))
     for r in results:
         ent = r.params.to_array()[:, ENTANGLER_SLOTS]
         if interaction == "heisenberg":
@@ -278,20 +291,30 @@ def test_multistart_and_annealing_results_stay_in_the_box(interaction):
             assert np.all(np.abs(ent) <= np.pi / 2)
 
 
-def test_optimize_annealing_smoke():
+def test_optimize_annealing_smoke(monkeypatch):
     noise = NoiseModel("depolarizing", "ising", 0.02)
-    opts = OptimizerOptions(
-        max_iters=3, seed=5, sa_schedule=SaSchedule(1.0, 0.8, 10), proposal_std=0.2
-    )
-    results = optimize_quorum(noise, strategy="annealing", n_starts=2, opts=opts)
+    _schedule(monkeypatch, 1.0, 0.8, 10, step=0.2)
+    results = optimize_quorum(noise, strategy="annealing", n_starts=2, max_iters=3, seed=5)
     assert len(results) == 2
     assert all(r.q_noisy > 0 for r in results)
 
 
 @pytest.mark.parametrize("max_iters", [0, -1])
-def test_optimizer_options_reject_nonpositive_max_iters(max_iters):
+def test_optimize_rejects_nonpositive_max_iters(max_iters):
+    noise = NoiseModel("depolarizing", "heisenberg", 0.0)
     with pytest.raises(ValueError, match="max_iters"):
-        OptimizerOptions(max_iters=max_iters)
+        optimize_quorum(noise, max_iters=max_iters)
+
+
+@pytest.mark.parametrize("noise, strategy, kwargs, pinned", [
+    (NoiseModel("ou", "ising", 0.05), "multistart",
+     dict(max_iters=3, seed=11, threshold_pairs=100), MULTISTART_PINNED),
+    (NoiseModel("depolarizing", "heisenberg", 0.05), "annealing",
+     dict(max_iters=2, seed=3), ANNEALING_PINNED),
+], ids=["multistart", "annealing"])
+def test_tiny_runs_are_pinned(noise, strategy, kwargs, pinned):
+    results = optimize_quorum(noise, strategy, 2, **kwargs)
+    assert [(r.start_label, repr(r.q_noisy), len(r.trajectory)) for r in results] == pinned
 
 
 def test_optimize_rejects_unknown_strategy():
@@ -312,17 +335,44 @@ def test_mub_seeded_entangling_time_decreases_with_noise():
 
 def test_failed_start_recorded_alike_serially_and_in_the_pool():
     noise = NoiseModel("depolarizing", "heisenberg", 0.02)
-    opts = OptimizerOptions(max_iters=1)
-    x0 = standard_mub_params("heisenberg").to_array().ravel()
-    jobs = [
-        (noise, x0, opts, "mub"),
-        (noise, np.full(75, np.nan), opts, "nan"),
-        (noise, x0 + 0.05, opts, "shifted"),
+    x0 = standard_mub_params("heisenberg").to_array()
+    nan = np.full((5, 15), np.nan)
+    starts = [
+        ("mub", x0, None),
+        ("nan", nan, None),
+        ("shifted", x0 + 0.05, None),
+        ("nan-walk", nan, np.random.SeedSequence(1)),
     ]
-    serial = _run_starts(_run_lbfgs_start, jobs, threads=1)
-    pooled = _run_starts(_run_lbfgs_start, jobs, threads=2)
+    runner = functools.partial(_run_start, noise, 1)
+    serial = _run_starts(runner, starts, threads=1)
+    pooled = _run_starts(runner, starts, threads=2)
     assert serial == pooled
     results, failures = serial
     assert [r.start_label for r in results] == ["mub", "shifted"]
-    assert [label for label, _ in failures] == ["nan"]
-    assert failures[0][1].startswith("objective returned nan")
+    assert [label for label, _ in failures] == ["nan", "nan-walk"]
+    assert all(message.startswith("objective returned nan") for _, message in failures)
+
+
+def test_pool_has_no_more_workers_than_starts(monkeypatch):
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        """Runs the map in this process and records the pool size it was asked for."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    results, failures = _run_starts(lambda label: label, [("a",), ("b",)], threads=4096)
+    assert (results, failures, sizes) == (["a", "b"], [], [2])
