@@ -30,6 +30,10 @@ from .quality import (
 # and --out and --config, so the result does not depend on where it is written.
 _NOT_ECHOED = ("command", "func", "out", "config")
 
+# sweep refines its optimized quorums to convergence: at r = 0.5, OU/Heisenberg
+# needs about 1,100 iterations, past optimize's default of 200.
+SWEEP_MAX_ITERS = 2000
+
 
 def _noise_model(channel: str, interaction: str, strength: float) -> NoiseModel:
     """The noise model of parsed flags; one that NoiseModel rejects is a usage error."""
@@ -167,7 +171,8 @@ def cmd_sweep(args) -> int:
             if name == "mub":
                 schemes.append(tomo.mub_scheme(noise))
             else:
-                best = opt.optimize_quorum(noise, strategy="mub-seeded", seed=args.seed)[0]
+                best = opt.optimize_quorum(noise, strategy="mub-seeded", max_iters=SWEEP_MAX_ITERS,
+                                           seed=args.seed)[0]
                 schemes.append(tomo.quorum_scheme(best.params, noise, "optimized"))
             streams.append(i)
             keys.append((i, noise.strength))

@@ -1,7 +1,8 @@
 """Search for high-quality measurement quorums.
 
 Inside the search a quorum is its canonical (5, 15) parameter array.  Every
-start, whatever the strategy, ends in one bounded L-BFGS-B refinement on the
+start, whatever the strategy, ends in one refinement by projected L-BFGS in a
+box (Bertsekas 1982; Kim, Sra & Dhillon 2010; see lbfgs_minimize) on the
 analytic gradient of -ln Q_N: the MUB seed, each diversity-filtered random
 start of a multistart run, and the best point of each annealing walk.  The
 walk makes Gaussian proposals on the (5, 15) array, clipped into the box of
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import logging
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,12 +38,14 @@ logger = logging.getLogger(__name__)
 
 STRATEGIES = ("mub-seeded", "multistart", "annealing")
 
-# L-BFGS-B runs until a step gains less than LBFGS_F_TOL relative, or its
-# line search fails: at the rounding floor of -ln Q_N, whatever its message.
-# The refinement has converged if the max-norm of the projected gradient is
-# then at most G_TOL.
+# lbfgs_minimize runs until a step gains at most LBFGS_F_TOL relative, or its
+# line search fails: at the rounding floor of -ln Q_N.  The refinement has
+# converged if the max-norm of the projected gradient is then at most G_TOL.
 G_TOL = 1e-6
 LBFGS_F_TOL = 1e-15
+# The (s, y) pairs lbfgs_minimize keeps, and its sufficient-decrease constant.
+LBFGS_MEMORY = 10
+ARMIJO_C = 1e-4
 
 
 # The schedule of simulated_annealing.
@@ -56,6 +60,10 @@ class OptimizationResult:
     entangling_time_total: float
     trajectory: tuple[tuple[int, float], ...]
     start_label: str
+    # the refinement's iterations and the max-norm of its final projected
+    # gradient; not written out
+    iterations: int
+    projected_gradient: float
 
     def to_dict(self) -> dict:
         return {
@@ -83,40 +91,94 @@ def _finite(val, x, grad=0.0) -> float:
     return float(val)
 
 
-def lbfgs_minimize(fg, x0, bounds, max_iters: int):
-    """Bounded L-BFGS-B minimization of ``fg(x) -> (f, grad)``, at most ``max_iters`` iterations.
+def _two_loop(g: np.ndarray, pairs) -> np.ndarray:
+    """H g for the L-BFGS inverse Hessian of ``pairs`` (s, y, 1 / s.y), oldest first.
 
-    Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput. 16, 1190 (1995), as in
-    scipy.  ``bounds`` is a pair of arrays (low, high), infinite where a
-    coordinate is free.  Returns (x_min, f_min, trajectory, pg) where trajectory lists the
-    objective after each iteration and pg is the max-norm of the projected
-    gradient at x_min.  Raises :class:`ObjectiveError` if the objective or
-    its gradient ever evaluates non-finite.
+    The two-loop recursion of Nocedal, Math. Comp. 35, 773 (1980), scaled by
+    s.y / y.y of the newest pair.
     """
-    from scipy import optimize as spopt
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * (s @ q))
+        q -= alphas[-1] * y
+    if pairs:
+        s, y, _ = pairs[-1]
+        q *= (s @ y) / (y @ y)
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * (y @ q)) * s
+    return q
+
+
+def lbfgs_minimize(fg, x0, bounds, max_iters: int):
+    """Projected L-BFGS minimization of ``fg(x) -> (f, grad)`` in a box, at most ``max_iters`` iterations.
+
+    An active-set projected quasi-Newton method (Bertsekas, SIAM J. Control
+    Optim. 20, 221 (1982); Kim, Sra & Dhillon, SIAM J. Sci. Comput. 32, 3548
+    (2010)).  Each iteration holds fixed the coordinates that sit on a bound
+    with the gradient pointing out of the box, takes the L-BFGS direction of
+    the others, and backtracks along the projection arc clip(x + t d) until
+    Armijo's condition holds.  The first step has unit length at most.  A
+    pair (s, y) is stored only if s.y > 0, with y zero on the fixed
+    coordinates.  It stops when a step gains at most LBFGS_F_TOL relative,
+    or when the line search reaches the rounding floor of x.
+
+    ``bounds`` is a pair (low, high), infinite where a coordinate is free; x0
+    is clipped into it.  Returns (x_min, f_min, trajectory, pg) where
+    trajectory lists the objective after each iteration and pg is the
+    max-norm of the projected gradient at x_min.  Raises
+    :class:`ObjectiveError` if the objective or its gradient ever evaluates
+    non-finite.
+    """
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    low, high = (np.broadcast_to(np.asarray(b, dtype=float), x0.shape) for b in bounds)
 
     def checked(x):
         val, grad = fg(x)
-        return _finite(val, x, grad), grad
+        return _finite(val, x, grad), np.asarray(grad, dtype=float)
 
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    checked(x0)  # fail fast if the start is bad
+    x = np.clip(x0, low, high)
+    f, g = checked(x)
+    pairs = deque(maxlen=LBFGS_MEMORY)
     trajectory = []
+    while len(trajectory) < max_iters:
+        fixed = ((x <= low) & (g > 0)) | ((x >= high) & (g < 0))
+        g_free = np.where(fixed, 0.0, g)
+        d = -_two_loop(g_free, pairs)
+        d[fixed] = 0.0
+        if g @ d >= 0.0:  # the pairs give no descent direction: forget them
+            pairs.clear()
+            d = -g_free
+        if not d.any():  # the projected gradient is zero
+            break
+        norm = np.linalg.norm(d)
+        t = 1.0 if pairs or norm <= 1.0 else 1.0 / norm
+        while True:
+            x_new = np.clip(x + t * d, low, high)
+            if np.array_equal(x_new, x):
+                return x, f, trajectory, _projected_gradient(x, g, low, high)
+            f_new, g_new = checked(x_new)
+            slope = g @ (x_new - x)
+            if slope < 0.0 and f_new <= f + ARMIJO_C * slope:
+                break
+            # backtrack to the minimizer of the quadratic through f, slope and
+            # f_new, kept in [t/10, t/2]; halve a step that does not descend
+            ratio = -slope / (2.0 * (f_new - f - slope)) if slope < 0.0 else 0.5
+            t *= min(max(ratio, 0.1), 0.5)
+        s, y = x_new - x, np.where(fixed, 0.0, g_new - g)
+        if s @ y > 0.0:
+            pairs.append((s, y, 1.0 / (s @ y)))
+        converged = f - f_new <= LBFGS_F_TOL * max(abs(f), abs(f_new), 1.0)
+        x, f, g = x_new, f_new, g_new
+        trajectory.append((len(trajectory), f))
+        if converged:
+            break
+    return x, f, trajectory, _projected_gradient(x, g, low, high)
 
-    def callback(intermediate_result):
-        trajectory.append((len(trajectory), float(intermediate_result.fun)))
 
-    res = spopt.minimize(
-        checked,
-        x0,
-        jac=True,
-        method="L-BFGS-B",
-        bounds=spopt.Bounds(*bounds),
-        callback=callback,
-        options={"gtol": 0.0, "ftol": LBFGS_F_TOL, "maxiter": max_iters},
-    )
-    pg = float(np.max(np.abs(np.clip(res.x - res.jac, *bounds) - res.x)))
-    return res.x, float(res.fun), trajectory, pg
+def _projected_gradient(x, g, low, high) -> float:
+    """The max-norm of the projected gradient clip(x - g) - x."""
+    return float(np.max(np.abs(np.clip(x - g, low, high) - x)))
 
 
 def simulated_annealing(f, x0, bounds, n_ladders: int, rng: np.random.Generator):
@@ -286,7 +348,8 @@ def diverse_starts(
 # quorum optimization
 # ---------------------------------------------------------------------------
 
-def _finish(params: np.ndarray, noise: NoiseModel, trajectory, label: str) -> OptimizationResult:
+def _finish(params: np.ndarray, noise: NoiseModel, trajectory, label: str, iterations: int,
+            pg: float) -> OptimizationResult:
     qp = QuorumParams(noise.interaction, params)
     rep = quality_report(qp, noise)
     total = float(sum(rep.entangling_times))
@@ -297,11 +360,13 @@ def _finish(params: np.ndarray, noise: NoiseModel, trajectory, label: str) -> Op
         entangling_time_total=total,
         trajectory=tuple((int(i), float(f)) for i, f in trajectory),
         start_label=label,
+        iterations=iterations,
+        projected_gradient=pg,
     )
 
 
 # Every coordinate of the bounded refinement is a phase in radians, so that
-# L-BFGS-B's first step, of unit length, means the same for each: a
+# lbfgs_minimize's first step, of unit length, means the same for each: a
 # Heisenberg pulse alpha is held as its phase pi alpha, boxed to [0, 2 pi].
 # (Held as alpha, the first step from the MUB seed lands every entangled
 # pulse on 0, a singular quorum.)
@@ -351,10 +416,10 @@ def _bounded_objective(z: np.ndarray, noise: NoiseModel):
 
 def _run_start(noise: NoiseModel, max_iters: int, label: str, x0: np.ndarray,
                walk_seed=None) -> OptimizationResult:
-    """Refine one (5, 15) start by bounded L-BFGS-B, logging a warning if it stops short of
-    convergence.  Given ``walk_seed``, an annealing walk of ``max_iters`` ladders runs
-    from ``x0`` first and the refinement starts at its best point; the walk's entries
-    then precede the refinement's iterations in the trajectory."""
+    """Refine one (5, 15) start by :func:`lbfgs_minimize` in the phase box.  Given
+    ``walk_seed``, an annealing walk of ``max_iters`` ladders runs from ``x0`` first and
+    the refinement starts at its best point; the walk's entries then precede the
+    refinement's iterations in the trajectory."""
     walk = []
     if walk_seed is not None:
         x0, _, walk = simulated_annealing(lambda x: neg_log_qn(x, noise), x0,
@@ -362,11 +427,8 @@ def _run_start(noise: NoiseModel, max_iters: int, label: str, x0: np.ndarray,
                                           np.random.default_rng(walk_seed))
     z0, bounds = _bounded_start(x0, noise.interaction)
     z, _, traj, pg = lbfgs_minimize(lambda v: _bounded_objective(v, noise), z0, bounds, max_iters)
-    if pg > G_TOL:
-        logger.warning("start %s did not converge: projected gradient %.2e > %.0e after %d "
-                       "iterations", label, pg, G_TOL, len(traj))
-    traj = walk + [(len(walk) + i, f) for i, f in traj]
-    return _finish(_unpack(z, noise.interaction)[0], noise, traj, label)
+    return _finish(_unpack(z, noise.interaction)[0], noise,
+                   walk + [(len(walk) + i, f) for i, f in traj], label, len(traj), pg)
 
 
 def _attempt(runner, start):
@@ -415,10 +477,10 @@ def optimize_quorum(
     ``n_starts`` diversity-filtered random quorums, and ``annealing`` from
     the best points of ``n_starts`` seeded annealing walks of ``max_iters``
     ladders.  Every start is refined by at most ``max_iters`` iterations of
-    bounded L-BFGS-B on the analytic gradient, which logs a warning if it
-    stops short of convergence.  ``seed`` draws the starts and the walks,
-    and up to ``threads`` processes run them.  Results are sorted by
-    decreasing Q_N.
+    projected L-BFGS on the analytic gradient, and each start that stops
+    short of convergence is logged as a warning, in start order.  ``seed``
+    draws the starts and the walks, and up to ``threads`` processes run
+    them.  Results are sorted by decreasing Q_N.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -437,13 +499,13 @@ def optimize_quorum(
         starts = [(f"annealing-{i}", random_quorum(noise.interaction, rng), walk_seeds[i])
                   for i in range(n_starts)]
 
-    # scipy is imported lazily, keeping it out of commands that never
-    # minimize; importing it before the pool forks spares each worker the
-    # import.
-    import scipy.optimize  # noqa: F401
-
     runner = functools.partial(_run_start, noise, max_iters)
     results, failures = _run_starts(runner, starts, threads)
+    # logged here, in start order, not by the workers as they finish
+    for r in results:
+        if r.projected_gradient > G_TOL:
+            logger.warning("start %s did not converge: projected gradient %.2e > %.0e after %d "
+                           "iterations", r.start_label, r.projected_gradient, G_TOL, r.iterations)
     for label, message in failures:
         logger.warning("start %s failed: %s", label, message)
     if not results:

@@ -241,7 +241,7 @@ def test_mub_seeded_ou_ising_keeps_short_couplings(tmp_path):
     ("annealing", ["--starts", "2"], ["annealing-0", "annealing-1"]),
 ], ids=["mub-seeded", "multistart", "annealing"])
 def test_unconverged_refinement_is_logged_not_written(tmp_path, caplog, strategy, extra, labels):
-    # OU noise with the Heisenberg entangler needs about 55 L-BFGS-B iterations
+    # OU noise with the Heisenberg entangler needs about 70 L-BFGS iterations
     # from the MUB seed, and more from a random start
     from noisyqst.cli import main
 
@@ -343,6 +343,31 @@ def test_importing_the_cli_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("argv", [
+    ["optimize", "--strategy", "mub-seeded", "--zeta", "0.02"],
+    ["sweep", "--grid", "0.05", "--schemes", "optimized", "--states", "2", "--shots", "2304"],
+], ids=["optimize", "sweep-optimized"])
+def test_optimizing_leaves_scipy_unloaded(argv, tmp_path):
+    argv = argv + ["--out", str(tmp_path / "out.csv")]
+    code = ("import sys, noisyqst.cli; "
+            f"assert noisyqst.cli.main({argv!r}) == 0; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def test_sweep_refines_its_optimized_quorum_to_convergence(tmp_path, caplog):
+    # at r = 0.5 the OU/Heisenberg refinement from the MUB seed needs about 1,100
+    # iterations, past optimize's default cap of 200
+    from noisyqst.cli import main
+
+    with caplog.at_level(logging.WARNING, logger="noisyqst.optimize"):
+        assert main(["sweep", "--channel", "ou", "--interaction", "heisenberg", "--grid", "0.5",
+                     "--schemes", "optimized", "--states", "1", "--shots", "2304",
+                     "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert "did not converge" not in caplog.text
+
+
 @pytest.mark.parametrize("flag", ["--states", "--shots"])
 def test_sweep_rejects_nonpositive_states_and_shots(flag):
     for value in ("0", "-3"):
@@ -383,19 +408,24 @@ def test_echoed_config_reproduces_the_run(tmp_path):
     assert run_cli("coeff", "--config", tmp_path / "coeff.json").stdout == coeff
 
 
-@pytest.mark.parametrize("strategy", ["multistart", "annealing"])
-def test_optimize_output_does_not_depend_on_threads(tmp_path, strategy):
+@pytest.mark.parametrize("args", [
+    ["--zeta", "0.02", "--strategy", "multistart", "--max-iters", "1", "--threshold-pairs", "50",
+     "--seed", "4"],
+    ["--zeta", "0.02", "--strategy", "annealing", "--max-iters", "1", "--threshold-pairs", "50",
+     "--seed", "4"],
+    ["--channel", "ou", "--interaction", "ising", "-r", "0.05", "--strategy", "multistart",
+     "--max-iters", "2", "--threshold-pairs", "200"],
+], ids=["multistart", "annealing", "multistart-ou"])
+def test_optimize_output_does_not_depend_on_threads(tmp_path, args):
+    # stderr too: every start's "did not converge" warning, in start order
     results = []
     for threads in (1, 2):
         out = tmp_path / f"threads{threads}.csv"
-        run_cli(
-            "optimize", "--zeta", "0.02", "--strategy", strategy, "--starts", "2",
-            "--max-iters", "1", "--threshold-pairs", "50", "--seed", "4",
-            "--threads", threads, "--out", out,
-        )
+        proc = run_cli("optimize", *args, "--starts", "2", "--threads", threads, "--out", out)
         doc = json.loads((tmp_path / f"threads{threads}.csv.json").read_text())
         assert doc.pop("config")["threads"] == threads
-        results.append((out.read_bytes(), json.dumps(doc, sort_keys=True)))
+        results.append((out.read_bytes(), json.dumps(doc, sort_keys=True), proc.stderr))
+    assert results[0][2].count("did not converge") == 2
     assert results[0] == results[1]
 
 
