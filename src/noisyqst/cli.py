@@ -13,6 +13,11 @@ import os
 import sys
 import tempfile
 
+# The package's matrices are at most 16 x 16, so BLAS worker threads only spin:
+# pin BLAS to one thread before numpy loads it, unless the caller chose a count.
+if not {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"} & os.environ.keys():
+    os.environ.update(OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
 import numpy as np
 
 from . import optimize as opt
@@ -117,7 +122,6 @@ def cmd_optimize(args) -> int:
         n_starts=args.starts,
         max_iters=args.max_iters,
         seed=args.seed,
-        threads=args.threads,
         threshold_pairs=args.threshold_pairs,
     )
     csv_text = opt.results_to_csv(results, args.strategy, args.seed)
@@ -235,8 +239,7 @@ def _add_common(p: argparse.ArgumentParser, *, noise: bool = True) -> None:
                        help="noise strength (zeta for depolarizing, r for ou)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output path (atomic write)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker processes for optimize starts")
+    p.add_argument("--threads", type=int, default=1, help="accepted and echoed; selects nothing")
     p.add_argument("--config", default=None, help="JSON file of flag defaults")
 
 

@@ -10,12 +10,14 @@ Heisenberg pulses in [0, 2] or Ising couplings in [-pi/2, pi/2], under
 geometric cooling.  Multistart runs draw starting points that are mutually
 diverse under a binned Jaccard distance on the projector dot-product
 multisets, scored on (n, 5, 15) stacks.  The objective is -ln Q_N, which has
-the same argmax as Q_N and avoids underflow for small volumes.
+the same argmax as Q_N and avoids underflow for small volumes.  The walk and
+the refinement are step generators that yield the points they need
+evaluated, so all starts of a run advance in lockstep in one process, and
+each round evaluates their points as one stack.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 from collections import deque
 from dataclasses import dataclass
@@ -60,10 +62,12 @@ class OptimizationResult:
     entangling_time_total: float
     trajectory: tuple[tuple[int, float], ...]
     start_label: str
-    # the refinement's iterations and the max-norm of its final projected
-    # gradient; not written out
+    # the refinement's iterations, the max-norm of its final projected
+    # gradient, and the points evaluated for this start, walk and refinement
+    # together; not written out
     iterations: int
     projected_gradient: float
+    evaluations: int
 
     def to_dict(self) -> dict:
         return {
@@ -110,6 +114,16 @@ def _two_loop(g: np.ndarray, pairs) -> np.ndarray:
     return q
 
 
+def _drive(steps, evaluate):
+    """Run a step generator alone, answering each point it yields with ``evaluate(point)``."""
+    try:
+        point = next(steps)
+        while True:
+            point = steps.send(evaluate(point))
+    except StopIteration as done:
+        return done.value
+
+
 def lbfgs_minimize(fg, x0, bounds, max_iters: int):
     """Projected L-BFGS minimization of ``fg(x) -> (f, grad)`` in a box, at most ``max_iters`` iterations.
 
@@ -128,17 +142,23 @@ def lbfgs_minimize(fg, x0, bounds, max_iters: int):
     trajectory lists the objective after each iteration and pg is the
     max-norm of the projected gradient at x_min.  Raises
     :class:`ObjectiveError` if the objective or its gradient ever evaluates
-    non-finite.
+    non-finite.  It runs as the step generator ``_lbfgs_steps``, so that
+    :func:`optimize_quorum` can evaluate the points of many runs as one stack.
     """
+    return _drive(_lbfgs_steps(x0, bounds, max_iters), fg)
+
+
+def _lbfgs_steps(x0, bounds, max_iters: int):
+    """:func:`lbfgs_minimize` as a step generator: ``f, grad = yield x``."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     low, high = (np.broadcast_to(np.asarray(b, dtype=float), x0.shape) for b in bounds)
 
-    def checked(x):
-        val, grad = fg(x)
+    def checked(reply, x):
+        val, grad = reply
         return _finite(val, x, grad), np.asarray(grad, dtype=float)
 
     x = np.clip(x0, low, high)
-    f, g = checked(x)
+    f, g = checked((yield x), x)
     pairs = deque(maxlen=LBFGS_MEMORY)
     trajectory = []
     while len(trajectory) < max_iters:
@@ -157,7 +177,7 @@ def lbfgs_minimize(fg, x0, bounds, max_iters: int):
             x_new = np.clip(x + t * d, low, high)
             if np.array_equal(x_new, x):
                 return x, f, trajectory, _projected_gradient(x, g, low, high)
-            f_new, g_new = checked(x_new)
+            f_new, g_new = checked((yield x_new), x_new)
             slope = g @ (x_new - x)
             if slope < 0.0 and f_new <= f + ARMIJO_C * slope:
                 break
@@ -192,15 +212,20 @@ def simulated_annealing(f, x0, bounds, n_ladders: int, rng: np.random.Generator)
     each ladder.
     Raises :class:`ObjectiveError` if the objective ever evaluates non-finite.
     """
+    return _drive(_annealing_steps(x0, bounds, n_ladders, rng), f)
+
+
+def _annealing_steps(x0, bounds, n_ladders: int, rng: np.random.Generator):
+    """:func:`simulated_annealing` as a step generator: ``f = yield x``."""
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    fx = _finite(f(x), x)
+    fx = _finite((yield x), x)
     best, fbest = x.copy(), fx
     t = SA_T0
     trajectory = [(0, fbest)]
     for ladder in range(n_ladders):
         for _ in range(SA_STEPS):
             cand = np.clip(x + rng.normal(0.0, SA_STEP, size=x.shape), *bounds)
-            fc = _finite(f(cand), cand)
+            fc = _finite((yield cand), cand)
             if fc < fx or rng.random() < np.exp(-(fc - fx) / t):
                 x, fx = cand, fc
                 if fx < fbest:
@@ -348,21 +373,15 @@ def diverse_starts(
 # quorum optimization
 # ---------------------------------------------------------------------------
 
-def _finish(params: np.ndarray, noise: NoiseModel, trajectory, label: str, iterations: int,
-            pg: float) -> OptimizationResult:
+def _finish(noise: NoiseModel, label: str, evaluations: int, params: np.ndarray, trajectory,
+            iterations: int, pg: float) -> OptimizationResult:
     qp = QuorumParams(noise.interaction, params)
     rep = quality_report(qp, noise)
-    total = float(sum(rep.entangling_times))
     return OptimizationResult(
-        params=qp,
-        q_noisy=rep.q_noisy,
-        q_geometric=rep.q_geometric,
-        entangling_time_total=total,
-        trajectory=tuple((int(i), float(f)) for i, f in trajectory),
-        start_label=label,
-        iterations=iterations,
-        projected_gradient=pg,
-    )
+        params=qp, q_noisy=rep.q_noisy, q_geometric=rep.q_geometric,
+        entangling_time_total=float(sum(rep.entangling_times)),
+        trajectory=tuple((int(i), float(f)) for i, f in trajectory), start_label=label,
+        iterations=iterations, projected_gradient=pg, evaluations=evaluations)
 
 
 # Every coordinate of the bounded refinement is a phase in radians, so that
@@ -392,74 +411,77 @@ def _bounded_start(params: np.ndarray, interaction: str):
 
 
 def _unpack(z: np.ndarray, interaction: str):
-    """(5, 15) parameters and (5, 3) noise weights of a bounded vector."""
-    params = z[:75].reshape(5, 15).copy()
+    """(..., 5, 15) parameters and (..., 5, 3) noise weights of stacked bounded vectors (..., n)."""
+    lead = z.shape[:-1]
+    params = z[..., :75].reshape(*lead, 5, 15).copy()
     if interaction == HEISENBERG:
-        params[:, ENTANGLER_SLOTS] /= np.pi
-        return params, params[:, ENTANGLER_SLOTS]
-    b_plus, b_minus = params[:, ENTANGLER_SLOTS].copy(), z[75:].reshape(5, 3)
-    params[:, ENTANGLER_SLOTS] = b_plus - b_minus
+        params[..., ENTANGLER_SLOTS] /= np.pi
+        return params, params[..., ENTANGLER_SLOTS]
+    b_plus, b_minus = params[..., ENTANGLER_SLOTS].copy(), z[..., 75:].reshape(*lead, 5, 3)
+    params[..., ENTANGLER_SLOTS] = b_plus - b_minus
     return params, b_plus + b_minus
 
 
 def _bounded_objective(z: np.ndarray, noise: NoiseModel):
-    """-ln Q_N of a bounded vector and its gradient by the vector."""
+    """-ln Q_N of stacked bounded vectors (..., n) and its gradients by them, row by row."""
     params, weights = _unpack(z, noise.interaction)
     val, grad_params, grad_weights = neg_log_qn_and_grad(params, weights, noise)
-    grad_beta = grad_params[:, ENTANGLER_SLOTS].copy()
-    grad_params[:, ENTANGLER_SLOTS] += grad_weights
+    grad_beta = grad_params[..., ENTANGLER_SLOTS].copy()
+    grad_params[..., ENTANGLER_SLOTS] += grad_weights
+    lead = z.shape[:-1]
     if noise.interaction == HEISENBERG:
-        grad_params[:, ENTANGLER_SLOTS] /= np.pi
-        return val, grad_params.ravel()
-    return val, np.concatenate([grad_params.ravel(), (grad_weights - grad_beta).ravel()])
+        grad_params[..., ENTANGLER_SLOTS] /= np.pi
+        return val, grad_params.reshape(*lead, 75)
+    return val, np.concatenate([grad_params.reshape(*lead, 75),
+                                (grad_weights - grad_beta).reshape(*lead, 15)], axis=-1)
 
 
-def _run_start(noise: NoiseModel, max_iters: int, label: str, x0: np.ndarray,
-               walk_seed=None) -> OptimizationResult:
-    """Refine one (5, 15) start by :func:`lbfgs_minimize` in the phase box.  Given
-    ``walk_seed``, an annealing walk of ``max_iters`` ladders runs from ``x0`` first and
-    the refinement starts at its best point; the walk's entries then precede the
-    refinement's iterations in the trajectory."""
+def _start_steps(noise: NoiseModel, max_iters: int, x0: np.ndarray, walk_seed):
+    """One start as a step generator.  Given ``walk_seed``, an annealing walk of
+    ``max_iters`` ladders from ``x0`` yields (5, 15) points that want -ln Q_N; the
+    refinement of its best point, or of ``x0``, yields bounded vectors that want
+    -ln Q_N and its gradient.  Returns (params, trajectory, iterations, pg), the
+    walk's entries preceding the refinement's iterations in the trajectory."""
     walk = []
     if walk_seed is not None:
-        x0, _, walk = simulated_annealing(lambda x: neg_log_qn(x, noise), x0,
-                                          _box(_ENTANGLER_BOX[noise.interaction]), max_iters,
-                                          np.random.default_rng(walk_seed))
+        x0, _, walk = yield from _annealing_steps(x0, _box(_ENTANGLER_BOX[noise.interaction]),
+                                                  max_iters, np.random.default_rng(walk_seed))
     z0, bounds = _bounded_start(x0, noise.interaction)
-    z, _, traj, pg = lbfgs_minimize(lambda v: _bounded_objective(v, noise), z0, bounds, max_iters)
-    return _finish(_unpack(z, noise.interaction)[0], noise,
-                   walk + [(len(walk) + i, f) for i, f in traj], label, len(traj), pg)
+    z, _, traj, pg = yield from _lbfgs_steps(z0, bounds, max_iters)
+    return (_unpack(z, noise.interaction)[0], walk + [(len(walk) + i, f) for i, f in traj],
+            len(traj), pg)
 
 
-def _attempt(runner, start):
-    """Run one start; a non-finite objective becomes a (label, message) failure record."""
-    try:
-        return runner(*start), None
-    except ObjectiveError as exc:
-        return None, (start[0], str(exc))
+def _lockstep(noise: NoiseModel, max_iters: int, starts: list) -> list:
+    """Run the starts (label, (5, 15) x0, walk seed or None) in lockstep in this process.
 
-
-def _run_starts(runner, starts: list, threads: int):
-    """Call ``runner(*start)`` on every start, in a pool of at most ``threads`` processes
-    when threads > 1; failures are recorded, not raised.
-
-    Returns the successful results and the failure records, both in start
-    order, so the outcome does not depend on ``threads``.
+    Each round evaluates every running start's next point: walk points by one
+    stacked neg_log_qn, refinement points by one stacked _bounded_objective.  A
+    start does the arithmetic it would alone, and draws only from its own walk's
+    generator.  Returns per start, in start order, its result or its ObjectiveError.
     """
-    attempt = functools.partial(_attempt, runner)
-    if threads > 1 and len(starts) > 1:
-        # imported here: the pool pulls in multiprocessing and socket, which
-        # commands that never run one should not pay for
-        from concurrent.futures import ProcessPoolExecutor
-
-        # under fork the pool starts all its workers at the first submit
-        with ProcessPoolExecutor(max_workers=min(threads, len(starts))) as pool:
-            outcomes = list(pool.map(attempt, starts))
-    else:
-        outcomes = [attempt(start) for start in starts]
-    results = [result for result, _ in outcomes if result is not None]
-    failures = [failure for _, failure in outcomes if failure is not None]
-    return results, failures
+    steps = [_start_steps(noise, max_iters, x0, seed) for _, x0, seed in starts]
+    outcomes, evaluations = [None] * len(starts), [0] * len(starts)
+    replies = dict.fromkeys(range(len(starts)))  # None starts a generator
+    while replies:
+        points = {}
+        for i, reply in replies.items():
+            try:
+                points[i] = steps[i].send(reply)
+                evaluations[i] += 1
+            except StopIteration as done:
+                outcomes[i] = _finish(noise, starts[i][0], evaluations[i], *done.value)
+            except ObjectiveError as exc:
+                outcomes[i] = exc
+        walk = [i for i in points if points[i].ndim == 2]
+        refine = [i for i in points if points[i].ndim == 1]
+        replies = {}
+        if walk:
+            replies.update(zip(walk, neg_log_qn(np.stack([points[i] for i in walk]), noise)))
+        if refine:
+            values, grads = _bounded_objective(np.stack([points[i] for i in refine]), noise)
+            replies.update(zip(refine, zip(values, grads)))
+    return outcomes
 
 
 def optimize_quorum(
@@ -468,7 +490,6 @@ def optimize_quorum(
     n_starts: int = 1,
     max_iters: int = 200,
     seed: int = 0,
-    threads: int = 1,
     threshold_pairs: int = 10_000,
 ) -> list[OptimizationResult]:
     """Maximize Q_N over the (5, 15) quorum parameters.
@@ -477,10 +498,12 @@ def optimize_quorum(
     ``n_starts`` diversity-filtered random quorums, and ``annealing`` from
     the best points of ``n_starts`` seeded annealing walks of ``max_iters``
     ladders.  Every start is refined by at most ``max_iters`` iterations of
-    projected L-BFGS on the analytic gradient, and each start that stops
-    short of convergence is logged as a warning, in start order.  ``seed``
-    draws the starts and the walks, and up to ``threads`` processes run
-    them.  Results are sorted by decreasing Q_N.
+    projected L-BFGS on the analytic gradient.  ``seed`` draws the starts and
+    the walks, which all run in lockstep in this process, each as it would
+    alone.  A start whose objective turns non-finite or NaN (a fully
+    depolarized effect) fails alone.  Unconverged, then failed starts are
+    logged as warnings in start order.  Results are sorted by decreasing Q_N;
+    if every start fails, RuntimeError is raised.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -499,20 +522,19 @@ def optimize_quorum(
         starts = [(f"annealing-{i}", random_quorum(noise.interaction, rng), walk_seeds[i])
                   for i in range(n_starts)]
 
-    runner = functools.partial(_run_start, noise, max_iters)
-    results, failures = _run_starts(runner, starts, threads)
-    # logged here, in start order, not by the workers as they finish
+    outcomes = _lockstep(noise, max_iters, starts)
+    results = [r for r in outcomes if isinstance(r, OptimizationResult)]
     for r in results:
         if r.projected_gradient > G_TOL:
             logger.warning("start %s did not converge: projected gradient %.2e > %.0e after %d "
                            "iterations", r.start_label, r.projected_gradient, G_TOL, r.iterations)
-    for label, message in failures:
-        logger.warning("start %s failed: %s", label, message)
+    failures = [(label, exc) for (label, _, _), exc in zip(starts, outcomes)
+                if isinstance(exc, ObjectiveError)]
+    for label, exc in failures:
+        logger.warning("start %s failed: %s", label, exc)
     if not results:
-        raise RuntimeError(
-            "all optimization starts failed: "
-            + "; ".join(f"{label}: {message}" for label, message in failures)
-        )
+        raise RuntimeError("all optimization starts failed: "
+                           + "; ".join(f"{label}: {exc}" for label, exc in failures))
     results.sort(key=lambda r: r.q_noisy, reverse=True)
     return results
 

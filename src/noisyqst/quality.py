@@ -78,26 +78,31 @@ class QualityReport:
         }
 
 
-def _log_qualities(effects: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """(ln Q, ln Q_N, q (5, 4), C (5, 4, 15)) of a quorum's effects (5, 4, 4, 4), for either channel.
+def _log_qualities(effects: np.ndarray, strict: bool = False):
+    """(ln Q, ln Q_N, q, C) of stacked quorums' effects (..., 5, 4, 4, 4), for either channel.
 
-    From the traceless coordinates C (5, 4, 15), ln q_jk = ln(4/3 |c_jk|^2) / 2 and
+    From the traceless coordinates C (..., 5, 4, 15), ln q_jk = ln(4/3 |c_jk|^2) / 2 and
     ln Q = ln|det C_3| - sum_{k<=3} ln q_jk, C_3 (15, 15) being the first three effects of
-    each measurement (the four sum to zero), and -inf where C_3 is singular.
+    each measurement (the four sum to zero), and -inf where C_3 is singular.  A quorum
+    with a fully depolarized effect, q <= 1e-12 or NaN, has NaN ln Q and ln Q_N, or
+    with ``strict`` raises :class:`DegeneratePovmError`.
     """
     coords = traceless_part(effects)
-    q_squared = (4.0 / 3.0) * np.einsum("jki,jki->jk", coords, coords)
-    if not q_squared.min() > 1e-24:  # some q <= 1e-12, or NaN
-        j, k = np.argwhere(~(q_squared > 1e-24))[0]
-        raise DegeneratePovmError(f"effect {k} of measurement {j} is fully depolarized "
-                                  f"(q={np.sqrt(q_squared[j, k]):.3e})")
-    log_q = 0.5 * np.log(q_squared)
-    # A singular C_3 gives ln|det| = -inf; for some patterns of exact zeros
-    # slogdet reaches it through log(0), which is no fault here.
-    with np.errstate(divide="ignore"):
-        log_det = np.linalg.slogdet(coords[:, :3].reshape(15, 15))[1]
-    log_geometric = log_det - log_q[:, :3].sum()
-    return log_geometric, log_geometric + PER_EFFECT_EXPONENT * log_q.sum(), np.exp(log_q), coords
+    q_squared = (4.0 / 3.0) * np.einsum("...jki,...jki->...jk", coords, coords)
+    degenerate = ~(q_squared > 1e-24)
+    if strict and degenerate.any():
+        first = tuple(np.argwhere(degenerate)[0])
+        raise DegeneratePovmError(f"effect {first[-1]} of measurement {first[-2]} is fully "
+                                  f"depolarized (q={np.sqrt(q_squared[first]):.3e})")
+    # A singular C_3 gives ln|det| = -inf, for some exact zeros through log(0);
+    # that is no fault here, nor is the arithmetic of a degenerate quorum.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_q = 0.5 * np.log(q_squared)
+        log_det = np.linalg.slogdet(coords[..., :3, :].reshape(*coords.shape[:-3], 15, 15))[1]
+        log_geometric = np.where(degenerate.any(axis=(-1, -2)), np.nan,
+                                 log_det - log_q[..., :3].sum(axis=(-1, -2)))
+        log_noisy = log_geometric + PER_EFFECT_EXPONENT * log_q.sum(axis=(-1, -2))
+    return log_geometric, log_noisy, np.exp(log_q), coords
 
 
 def geometric_quality(unitaries) -> float:
@@ -112,34 +117,39 @@ def quality_report(quorum: QuorumParams, noise: NoiseModel) -> QualityReport:
     """Evaluate a parametrized quorum under a noise model."""
     _require_interaction(quorum.interaction, noise)
     params = quorum.to_array()
-    log_geometric, log_noisy, qs, _ = _log_qualities(povm_stack(params, noise))
+    log_geometric, log_noisy, qs, _ = _log_qualities(povm_stack(params, noise), strict=True)
     times = entangling_times(params[:, ENTANGLER_SLOTS], quorum.interaction)
     return QualityReport(q_geometric=float(np.exp(log_geometric)), q_noisy=float(np.exp(log_noisy)),
                          per_measurement_q=qs, entangling_times=times)
 
 
-def neg_log_qn(params, noise: NoiseModel) -> float:
-    """-ln Q_N of the quorum of (5, 15) parameters, taken as given (canonical).
+def neg_log_qn(params, noise: NoiseModel):
+    """-ln Q_N of stacked quorums of (..., 5, 15) parameters, taken as given (canonical).
 
     This is the optimizers' objective: it has the argmax of Q_N and avoids
-    underflow for small volumes.  It is capped at -ln(1e-300), and NaN where a
-    parameter is not finite.
+    underflow for small volumes.  Each value is capped at -ln(1e-300), and NaN
+    where a parameter is not finite or an effect is fully depolarized.  Returns
+    one value per quorum, a scalar for one (5, 15) array; a quorum's value
+    does not depend on the rest of the stack.
     """
     params = np.asarray(params, dtype=float)
-    if params.shape != (5, 15):
+    if params.shape[-2:] != (5, 15):
         raise ValueError(f"a quorum needs (5, 15) parameters, got shape {params.shape}")
-    if not np.all(np.isfinite(params)):
-        return float("nan")
-    return float(min(-_log_qualities(povm_stack(params, noise))[1], -np.log(_QN_FLOOR)))
+    values = np.full(params.shape[:-2], np.nan)
+    finite = np.isfinite(params).all(axis=(-1, -2))
+    log_noisy = _log_qualities(povm_stack(params[finite], noise))[1]
+    values[finite] = np.minimum(-log_noisy, -np.log(_QN_FLOOR))
+    return values[()]
 
 
-def neg_log_qn_and_grad(params, weights, noise: NoiseModel) -> tuple[float, np.ndarray, np.ndarray]:
-    """-ln Q_N of a quorum and its gradient by the parameters and by the noise weights.
+def neg_log_qn_and_grad(params, weights, noise: NoiseModel):
+    """-ln Q_N of stacked quorums and its gradients by the parameters and by the noise weights.
 
-    ``params`` (5, 15) sets the gates, and the channel of entangler j reads
-    ``weights[j]`` (3,) >= 0 where it would read the pulses alpha or the
+    ``params`` (..., 5, 15) sets the gates, and the channel of entangler j reads
+    ``weights[..., j, :]`` (3,) >= 0 where it would read the pulses alpha or the
     coupling magnitudes |beta|; at those weights the value is that of
-    :func:`neg_log_qn`.  Returns (value, d/d params (5, 15), d/d weights (5, 3)).
+    :func:`neg_log_qn`.  Returns (values (...), d/d params (..., 5, 15),
+    d/d weights (..., 5, 3)); a quorum's row does not depend on the rest of the stack.
 
     By Jacobi's formula, with w_k = 0.5975 - [k <= 3],
 
@@ -151,45 +161,57 @@ def neg_log_qn_and_grad(params, weights, noise: NoiseModel) -> tuple[float, np.n
     E_jk = tail^dagger N(pre^dagger P_k pre) tail, with tail = entangler . post
     and N the self-adjoint channel, so each Tr(A dE) moves onto the
     derivative of one layer or of N.  Where the value is capped at
-    -ln(1e-300) the gradient is zero; all is NaN where an input is not finite.
+    -ln(1e-300) the gradient is zero; a quorum's row is all NaN where one of
+    its inputs is not finite or one of its effects is fully depolarized.
     """
     params, weights = np.asarray(params, dtype=float), np.asarray(weights, dtype=float)
-    if not (np.all(np.isfinite(params)) and np.all(np.isfinite(weights))):
-        return float("nan"), np.full((5, 15), np.nan), np.full((5, 3), np.nan)
+    lead = params.shape[:-2]
+    params, weights = params.reshape(-1, 5, 15), weights.reshape(-1, 5, 3)
+    values = np.full(len(params), np.nan)
+    grad_params, grad_weights = np.full(params.shape, np.nan), np.full(weights.shape, np.nan)
+    rows = np.flatnonzero(np.isfinite(params).all(axis=(1, 2))
+                          & np.isfinite(weights).all(axis=(1, 2)))
+    layers = measurement_layers(params[rows], noise.interaction)
+    _, log_noisy, _, coords = _log_qualities(_layer_effects(layers, weights[rows], noise))
     cap = -np.log(_QN_FLOOR)
-    grad_params, grad_weights = np.zeros((5, 15)), np.zeros((5, 3))
-    layers = measurement_layers(params, noise.interaction)
-    _, log_noisy, _, coords = _log_qualities(_layer_effects(layers, weights, noise))
-    if not -log_noisy < cap:
-        return cap, grad_params, grad_weights
-    h = coords * (_LOG_Q_WEIGHTS[:, None] / np.einsum("jki,jki->jk", coords, coords)[..., None])
-    h[:, :3] += np.linalg.inv(coords[:, :3].reshape(15, 15)).T.reshape(5, 3, 15)
-    a = (h.reshape(20, 15) @ _BASIS_ROWS).reshape(5, 4, 4, 4)
+    values[rows] = np.minimum(-log_noisy, cap)
+    capped, live = rows[-log_noisy >= cap], rows[-log_noisy < cap]
+    grad_params[capped], grad_weights[capped] = 0.0, 0.0
+    if len(live) < len(rows):
+        # the gradient of the quorums below the cap, on arrays laid out as for a
+        # full stack: a row's rounding then does not depend on the others
+        rows = live
+        layers = measurement_layers(params[rows], noise.interaction)
+        coords = _log_qualities(_layer_effects(layers, weights[rows], noise))[3]
+    params, weights = params[rows], weights[rows][:, :, None, :]  # one channel for 4 effects
+    h = coords * (_LOG_Q_WEIGHTS[:, None] / np.einsum("njki,njki->njk", coords, coords)[..., None])
+    h[:, :, :3] += np.linalg.inv(coords[:, :, :3].reshape(-1, 15, 15)).mT.reshape(-1, 5, 3, 15)
+    a = (h.reshape(-1, 20, 15) @ _BASIS_ROWS).reshape(-1, 5, 4, 4, 4)
 
     pre, entangler, post = layers
-    tail = (entangler @ post)[:, None]
+    tail = (entangler @ post)[:, :, None]
     tail_dag = tail.conj().swapaxes(-1, -2)
-    weights = weights[:, None, :]  # one channel per measurement, for its 4 effects
     readout = ideal_effects(pre)  # pre^dagger P_k pre
     pulled = tail @ a @ tail_dag  # Tr(A tail^dagger X tail) = Tr(pulled X)
 
     def trace_products(dlayers, s):
-        # 2 Re Tr(dL_p S) for derivatives dL (5, n, 4, 4) and S (5, 4, 4)
-        return 2.0 * np.einsum("jpab,jba->jp", dlayers, s).real
+        # 2 Re Tr(dL_p S) for derivatives dL (n, 5, p, 4, 4) and S (n, 5, 4, 4)
+        return 2.0 * np.einsum("njpab,njba->njp", dlayers, s).real
 
     dpre, dent, dpost = measurement_layer_derivatives(params, noise.interaction)
     # sum_k Tr(N(pulled_k) d(pre^dagger P_k pre)) = 2 Re Tr(d pre S), column k of S
     # being column k of N(pulled_k) pre^dagger
-    s_pre = np.einsum("jkak->jak", _apply_channel(pulled, weights, noise)
-                      @ pre.conj().swapaxes(-1, -2)[:, None])
+    s_pre = np.einsum("njkak->njak", _apply_channel(pulled, weights, noise)
+                      @ pre.conj().swapaxes(-1, -2)[:, :, None])
     # sum_k Tr(A_k d(tail^dagger M_k tail)) = 2 Re Tr(d tail T), M_k = N(pre^dagger P_k pre)
-    t = (a @ tail_dag @ _apply_channel(readout, weights, noise)).sum(axis=1)
-    grad_params[:, :6] = trace_products(dpre, s_pre)
-    grad_params[:, ENTANGLER_SLOTS] = trace_products(dent, post @ t)
-    grad_params[:, 9:] = trace_products(dpost, t @ entangler)
-    grad_weights[:] = np.einsum("jkab,jkmba->jm", pulled,
-                                channel_derivatives(readout, weights, noise)).real
-    return float(-log_noisy), -grad_params, -grad_weights
+    t = (a @ tail_dag @ _apply_channel(readout, weights, noise)).sum(axis=2)
+    grad_params[rows, :, :6] = -trace_products(dpre, s_pre)
+    grad_params[rows, :, ENTANGLER_SLOTS] = -trace_products(dent, post @ t)
+    grad_params[rows, :, 9:] = -trace_products(dpost, t @ entangler)
+    grad_weights[rows] = -np.einsum("njkab,njkmba->njm", pulled,
+                                    channel_derivatives(readout, weights, noise)).real
+    return (values.reshape(lead)[()], grad_params.reshape(*lead, 5, 15),
+            grad_weights.reshape(*lead, 5, 3))
 
 
 # ---------------------------------------------------------------------------

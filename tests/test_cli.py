@@ -1,6 +1,7 @@
 import hashlib
 import json
 import logging
+import os
 import subprocess
 import sys
 
@@ -341,6 +342,39 @@ def test_importing_the_cli_leaves_scipy_unloaded():
             f"print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_the_cli_runs_one_blas_thread_unless_the_caller_sets_one():
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    code = ("import os, sys, noisyqst; assert 'numpy' not in sys.modules; import noisyqst.cli; "
+            "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])")
+
+    def run(extra):
+        return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, env={**env, **extra}).stdout.split()
+
+    assert run({}) == ["1", "1"]
+    assert run({"OPENBLAS_NUM_THREADS": "2"})[1] == "2"
+
+
+def test_a_degenerate_start_fails_alone(tmp_path):
+    # at zeta 2 two of the four starts fully depolarize an effect: multistart-2
+    # during its refinement, multistart-3 at its first point
+    argv = ["optimize", "--strategy", "multistart", "--starts", "4", "--max-iters", "5",
+            "--threshold-pairs", "100", "--seed", "1"]
+    out = tmp_path / "out.csv"
+    proc = run_cli(*argv, "--zeta", "2", "--out", out)
+    assert [row.split(",")[2] for row in out.read_text().splitlines()[1:]] == [
+        "multistart-0", "multistart-1"]
+    assert [line.split(":")[0] for line in proc.stderr.splitlines() if "failed" in line] == [
+        "start multistart-2 failed", "start multistart-3 failed"]
+    # a run whose every start fails still exits 1
+    proc = run_cli(*argv, "--zeta", "3", check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("start multistart-0 failed: objective returned nan")
+    assert proc.stderr.splitlines()[-1].startswith("error: all optimization starts failed")
 
 
 @pytest.mark.parametrize("argv", [

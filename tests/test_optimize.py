@@ -1,4 +1,6 @@
-import functools
+import inspect
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,11 +17,13 @@ from noisyqst.gates import (
 )
 from noisyqst.noise import CHANNELS, NoiseModel
 from noisyqst.optimize import (
+    _ENTANGLER_BOX,
     ObjectiveError,
+    OptimizationResult,
     _bounded_objective,
     _bounded_start,
-    _run_start,
-    _run_starts,
+    _box,
+    _lockstep,
     diverse_starts,
     diversity_threshold,
     lbfgs_minimize,
@@ -244,11 +248,11 @@ def test_diverse_starts_respects_threshold_and_seed():
 def test_annealing_start_vectors_pinned(monkeypatch):
     jobs = []
 
-    def capture(runner, starts, threads):
+    def capture(noise, max_iters, starts):
         jobs.extend(starts)
-        return [], [("none", "captured")]
+        return [ObjectiveError("captured")] * len(starts)
 
-    monkeypatch.setattr(optimize_module, "_run_starts", capture)
+    monkeypatch.setattr(optimize_module, "_lockstep", capture)
     noise = NoiseModel("depolarizing", "ising", 0.02)
     with pytest.raises(RuntimeError):
         optimize_quorum(noise, strategy="annealing", n_starts=2, seed=5)
@@ -389,8 +393,16 @@ def test_mub_seeded_entangling_time_decreases_with_noise():
     assert all(a > b - 1e-6 for a, b in zip(totals, totals[1:]))
 
 
-def test_failed_start_recorded_alike_serially_and_in_the_pool():
+def _outcome_key(outcome):
+    """An outcome of _lockstep in a form that compares by value."""
+    if isinstance(outcome, OptimizationResult):
+        return outcome
+    return type(outcome), str(outcome)
+
+
+def test_start_outcome_does_not_depend_on_the_stack(monkeypatch):
     noise = NoiseModel("depolarizing", "heisenberg", 0.02)
+    _schedule(monkeypatch, 1.0, 0.9, 5)
     x0 = standard_mub_params("heisenberg").to_array()
     nan = np.full((5, 15), np.nan)
     starts = [
@@ -398,37 +410,70 @@ def test_failed_start_recorded_alike_serially_and_in_the_pool():
         ("nan", nan, None),
         ("shifted", x0 + 0.05, None),
         ("nan-walk", nan, np.random.SeedSequence(1)),
+        ("walk", x0 + 0.1, np.random.SeedSequence(2)),
     ]
-    runner = functools.partial(_run_start, noise, 1)
-    serial = _run_starts(runner, starts, threads=1)
-    pooled = _run_starts(runner, starts, threads=2)
-    assert serial == pooled
-    results, failures = serial
-    assert [r.start_label for r in results] == ["mub", "shifted"]
-    assert [label for label, _ in failures] == ["nan", "nan-walk"]
-    assert all(message.startswith("objective returned nan") for _, message in failures)
+    stack_sizes = []
+    objective = optimize_module._bounded_objective
+
+    def spy(z, noise):
+        stack_sizes.append(len(z))
+        return objective(z, noise)
+
+    monkeypatch.setattr(optimize_module, "_bounded_objective", spy)
+    stacked = _lockstep(noise, 3, starts)
+    # the first round evaluates the three starts without a walk as one stack
+    assert stack_sizes[0] == 3
+    alone = [_lockstep(noise, 3, [start])[0] for start in starts]
+    assert [_outcome_key(o) for o in stacked] == [_outcome_key(o) for o in alone]
+    assert [o.start_label for o in stacked if isinstance(o, OptimizationResult)] == [
+        "mub", "shifted", "walk"]
+    failed = [o for o in stacked if isinstance(o, ObjectiveError)]
+    assert len(failed) == 2 and all(str(o).startswith("objective returned nan") for o in failed)
 
 
-def test_pool_has_no_more_workers_than_starts(monkeypatch):
-    import concurrent.futures
+@pytest.mark.parametrize("strategy", ["multistart", "annealing"])
+def test_evaluations_count_the_objective_calls_of_a_start_run_alone(strategy, monkeypatch):
+    noise = NoiseModel("ou", "ising", 0.05)
+    _schedule(monkeypatch, 1.0, 0.9, 10)
+    n_starts, max_iters, seed = 2, 3, 4
+    results = optimize_quorum(noise, strategy, n_starts, max_iters=max_iters, seed=seed,
+                              threshold_pairs=50)
+    if strategy == "multistart":
+        x0s = diverse_starts(n_starts, "ising", np.random.default_rng(seed), threshold_pairs=50)
+    else:
+        rng = np.random.default_rng(seed)
+        x0s = [random_quorum("ising", rng) for _ in range(n_starts)]
+        walk_seeds = np.random.SeedSequence(seed).spawn(n_starts)
+    by_label = {r.start_label: r for r in results}
+    for i, x0 in enumerate(x0s):
+        calls = []
 
-    sizes = []
+        def f(x):
+            calls.append(x)
+            return neg_log_qn(x, noise)
 
-    class RecordingPool:
-        """Runs the map in this process and records the pool size it was asked for."""
+        def fg(z):
+            calls.append(z)
+            return _bounded_objective(z, noise)
 
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+        if strategy == "annealing":
+            x0, _, _ = simulated_annealing(f, x0, _box(_ENTANGLER_BOX["ising"]), max_iters,
+                                           np.random.default_rng(walk_seeds[i]))
+        z0, bounds = _bounded_start(x0, "ising")
+        _, _, trajectory, _ = lbfgs_minimize(fg, z0, bounds, max_iters)
+        result = by_label[f"{strategy}-{i}"]
+        assert result.iterations == len(trajectory)
+        assert result.evaluations == len(calls) > len(trajectory)
+        assert "evaluations" not in result.to_dict()
 
-        def __enter__(self):
-            return self
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    results, failures = _run_starts(lambda label: label, [("a",), ("b",)], threads=4096)
-    assert (results, failures, sizes) == (["a", "b"], [], [2])
+def test_optimize_runs_its_starts_in_one_process():
+    assert "threads" not in inspect.signature(optimize_quorum).parameters
+    argv = ["optimize", "--strategy", "multistart", "--starts", "2", "--max-iters", "1",
+            "--threshold-pairs", "50", "--zeta", "0.02", "--threads", "2"]
+    code = ("import sys, noisyqst.cli; "
+            f"assert noisyqst.cli.main({argv!r}) == 0; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith(('multiprocessing', 'concurrent.futures'))))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip().splitlines()[-1] == "[]"

@@ -14,7 +14,8 @@ from noisyqst.gates import (
     measurement_unitary,
     standard_mub_params,
 )
-from noisyqst.noise import CHANNELS, NoiseModel
+from noisyqst.noise import CHANNELS, DegeneratePovmError, NoiseModel
+from noisyqst.optimize import random_quorum
 from noisyqst.quality import (
     NOISE_EXPONENT_2D,
     NOISE_EXPONENT_4D,
@@ -229,6 +230,58 @@ def test_neg_log_qn_and_grad_value_is_neg_log_qn(channel, interaction, x, streng
     params = QuorumParams(interaction, x.reshape(5, 15)).to_array()
     value = neg_log_qn_and_grad(params, _noise_weights(params, interaction), noise)[0]
     assert abs(value - neg_log_qn(params, noise)) <= 1e-12
+
+
+def _bits(*arrays):
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("channel", CHANNELS)
+@pytest.mark.parametrize("interaction", INTERACTIONS)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), strength=st.floats(0.0, 0.3),
+       nan_at=st.none() | st.integers(0, 8), capped_at=st.none() | st.integers(0, 8))
+def test_stacked_objective_rows_equal_stacks_of_one(channel, interaction, n, seed, strength,
+                                                    nan_at, capped_at):
+    noise = NoiseModel(channel, interaction, strength)
+    rng = np.random.default_rng(seed)
+    params = [random_quorum(interaction, rng) for _ in range(n)]
+    weights = [rng.uniform(0.0, 2.0, size=(5, 3)) for _ in range(n)]
+    # a non-finite quorum, and a singular one, whose value is capped at -ln(1e-300)
+    if nan_at is not None:
+        params.insert(min(nan_at, len(params)), np.full((5, 15), np.nan))
+        weights.insert(min(nan_at, len(weights)), np.ones((5, 3)))
+    if capped_at is not None:
+        params.insert(min(capped_at, len(params)), np.zeros((5, 15)))
+        weights.insert(min(capped_at, len(weights)), np.zeros((5, 3)))
+    params, weights = np.stack(params), np.stack(weights)
+    values = neg_log_qn(params, noise)
+    stacked = neg_log_qn_and_grad(params, weights, noise)
+    assert values.shape == stacked[0].shape == (len(params),)
+    for i in range(len(params)):
+        # row i against a stack of one, and against the (5, 15) array itself
+        one = neg_log_qn(params[i : i + 1], noise)
+        assert _bits(values[i], values[i]) == _bits(one[0], neg_log_qn(params[i], noise))
+        alone = neg_log_qn_and_grad(params[i : i + 1], weights[i : i + 1], noise)
+        assert _bits(*(part[i] for part in stacked)) == _bits(*(part[0] for part in alone))
+    assert np.count_nonzero(np.isnan(values)) == (nan_at is not None)
+    assert np.count_nonzero(values == -np.log(1e-300)) == (capped_at is not None)
+
+
+def test_stacked_objective_fails_a_fully_depolarized_quorum_alone():
+    noise = NoiseModel("depolarizing", "heisenberg", 1e4)
+    degenerate = standard_mub_params("heisenberg")
+    product = random_quorum("heisenberg", np.random.default_rng(0))
+    product[:, ENTANGLER_SLOTS] = 0.0  # no entangler, so no noise
+    params = np.stack([degenerate.to_array(), product])
+    values = neg_log_qn(params, noise)
+    assert np.isnan(values[0]) and np.isfinite(values[1])
+    value, grad_params, grad_weights = neg_log_qn_and_grad(params, params[:, :, ENTANGLER_SLOTS],
+                                                           noise)
+    assert np.isnan(value[0]) and np.isnan(grad_params[0]).all() and np.isnan(grad_weights[0]).all()
+    assert value[1] == values[1] and np.isfinite(grad_params[1]).all()
+    with pytest.raises(DegeneratePovmError, match="effect 0 of measurement 3"):
+        quality_report(degenerate, noise)
 
 
 def test_estimate_log_coefficient_deterministic_and_near_paper_value():
