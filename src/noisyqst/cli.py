@@ -35,6 +35,9 @@ from .quality import (
 # and --out and --config, so the result does not depend on where it is written.
 _NOT_ECHOED = ("command", "func", "out", "config")
 
+# The measurements of each sweep scheme; each needs at least one shot.
+SCHEME_MEASUREMENTS = {"mub": 5, "pauli9": 9, "optimized": 5}
+
 # sweep refines its optimized quorums to convergence: at r = 0.5, OU/Heisenberg
 # needs about 1,100 iterations, past optimize's default of 200.
 SWEEP_MAX_ITERS = 2000
@@ -122,7 +125,6 @@ def cmd_optimize(args) -> int:
         n_starts=args.starts,
         max_iters=args.max_iters,
         seed=args.seed,
-        threshold_pairs=args.threshold_pairs,
     )
     csv_text = opt.results_to_csv(results, args.strategy, args.seed)
     doc = {
@@ -159,8 +161,12 @@ def cmd_sweep(args) -> int:
     if not scheme_names:
         raise SystemExit2("--schemes needs at least one scheme")
     for name in scheme_names:
-        if name not in ("mub", "pauli9", "optimized"):
+        if name not in SCHEME_MEASUREMENTS:
             raise SystemExit2(f"unknown scheme {name!r} (expected mub, pauli9, optimized)")
+    widest = max(scheme_names, key=SCHEME_MEASUREMENTS.get)
+    if args.shots < SCHEME_MEASUREMENTS[widest]:
+        raise SystemExit2(f"--shots {args.shots} is below the {SCHEME_MEASUREMENTS[widest]} "
+                          f"measurements of scheme {widest!r}")
     # One tomography pass: every scheme sees the same states, on the sampling
     # stream of its position in --schemes.  pauli9 has no entangler, so its
     # report is the same at every grid point and it is built and run once.
@@ -265,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=opt.STRATEGIES, default="mub-seeded")
     p.add_argument("--starts", type=int, default=1)
     p.add_argument("--max-iters", dest="max_iters", type=int, default=200)
-    p.add_argument("--threshold-pairs", dest="threshold_pairs", type=int, default=10_000)
+    p.add_argument("--threshold-pairs", dest="threshold_pairs", type=int, default=10_000,
+                   help="accepted and echoed; selects nothing")
     p.set_defaults(func=cmd_optimize)
 
     p = add_parser("sweep", help="reconstruction-infidelity sweep over a noise grid")

@@ -1,19 +1,14 @@
 """Search for high-quality measurement quorums.
 
 Inside the search a quorum is its canonical (5, 15) parameter array.  Every
-start, whatever the strategy, ends in one refinement by projected L-BFGS in a
-box (Bertsekas 1982; Kim, Sra & Dhillon 2010; see lbfgs_minimize) on the
-analytic gradient of -ln Q_N: the MUB seed, each diversity-filtered random
-start of a multistart run, and the best point of each annealing walk.  The
-walk makes Gaussian proposals on the (5, 15) array, clipped into the box of
-Heisenberg pulses in [0, 2] or Ising couplings in [-pi/2, pi/2], under
-geometric cooling.  Multistart runs draw starting points that are mutually
-diverse under a binned Jaccard distance on the projector dot-product
-multisets, scored on (n, 5, 15) stacks.  The objective is -ln Q_N, which has
-the same argmax as Q_N and avoids underflow for small volumes.  The walk and
-the refinement are step generators that yield the points they need
-evaluated, so all starts of a run advance in lockstep in one process, and
-each round evaluates their points as one stack.
+start, whatever the strategy, is refined by projected L-BFGS in a box
+(Bertsekas 1982; Kim, Sra & Dhillon 2010; see lbfgs_minimize) on the
+analytic gradient of -ln Q_N: the MUB seed, or each of a multistart run's
+plain random quorums.  The objective is -ln Q_N, which has the same argmax
+as Q_N and avoids underflow for small volumes.  The refinement is a step
+generator that yields the points it needs evaluated, so all starts of a run
+advance in lockstep in one process, and each round evaluates their points
+as one stack.
 """
 
 from __future__ import annotations
@@ -30,15 +25,14 @@ from .gates import (
     ISING,
     QuorumParams,
     entangling_times,
-    measurement_layers,
     standard_mub_params,
 )
-from .noise import NoiseModel
-from .quality import neg_log_qn, neg_log_qn_and_grad, quality_report
+from .noise import DegeneratePovmError, NoiseModel
+from .quality import neg_log_qn_and_grad, quality_report
 
 logger = logging.getLogger(__name__)
 
-STRATEGIES = ("mub-seeded", "multistart", "annealing")
+STRATEGIES = ("mub-seeded", "multistart")
 
 # lbfgs_minimize runs until a step gains at most LBFGS_F_TOL relative, or its
 # line search fails: at the rounding floor of -ln Q_N.  The refinement has
@@ -50,10 +44,6 @@ LBFGS_MEMORY = 10
 ARMIJO_C = 1e-4
 
 
-# The schedule of simulated_annealing.
-SA_T0, SA_COOLING, SA_STEPS, SA_STEP = 1.0, 0.95, 100, 0.1
-
-
 @dataclass(frozen=True)
 class OptimizationResult:
     params: QuorumParams
@@ -63,8 +53,7 @@ class OptimizationResult:
     trajectory: tuple[tuple[int, float], ...]
     start_label: str
     # the refinement's iterations, the max-norm of its final projected
-    # gradient, and the points evaluated for this start, walk and refinement
-    # together; not written out
+    # gradient, and the points evaluated for this start; not written out
     iterations: int
     projected_gradient: float
     evaluations: int
@@ -85,13 +74,17 @@ class OptimizationResult:
 # ---------------------------------------------------------------------------
 
 class ObjectiveError(RuntimeError):
-    """Non-finite objective value encountered during a search."""
+    """Non-finite objective value encountered during a search, at the point ``x``."""
+
+    def __init__(self, message: str, x=None):
+        super().__init__(message)
+        self.x = x
 
 
 def _finite(val, x, grad=0.0) -> float:
     """The objective value ``val`` at ``x``; :class:`ObjectiveError` if it or ``grad`` is not finite."""
     if not (np.isfinite(val) and np.all(np.isfinite(grad))):
-        raise ObjectiveError(f"objective returned {val} at x={np.asarray(x).tolist()}")
+        raise ObjectiveError(f"objective returned {val}", x)
     return float(val)
 
 
@@ -201,46 +194,12 @@ def _projected_gradient(x, g, low, high) -> float:
     return float(np.max(np.abs(np.clip(x - g, low, high) - x)))
 
 
-def simulated_annealing(f, x0, bounds, n_ladders: int, rng: np.random.Generator):
-    """Metropolis walk in a box, with Gaussian proposals and geometric cooling.
-
-    ``bounds`` is a pair (low, high), infinite where a coordinate is free;
-    each proposal is clipped into it.  Each of the ``n_ladders`` temperature
-    ladders performs SA_STEPS proposals of standard deviation SA_STEP at
-    temperature SA_T0 * SA_COOLING^ladder.  Returns (x_best, f_best,
-    trajectory) where trajectory lists the best value at the start and after
-    each ladder.
-    Raises :class:`ObjectiveError` if the objective ever evaluates non-finite.
-    """
-    return _drive(_annealing_steps(x0, bounds, n_ladders, rng), f)
-
-
-def _annealing_steps(x0, bounds, n_ladders: int, rng: np.random.Generator):
-    """:func:`simulated_annealing` as a step generator: ``f = yield x``."""
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    fx = _finite((yield x), x)
-    best, fbest = x.copy(), fx
-    t = SA_T0
-    trajectory = [(0, fbest)]
-    for ladder in range(n_ladders):
-        for _ in range(SA_STEPS):
-            cand = np.clip(x + rng.normal(0.0, SA_STEP, size=x.shape), *bounds)
-            fc = _finite((yield cand), cand)
-            if fc < fx or rng.random() < np.exp(-(fc - fx) / t):
-                x, fx = cand, fc
-                if fx < fbest:
-                    best, fbest = x.copy(), fx
-        t *= SA_COOLING
-        trajectory.append((ladder + 1, fbest))
-    return best, fbest, trajectory
-
-
 # ---------------------------------------------------------------------------
 # quorum parameters
 # ---------------------------------------------------------------------------
 
-# The box of canonical entangler parameters: Heisenberg pulses alpha and
-# Ising couplings beta.  Angles are free.
+# The ranges of canonical entangler parameters that random_quorum draws from:
+# Heisenberg pulses alpha and Ising couplings beta.
 _ENTANGLER_BOX = {HEISENBERG: (0.0, 2.0), ISING: (-np.pi / 2, np.pi / 2)}
 
 
@@ -257,116 +216,6 @@ def random_quorum(interaction: str, rng: np.random.Generator) -> np.ndarray:
     x = rng.uniform(0.0, 2.0 * np.pi, size=(5, 15))
     x[:, ENTANGLER_SLOTS] = rng.uniform(*_ENTANGLER_BOX[interaction], size=(5, 3))
     return x
-
-
-# ---------------------------------------------------------------------------
-# Jaccard diversity
-# ---------------------------------------------------------------------------
-
-_BIN_WIDTH = 0.05
-_N_BINS = 20  # over [-1/4, 3/4]
-
-
-# Row i of the 20 projectors counts the bins of its dot products with the
-# 19 others: flat bincount index n_bins * i + bin over the off-diagonal.
-_OFF_DIAGONAL = ~np.eye(20, dtype=bool)
-_HIST_ROW = _N_BINS * np.nonzero(_OFF_DIAGONAL)[0]
-
-# Random pairs that diversity_threshold scores at once.  Each pair holds
-# about 45 KiB of gate and histogram temporaries: scoring 1,000 pairs at once
-# raised a multistart run's peak RSS from 81 to 124 MiB; 25 at once keep 81.
-_PAIR_BLOCK = 25
-
-
-def _projector_histograms(params, interaction: str) -> np.ndarray:
-    """Per-projector histograms (..., 20, n_bins) of parameters (..., 5, 15), as uint8.
-
-    Row a counts the dot products of projector a with the other 19.  The dot
-    product of the traceless parts of |u_a><u_a| and |u_b><u_b| is
-    |<u_a|u_b>|^2 - 1/4, taken over the rows of the five measurement unitaries.
-    """
-    pre, ent, post = measurement_layers(params, interaction)
-    rows = (pre @ ent @ post).reshape(-1, 20, 4)
-    dots = np.abs(rows.conj() @ rows.swapaxes(-1, -2)) ** 2 - 0.25
-    idx = np.clip(((dots + 0.25) / _BIN_WIDTH).astype(int), 0, _N_BINS - 1)
-    flat = _HIST_ROW + idx[:, _OFF_DIAGONAL] + 20 * _N_BINS * np.arange(len(rows))[:, None]
-    counts = np.bincount(flat.ravel(), minlength=len(rows) * 20 * _N_BINS)
-    return counts.astype(np.uint8).reshape(*np.shape(params)[:-2], 20, _N_BINS)
-
-
-def _jaccard_distance(ha: np.ndarray, hb: np.ndarray) -> np.ndarray:
-    """Symmetrized mean of per-projector minimal Jaccard distances in [0, 1],
-    between histograms (..., 20, n_bins) whose leading axes broadcast.
-
-    Every row holds 19 counts, so the union of rows a and b is 38 minus
-    their intersection, and a row's nearest row is the one it shares most with.
-    """
-    lead = np.broadcast_shapes(ha.shape[:-2], hb.shape[:-2])
-    ha, hb = (np.broadcast_to(h, lead + h.shape[-2:]) for h in (ha, hb))
-    # Bins outermost: each minimum runs over a contiguous block of hb's rows,
-    # and the sum over bins adds whole blocks.
-    a = np.moveaxis(ha, (-1, -2), (0, 1))[..., None]
-    b = np.ascontiguousarray(np.moveaxis(hb, -1, 0))[:, None]
-    inter = np.minimum(a, b).sum(axis=0, dtype=np.uint8)  # (20 rows of ha, *lead, 20 of hb)
-
-    def mean_distance(shared):
-        return (1.0 - shared / (38 - shared)).mean(axis=-1)
-
-    # Contiguous, so each mean sums its 20 terms in the same order for any stack.
-    nearest_a = np.moveaxis(inter.max(axis=-1), 0, -1).copy()
-    return (mean_distance(nearest_a) + mean_distance(inter.max(axis=0))) / 2.0
-
-
-def diversity_threshold(
-    interaction: str, rng: np.random.Generator, n_pairs: int = 10_000
-) -> float:
-    """Mean minus one standard deviation of the distance between random quorums."""
-    if n_pairs < 1:
-        raise ValueError("n_pairs must be >= 1")
-    samples = np.empty(n_pairs)
-    for lo in range(0, n_pairs, _PAIR_BLOCK):
-        pairs = min(_PAIR_BLOCK, n_pairs - lo)
-        params = np.stack([random_quorum(interaction, rng) for _ in range(2 * pairs)])
-        hists = _projector_histograms(params, interaction)
-        samples[lo : lo + pairs] = _jaccard_distance(hists[0::2], hists[1::2])
-    return float(samples.mean() - samples.std())
-
-
-def diverse_starts(
-    n: int,
-    interaction: str,
-    rng: np.random.Generator,
-    threshold_pairs: int = 10_000,
-) -> np.ndarray:
-    """Rejection-sample n quorums that are pairwise at least a threshold apart.
-
-    Returns their parameter arrays, shape (n, 5, 15).  The threshold is
-    estimated once per call from ``threshold_pairs`` random pairs; if 100 n
-    consecutive candidates fail, it is relaxed by 10% and the relaxation is
-    logged.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    threshold = diversity_threshold(interaction, rng, threshold_pairs)
-    starts = np.empty((n, 5, 15))
-    hists = np.empty((n, 20, _N_BINS), dtype=np.uint8)
-    accepted = rejections = 0
-    while accepted < n:
-        cand = random_quorum(interaction, rng)
-        hc = _projector_histograms(cand, interaction)
-        if np.all(_jaccard_distance(hc, hists[:accepted]) >= threshold):
-            starts[accepted], hists[accepted] = cand, hc
-            accepted += 1
-            rejections = 0
-        else:
-            rejections += 1
-            if rejections > 100 * n:
-                threshold *= 0.9
-                rejections = 0
-                logger.warning(
-                    "diversity threshold unreachable, relaxing to %.4f", threshold
-                )
-    return starts
 
 
 # ---------------------------------------------------------------------------
@@ -436,31 +285,29 @@ def _bounded_objective(z: np.ndarray, noise: NoiseModel):
                                 (grad_weights - grad_beta).reshape(*lead, 15)], axis=-1)
 
 
-def _start_steps(noise: NoiseModel, max_iters: int, x0: np.ndarray, walk_seed):
-    """One start as a step generator.  Given ``walk_seed``, an annealing walk of
-    ``max_iters`` ladders from ``x0`` yields (5, 15) points that want -ln Q_N; the
-    refinement of its best point, or of ``x0``, yields bounded vectors that want
-    -ln Q_N and its gradient.  Returns (params, trajectory, iterations, pg), the
-    walk's entries preceding the refinement's iterations in the trajectory."""
-    walk = []
-    if walk_seed is not None:
-        x0, _, walk = yield from _annealing_steps(x0, _box(_ENTANGLER_BOX[noise.interaction]),
-                                                  max_iters, np.random.default_rng(walk_seed))
+def _start_steps(noise: NoiseModel, max_iters: int, x0: np.ndarray):
+    """One start as a step generator: the refinement of ``x0`` yields bounded
+    vectors that want -ln Q_N and its gradient.  Returns (params, trajectory,
+    iterations, pg).  Where the objective turns NaN because a point fully
+    depolarizes an effect, it raises the DegeneratePovmError that names the effect."""
     z0, bounds = _bounded_start(x0, noise.interaction)
-    z, _, traj, pg = yield from _lbfgs_steps(z0, bounds, max_iters)
-    return (_unpack(z, noise.interaction)[0], walk + [(len(walk) + i, f) for i, f in traj],
-            len(traj), pg)
+    try:
+        z, _, traj, pg = yield from _lbfgs_steps(z0, bounds, max_iters)
+    except ObjectiveError as exc:
+        neg_log_qn_and_grad(*_unpack(exc.x, noise.interaction), noise, strict=True)
+        raise
+    return _unpack(z, noise.interaction)[0], traj, len(traj), pg
 
 
 def _lockstep(noise: NoiseModel, max_iters: int, starts: list) -> list:
-    """Run the starts (label, (5, 15) x0, walk seed or None) in lockstep in this process.
+    """Run the starts (label, (5, 15) x0) in lockstep in this process.
 
-    Each round evaluates every running start's next point: walk points by one
-    stacked neg_log_qn, refinement points by one stacked _bounded_objective.  A
-    start does the arithmetic it would alone, and draws only from its own walk's
-    generator.  Returns per start, in start order, its result or its ObjectiveError.
+    Each round evaluates every running start's next point, all by one stacked
+    _bounded_objective; a start does the arithmetic it would alone.  Returns per
+    start, in start order, its result or the ObjectiveError or
+    DegeneratePovmError it failed with.
     """
-    steps = [_start_steps(noise, max_iters, x0, seed) for _, x0, seed in starts]
+    steps = [_start_steps(noise, max_iters, x0) for _, x0 in starts]
     outcomes, evaluations = [None] * len(starts), [0] * len(starts)
     replies = dict.fromkeys(range(len(starts)))  # None starts a generator
     while replies:
@@ -471,16 +318,12 @@ def _lockstep(noise: NoiseModel, max_iters: int, starts: list) -> list:
                 evaluations[i] += 1
             except StopIteration as done:
                 outcomes[i] = _finish(noise, starts[i][0], evaluations[i], *done.value)
-            except ObjectiveError as exc:
+            except (ObjectiveError, DegeneratePovmError) as exc:
                 outcomes[i] = exc
-        walk = [i for i in points if points[i].ndim == 2]
-        refine = [i for i in points if points[i].ndim == 1]
         replies = {}
-        if walk:
-            replies.update(zip(walk, neg_log_qn(np.stack([points[i] for i in walk]), noise)))
-        if refine:
-            values, grads = _bounded_objective(np.stack([points[i] for i in refine]), noise)
-            replies.update(zip(refine, zip(values, grads)))
+        if points:
+            values, grads = _bounded_objective(np.stack(list(points.values())), noise)
+            replies = dict(zip(points, zip(values, grads)))
     return outcomes
 
 
@@ -490,36 +333,31 @@ def optimize_quorum(
     n_starts: int = 1,
     max_iters: int = 200,
     seed: int = 0,
-    threshold_pairs: int = 10_000,
 ) -> list[OptimizationResult]:
     """Maximize Q_N over the (5, 15) quorum parameters.
 
-    ``mub-seeded`` starts from the standard MUB quorum, ``multistart`` from
-    ``n_starts`` diversity-filtered random quorums, and ``annealing`` from
-    the best points of ``n_starts`` seeded annealing walks of ``max_iters``
-    ladders.  Every start is refined by at most ``max_iters`` iterations of
-    projected L-BFGS on the analytic gradient.  ``seed`` draws the starts and
-    the walks, which all run in lockstep in this process, each as it would
-    alone.  A start whose objective turns non-finite or NaN (a fully
-    depolarized effect) fails alone.  Unconverged, then failed starts are
-    logged as warnings in start order.  Results are sorted by decreasing Q_N;
-    if every start fails, RuntimeError is raised.
+    ``mub-seeded`` starts from the standard MUB quorum, and ``multistart``
+    from the first ``n_starts`` draws of ``random_quorum`` from
+    ``default_rng(seed)``.  Every start is refined by at most ``max_iters``
+    iterations of projected L-BFGS on the analytic gradient; all run in
+    lockstep in this process, each as it would alone.  A start whose
+    objective turns non-finite or NaN (a fully depolarized effect, which the
+    warning names) fails alone.  Unconverged, then failed starts are logged
+    as warnings in start order.  Results are sorted by decreasing Q_N; if
+    every start fails, RuntimeError is raised.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    # (label, x0 (5, 15), walk seed or None)
+    if n_starts < 1:
+        raise ValueError(f"n_starts must be >= 1, got {n_starts}")
+    # (label, x0 (5, 15))
     if strategy == "mub-seeded":
-        starts = [("mub", standard_mub_params(noise.interaction).to_array(), None)]
-    elif strategy == "multistart":
-        rng = np.random.default_rng(seed)
-        starts = [(f"multistart-{i}", x0, None) for i, x0 in
-                  enumerate(diverse_starts(n_starts, noise.interaction, rng, threshold_pairs))]
+        starts = [("mub", standard_mub_params(noise.interaction).to_array())]
     else:
-        walk_seeds = np.random.SeedSequence(seed).spawn(n_starts)
         rng = np.random.default_rng(seed)
-        starts = [(f"annealing-{i}", random_quorum(noise.interaction, rng), walk_seeds[i])
+        starts = [(f"multistart-{i}", random_quorum(noise.interaction, rng))
                   for i in range(n_starts)]
 
     outcomes = _lockstep(noise, max_iters, starts)
@@ -528,8 +366,8 @@ def optimize_quorum(
         if r.projected_gradient > G_TOL:
             logger.warning("start %s did not converge: projected gradient %.2e > %.0e after %d "
                            "iterations", r.start_label, r.projected_gradient, G_TOL, r.iterations)
-    failures = [(label, exc) for (label, _, _), exc in zip(starts, outcomes)
-                if isinstance(exc, ObjectiveError)]
+    failures = [(label, exc) for (label, _), exc in zip(starts, outcomes)
+                if not isinstance(exc, OptimizationResult)]
     for label, exc in failures:
         logger.warning("start %s failed: %s", label, exc)
     if not results:

@@ -142,7 +142,7 @@ def neg_log_qn(params, noise: NoiseModel):
     return values[()]
 
 
-def neg_log_qn_and_grad(params, weights, noise: NoiseModel):
+def neg_log_qn_and_grad(params, weights, noise: NoiseModel, strict: bool = False):
     """-ln Q_N of stacked quorums and its gradients by the parameters and by the noise weights.
 
     ``params`` (..., 5, 15) sets the gates, and the channel of entangler j reads
@@ -162,7 +162,8 @@ def neg_log_qn_and_grad(params, weights, noise: NoiseModel):
     and N the self-adjoint channel, so each Tr(A dE) moves onto the
     derivative of one layer or of N.  Where the value is capped at
     -ln(1e-300) the gradient is zero; a quorum's row is all NaN where one of
-    its inputs is not finite or one of its effects is fully depolarized.
+    its inputs is not finite or one of its effects is fully depolarized, or
+    with ``strict`` the latter raises :class:`DegeneratePovmError`.
     """
     params, weights = np.asarray(params, dtype=float), np.asarray(weights, dtype=float)
     lead = params.shape[:-2]
@@ -172,7 +173,7 @@ def neg_log_qn_and_grad(params, weights, noise: NoiseModel):
     rows = np.flatnonzero(np.isfinite(params).all(axis=(1, 2))
                           & np.isfinite(weights).all(axis=(1, 2)))
     layers = measurement_layers(params[rows], noise.interaction)
-    _, log_noisy, _, coords = _log_qualities(_layer_effects(layers, weights[rows], noise))
+    _, log_noisy, _, coords = _log_qualities(_layer_effects(layers, weights[rows], noise), strict)
     cap = -np.log(_QN_FLOOR)
     values[rows] = np.minimum(-log_noisy, cap)
     capped, live = rows[-log_noisy >= cap], rows[-log_noisy < cap]

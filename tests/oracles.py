@@ -4,8 +4,8 @@ Each function builds one gate, one effect or one projector at a time, along
 a route independent of the package's batched kernel: entanglers from their
 pulse or ZZ sequences, channels and average gate fidelities from their
 explicit Kraus sets, q and the nominal projectors from each effect
-separately.  The validators, coordinate maps and distances at the end are
-used only by the tests.
+separately.  The validators and coordinate maps at the end are used only by
+the tests.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from noisyqst.core import (
 )
 from noisyqst.gates import BELL_CONVENTIONAL, BELL_SORTED, HEISENBERG, QuorumParams
 from noisyqst.noise import DEPOLARIZING, DegeneratePovmError, NoiseModel
-from noisyqst.optimize import _jaccard_distance, _projector_histograms
 from noisyqst.quality import NOISE_EXPONENT_2D, PER_EFFECT_EXPONENT
 
 _EYE4 = np.eye(4, dtype=complex)
@@ -211,7 +210,7 @@ def effective_povm(m, noise: NoiseModel):
 
 
 # ---------------------------------------------------------------------------
-# quality and diversity
+# quality
 # ---------------------------------------------------------------------------
 
 def traceless_coords(op: np.ndarray) -> np.ndarray:
@@ -227,43 +226,13 @@ def quality(quorum: QuorumParams, noise: NoiseModel) -> tuple[float, np.ndarray,
     """
     povms = [effective_povm(m, noise) for m in quorum.measurements]
     coords = [traceless_coords(n[k]) for _, _, n in povms for k in range(3)]
-    q_geometric = abs(float(np.linalg.det(np.array(coords))))
+    # numpy's det takes log(0) of a zero pivot: a singular quorum's Q is 0
+    with np.errstate(divide="ignore"):
+        q_geometric = abs(float(np.linalg.det(np.array(coords))))
     penalty = 1.0
     for _, qs, _ in povms:
         penalty *= float(np.prod(qs ** PER_EFFECT_EXPONENT))
     return q_geometric, np.stack([qs for _, qs, _ in povms]), q_geometric * penalty
-
-
-def projector_dots(q: QuorumParams) -> np.ndarray:
-    """Dot products of the traceless parts of all 20 ideal projectors, (20, 20)."""
-    vecs = []
-    for m in q.measurements:
-        u = measurement_unitary(m)
-        for k in range(4):
-            vecs.append(traceless_coords(np.outer(u[k, :].conj(), u[k, :])))
-    v = np.array(vecs)
-    return v @ v.T
-
-
-def projector_histograms(q: QuorumParams, bin_width: float = 0.05, n_bins: int = 20) -> np.ndarray:
-    """Per-projector histogram of its dot products with the other 19 projectors."""
-    idx = np.clip(((projector_dots(q) + 0.25) / bin_width).astype(int), 0, n_bins - 1)
-    hists = np.empty((20, n_bins), dtype=np.int64)
-    for i in range(20):
-        hists[i] = np.bincount(np.delete(idx[i], i), minlength=n_bins)
-    return hists
-
-
-def jaccard_distance(ha: np.ndarray, hb: np.ndarray) -> float:
-    """Symmetrized mean of per-projector minimal Jaccard distances of one pair of histograms.
-
-    The one-pair formula the batched distance replaced: every distance of the
-    20 x 20 row pairs, with the union summed from the elementwise maxima.
-    """
-    inter = np.minimum(ha[:, None, :], hb[None, :, :]).sum(axis=2)
-    union = np.maximum(ha[:, None, :], hb[None, :, :]).sum(axis=2)
-    d = 1.0 - inter / union
-    return float((d.min(axis=1).mean() + d.min(axis=0).mean()) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +355,3 @@ def bloch_gram_volume(vectors: list[np.ndarray] | np.ndarray) -> float:
         raise ValueError("Bloch convention applies to qubit (3-coordinate) vectors only")
     return BLOCH_VOLUME_FACTOR_2D * gram_volume(v)
 
-
-def quorum_distance(a, b, interaction: str) -> float:
-    """Jaccard distance in [0, 1] of two quorums given as (5, 15) parameter arrays,
-    through the package's batched histograms and distance."""
-    ha, hb = _projector_histograms(np.stack([a, b]), interaction)
-    return float(_jaccard_distance(ha, hb))

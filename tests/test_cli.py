@@ -63,6 +63,12 @@ def test_quality_quorum_file_and_malformed_file(tmp_path):
         assert proc.stdout == ""
 
 
+def test_annealing_strategy_is_usage_error():
+    proc = run_cli("optimize", "--zeta", "0.02", "--strategy", "annealing", check=False)
+    assert proc.returncode == 2
+    assert "invalid choice: 'annealing'" in proc.stderr
+
+
 def test_quality_missing_strength_is_usage_error():
     proc = run_cli("quality", "--mub", "heisenberg", check=False)
     assert proc.returncode == 2
@@ -239,8 +245,7 @@ def test_mub_seeded_ou_ising_keeps_short_couplings(tmp_path):
 @pytest.mark.parametrize("strategy, extra, labels", [
     ("mub-seeded", [], ["mub"]),
     ("multistart", ["--starts", "2", "--threshold-pairs", "60"], ["multistart-0", "multistart-1"]),
-    ("annealing", ["--starts", "2"], ["annealing-0", "annealing-1"]),
-], ids=["mub-seeded", "multistart", "annealing"])
+], ids=["mub-seeded", "multistart"])
 def test_unconverged_refinement_is_logged_not_written(tmp_path, caplog, strategy, extra, labels):
     # OU noise with the Heisenberg entangler needs about 70 L-BFGS iterations
     # from the MUB seed, and more from a random start
@@ -359,22 +364,35 @@ def test_the_cli_runs_one_blas_thread_unless_the_caller_sets_one():
     assert run({"OPENBLAS_NUM_THREADS": "2"})[1] == "2"
 
 
+DEGENERATE_RUN = ["optimize", "--strategy", "multistart", "--starts", "4", "--max-iters", "5",
+                  "--threshold-pairs", "100", "--seed", "1"]
+
+
 def test_a_degenerate_start_fails_alone(tmp_path):
-    # at zeta 2 two of the four starts fully depolarize an effect: multistart-2
-    # during its refinement, multistart-3 at its first point
-    argv = ["optimize", "--strategy", "multistart", "--starts", "4", "--max-iters", "5",
-            "--threshold-pairs", "100", "--seed", "1"]
+    # at zeta 2 two of the four starts fully depolarize an effect: multistart-0
+    # at its first point, multistart-3 during its refinement
     out = tmp_path / "out.csv"
-    proc = run_cli(*argv, "--zeta", "2", "--out", out)
+    proc = run_cli(*DEGENERATE_RUN, "--zeta", "2", "--out", out)
     assert [row.split(",")[2] for row in out.read_text().splitlines()[1:]] == [
-        "multistart-0", "multistart-1"]
+        "multistart-1", "multistart-2"]
     assert [line.split(":")[0] for line in proc.stderr.splitlines() if "failed" in line] == [
-        "start multistart-2 failed", "start multistart-3 failed"]
+        "start multistart-0 failed", "start multistart-3 failed"]
     # a run whose every start fails still exits 1
-    proc = run_cli(*argv, "--zeta", "3", check=False)
+    proc = run_cli(*DEGENERATE_RUN, "--zeta", "3", check=False)
     assert proc.returncode == 1
-    assert proc.stderr.startswith("start multistart-0 failed: objective returned nan")
+    assert proc.stderr.startswith("start multistart-0 failed: effect 0 of measurement 0 is fully "
+                                  "depolarized")
     assert proc.stderr.splitlines()[-1].startswith("error: all optimization starts failed")
+
+
+def test_a_degenerate_start_is_reported_by_its_effect_not_its_coordinates():
+    proc = run_cli(*DEGENERATE_RUN, "--zeta", "3", check=False)
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 5 and all("fully depolarized (q=" in line for line in lines)
+    assert lines[-1].count("fully depolarized") == 4
+    # the warnings name the effect; none lists the point
+    assert not any("x=" in line or "[" in line for line in lines)
+    assert max(map(len, lines[:4])) < 100
 
 
 @pytest.mark.parametrize("argv", [
@@ -402,6 +420,25 @@ def test_sweep_refines_its_optimized_quorum_to_convergence(tmp_path, caplog):
     assert "did not converge" not in caplog.text
 
 
+@pytest.mark.parametrize("schemes, least", [
+    ("mub", 5), ("optimized", 5), ("pauli9", 9), ("mub,optimized,pauli9", 9)])
+def test_sweep_rejects_fewer_shots_than_measurements_before_any_work(schemes, least, monkeypatch,
+                                                                     capsys, tmp_path):
+    import noisyqst.cli as cli
+
+    def fail(*args, **kwargs):
+        raise AssertionError("sweep started work")
+
+    monkeypatch.setattr(cli.opt, "optimize_quorum", fail)
+    monkeypatch.setattr(cli.tomo, "run_experiment", fail)
+    argv = ["sweep", "--grid", "0,0.05", "--schemes", schemes, "--states", "2", "--shots"]
+    assert cli.main(argv + [str(least - 1)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: --shots {least - 1} is below the {least}")
+    if least == 9:
+        monkeypatch.undo()
+        assert cli.main(argv + [str(least), "--out", str(tmp_path / "sweep.csv")]) == 0
+
+
 @pytest.mark.parametrize("flag", ["--states", "--shots"])
 def test_sweep_rejects_nonpositive_states_and_shots(flag):
     for value in ("0", "-3"):
@@ -414,7 +451,7 @@ def test_sweep_rejects_nonpositive_states_and_shots(flag):
 def test_optimize_rejects_nonpositive_starts_and_threshold_pairs(flag, capsys):
     from noisyqst.cli import main
 
-    for strategy in ("multistart", "annealing"):
+    for strategy in ("mub-seeded", "multistart"):
         for value in ("0", "-5"):
             code = main(["optimize", "--zeta", "0.02", "--strategy", strategy, flag, value])
             assert code == 2
@@ -445,11 +482,9 @@ def test_echoed_config_reproduces_the_run(tmp_path):
 @pytest.mark.parametrize("args", [
     ["--zeta", "0.02", "--strategy", "multistart", "--max-iters", "1", "--threshold-pairs", "50",
      "--seed", "4"],
-    ["--zeta", "0.02", "--strategy", "annealing", "--max-iters", "1", "--threshold-pairs", "50",
-     "--seed", "4"],
     ["--channel", "ou", "--interaction", "ising", "-r", "0.05", "--strategy", "multistart",
      "--max-iters", "2", "--threshold-pairs", "200"],
-], ids=["multistart", "annealing", "multistart-ou"])
+], ids=["multistart", "multistart-ou"])
 def test_optimize_output_does_not_depend_on_threads(tmp_path, args):
     # stderr too: every start's "did not converge" warning, in start order
     results = []
