@@ -83,26 +83,52 @@ def haar_random_unitaries(d: int, n: int, rng: np.random.Generator) -> np.ndarra
     rather than merely column-orthonormal.
     """
     _check_dim(d)
-    z = (rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
+    return _haar_unitaries(rng.standard_normal((n, d, d)), rng.standard_normal((n, d, d)))
+
+
+def _haar_unitaries(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Rephased Q factors of the Ginibre matrices (re + i im) / sqrt(2), (n, d, d)."""
+    q, r = np.linalg.qr((re + 1j * im) / np.sqrt(2.0))
     diag = np.einsum("nii->ni", r)
     return q * (diag / np.abs(diag))[:, None, :]
 
 
 def random_eigenvalues(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """Spectra sampled as consecutive gaps of d-1 sorted uniforms, shape (n, d)."""
-    u = np.sort(rng.uniform(size=(n, d - 1)), axis=1)
-    padded = np.concatenate([np.zeros((n, 1)), u, np.ones((n, 1))], axis=1)
+    return _gap_spectra(rng.uniform(size=(n, d - 1)))
+
+
+def _gap_spectra(uniforms: np.ndarray) -> np.ndarray:
+    """Consecutive gaps of each row of uniforms sorted and padded by 0 and 1."""
+    n = len(uniforms)
+    padded = np.concatenate([np.zeros((n, 1)), np.sort(uniforms, axis=1), np.ones((n, 1))], axis=1)
     return np.diff(padded, axis=1)
+
+
+def random_densities(d: int, rngs) -> np.ndarray:
+    """One random density matrix U D U' per generator, shape (len(rngs), d, d).
+
+    U is Haar and D gap-of-uniforms.  Each state's numbers come from its own
+    generator in the order d-1 uniforms, then the real and imaginary parts
+    of a d x d Ginibre matrix; the sort, QR and products then run on the
+    whole stack.  Each state is bit-identical to :func:`random_density` on
+    the same generator, and one generator listed n times draws n states in
+    turn.
+    """
+    _check_dim(d)
+    draws = [(rng.uniform(size=d - 1), rng.standard_normal((d, d)), rng.standard_normal((d, d)))
+             for rng in rngs]
+    if not draws:
+        raise ValueError("no generators to draw states from")
+    uniforms, re, im = (np.array(x) for x in zip(*draws))
+    u = _haar_unitaries(re, im)
+    rho = (u * _gap_spectra(uniforms)[:, None, :]) @ u.conj().mT
+    return (rho + rho.conj().mT) / 2
 
 
 def random_density(d: int, rng: np.random.Generator) -> np.ndarray:
     """Draw a random density matrix U D U' with Haar U and gap-of-uniforms D."""
-    _check_dim(d)
-    ev = random_eigenvalues(d, 1, rng)[0]
-    u = haar_random_unitaries(d, 1, rng)[0]
-    rho = (u * ev) @ u.conj().T
-    return (rho + rho.conj().T) / 2
+    return random_densities(d, [rng])[0]
 
 
 def state_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:

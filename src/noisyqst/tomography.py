@@ -1,11 +1,14 @@
 """Monte-Carlo tomography experiments: sample counts, reconstruct, compare.
 
 Outcome counts are multinomial draws from the noisy effect probabilities
-Tr(F_jk rho).  Reconstruction maximizes the multinomial log-likelihood by
-accelerated projected gradient ascent over density matrices, on a whole
-stack of states at once, from each state's linear-inversion estimate
-projected onto density matrices, and stops each state once a certificate
-bounds its log-likelihood gap to the maximum below a set number of nats.
+Tr(F_jk rho), which are computed for a whole stack of states at once; each
+state then draws its counts on its own random stream.  Reconstruction
+maximizes the multinomial log-likelihood by accelerated projected gradient
+ascent over density matrices, on a whole stack of states at once, from each
+state's maximum over unit-trace Hermitian matrices (linear inversion
+followed by Fisher-scoring steps) projected onto density matrices, and
+stops each state once a certificate bounds its log-likelihood gap to the
+maximum below a set number of nats.
 A scheme's effects are one (m, 4, 4, 4) array: m measurements of four
 outcomes.  The reconstruction uses whichever effects it is given; the
 noisy effects of :func:`~noisyqst.noise.povm_stack` give the noise-aware
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TRACELESS_BASIS, assert_density, random_density, state_fidelity
+from .core import TRACELESS_BASIS, assert_density, random_densities, state_fidelity
 from .gates import QuorumParams, nine_pauli_bases, standard_mub_params
 from .noise import NoiseModel, _require_interaction, ideal_effects, povm_stack
 
@@ -74,12 +77,27 @@ def quorum_scheme(quorum: QuorumParams, noise: NoiseModel, label: str) -> Scheme
 # ---------------------------------------------------------------------------
 
 def outcome_probabilities(rho: np.ndarray, effects: np.ndarray) -> np.ndarray:
-    """Clamped, renormalized outcome probabilities Tr(F_mk rho), shape (m, 4)."""
-    p = np.einsum("mkij,ji->mk", effects, rho).real
-    if p.min() < -1e-10 or np.max(np.abs(p.sum(axis=1) - 1.0)) > 1e-10:
-        raise ValueError(f"invalid probability vectors {p.tolist()}")
+    """Clamped, renormalized outcome probabilities Tr(F_mk rho), shape (m, 4).
+
+    A stack of states (s, 4, 4) gives (s, m, 4), each state's rows equal to
+    its one-state call, bit for bit.  Tr(F_mk rho) is the product that the
+    reconstruction uses.  A probability below -1e-10, or a measurement whose
+    probabilities miss 1 by more than 1e-10, raises ValueError naming the
+    first such state and its largest deviation.
+    """
+    rho = np.asarray(rho)
+    effects = np.asarray(effects)
+    p = _probabilities(rho.reshape(-1, 4, 4), effects.reshape(-1, 16)).reshape(
+        -1, len(effects), 4)
+    deviation = np.maximum(-p.min(axis=2), np.abs(p.sum(axis=2) - 1.0)).max(axis=1)
+    bad = np.flatnonzero(deviation > 1e-10)
+    if len(bad):
+        where = f"state {bad[0]} of {len(p)}" if rho.ndim == 3 else "the state"
+        raise ValueError(f"invalid outcome probabilities for {where}: a probability below 0 "
+                         f"or a measurement total off 1 by up to {deviation[bad[0]]:.3g}")
     p = np.clip(p, 0.0, 1.0)
-    return p / p.sum(axis=1, keepdims=True)
+    p /= p.sum(axis=2, keepdims=True)
+    return p.reshape(rho.shape[:-2] + p.shape[1:])
 
 
 def sample_measurement(
@@ -105,6 +123,8 @@ def _assert_informationally_complete(flat: np.ndarray) -> None:
 _FIRST_STEP = 1.0
 _STEP_GROWTH = 1.1
 _MAX_HALVINGS = 40
+# At most this many Fisher-scoring steps in each state's start.
+_FISHER_STEPS = 8
 
 
 def _probabilities(a: np.ndarray, flat: np.ndarray) -> np.ndarray:
@@ -164,28 +184,36 @@ def _project_density(h: np.ndarray) -> np.ndarray:
     return (rho + rho.conj().mT) / 2.0
 
 
-def _linear_inversion_start(n: np.ndarray, total: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """Each state's linear-inversion estimate projected onto density matrices, (s, 4, 4).
+def _fisher_scoring_start(
+    n: np.ndarray, total: np.ndarray, flat: np.ndarray, gap: float
+) -> np.ndarray:
+    """Each state's unconstrained likelihood estimate projected onto density matrices, (s, 4, 4).
 
-    The estimate 1/4 + sum_b c_b B_b over the traceless basis takes
-    c = A^+ (f - Tr F_k / 4), with A_kb = Tr(F_k B_b) and f_k the frequency
-    of outcome k within its measurement (Smolin, Gambetta & Smith, PRL 108,
-    070502, 2012).  A state keeps the maximally mixed start if one of its
-    measurements has no counts, if the projected estimate leaves an
-    observed outcome no probability, or if the maximally mixed state has
-    the smaller certificate.  The last case catches an observed outcome left
-    with a probability that rounding puts just above 0: R is then huge, and
-    so is the number of iterations.
+    The estimate 1/4 + sum_b c_b B_b over the traceless basis starts at
+    linear inversion, c = A^+ (f - Tr F_k / 4), with A_kb = Tr(F_k B_b) and
+    f_k the frequency of outcome k within its measurement (Smolin, Gambetta
+    & Smith, PRL 108, 070502, 2012), and then takes Fisher-scoring steps
+    (:func:`_fisher_scoring`) towards the maximum of the likelihood over
+    all unit-trace Hermitian matrices.  For a minimal quorum such as the
+    MUBs linear inversion is already that maximum, and no step is taken.
+    A state keeps the maximally mixed start if one of its measurements has
+    no counts, if the projected estimate leaves an observed outcome no
+    probability, or if the maximally mixed state has the smaller
+    certificate.  The last case catches an observed outcome left with a
+    probability that rounding puts just above 0: R is then huge, and so is
+    the number of iterations.
     """
     basis = TRACELESS_BASIS[4]
-    a_pinv = np.linalg.pinv(_probabilities(basis, flat).T)
-    per_measurement = n.reshape(len(n), -1, 4).sum(axis=2)
-    empty = (per_measurement == 0).any(axis=1)
-    f = n / np.repeat(np.where(empty[:, None], 1.0, per_measurement), 4, axis=1)
+    a = _probabilities(basis, flat).T
+    # the shots of each outcome's measurement
+    shots = np.repeat(n.reshape(len(n), -1, 4).sum(axis=2), 4, axis=1)
+    empty = (shots == 0).any(axis=1)
+    f = n / np.where(empty[:, None], 1.0, shots)
     # Tr F_k / 4: the diagonal of each flattened effect, at the maximally mixed state
     p_mixed = np.broadcast_to(flat[:, ::5].real.sum(axis=1) / 4.0, n.shape)
     # stacked one-row products, so each state is rounded as if it were alone
-    c = (f - p_mixed)[:, None, :] @ a_pinv.T
+    c = (f - p_mixed)[:, None, :] @ np.linalg.pinv(a).T
+    c = _fisher_scoring(c, n, shots, a, p_mixed, gap)
     rho = _project_density(np.eye(4) / 4.0 + (c @ basis.reshape(15, 16)).reshape(-1, 4, 4))
     p = _probabilities(rho, flat)
     fallback = empty | ((n > 0) & (p <= 0.0)).any(axis=1)
@@ -194,6 +222,40 @@ def _linear_inversion_start(n: np.ndarray, total: np.ndarray, flat: np.ndarray) 
         _r_operator(n, total, p_mixed, flat), total)
     rho[fallback] = np.eye(4) / 4.0
     return rho
+
+
+def _fisher_scoring(c, n, shots, a, p_mixed, gap) -> np.ndarray:
+    """Fisher-scoring steps on the unconstrained log-likelihood from coordinates c (s, 1, 15).
+
+    ln L = sum n_k ln p_k with p = Tr F_k / 4 + A c has the gradient
+    g = A^T (n / p) and the Fisher information A^T diag(N_k / p) A, where
+    N_k counts the shots of outcome k's measurement; a step adds the
+    information's inverse times g.  At a density matrix, N R = sum
+    (n_k / p_k) F_k has traceless coordinates g and Tr(R rho) = 1, so
+    N (lambda_max(R) - 1) is at most N times the spread of R's eigenvalues,
+    which is at most sqrt(2) |g|.  A state therefore steps, up to
+    _FISHER_STEPS times, only while sqrt(2) |g| >= ``gap``.  It takes no
+    step if a measurement has no shots or a probability is <= 0, and stops
+    at its last iterate once a step would leave a probability <= 0.  Each
+    state is rounded as if it were alone.
+    """
+    outer = (a[:, :, None] * a[:, None, :]).reshape(len(a), -1)
+    c = c.copy()
+    p = p_mixed + (c @ a.T)[:, 0]
+    todo = np.flatnonzero(((shots > 0) & (p > 0.0)).all(axis=1))
+    for _ in range(_FISHER_STEPS):
+        g = (n[todo] / p[todo])[:, None, :] @ a
+        far = np.sqrt(2.0) * np.linalg.norm(g[:, 0], axis=1) >= gap
+        todo, g = todo[far], g[far]
+        if not len(todo):
+            break
+        fisher = ((shots[todo] / p[todo])[:, None, :] @ outer).reshape(-1, 15, 15)
+        new = c[todo] + np.linalg.solve(fisher, g.mT).mT
+        p_new = p_mixed[todo] + (new @ a.T)[:, 0]
+        inside = (p_new > 0.0).all(axis=1)
+        todo = todo[inside]
+        c[todo], p[todo] = new[inside], p_new[inside]
+    return c
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -216,12 +278,16 @@ def ml_reconstruct(
     result has shape (n_states, 4, 4).  One state's counts (m, 4) give one
     4x4 matrix.
 
-    Each state starts at its linear-inversion estimate projected onto
-    density matrices, or at the maximally mixed state where that start is
-    undefined or certified farther from the maximum (see
-    :func:`_linear_inversion_start`).  For a minimal quorum such as the
-    MUBs, linear inversion reproduces the observed frequencies, so a start
-    that needed no projection is already the maximum.  From there it runs
+    Each state starts at its linear-inversion estimate, moved by a few
+    Fisher-scoring steps to the likelihood's maximum over unit-trace
+    Hermitian matrices and projected onto density matrices, or at the
+    maximally mixed state where that start is undefined or certified
+    farther from the maximum (see :func:`_fisher_scoring_start`).  For a
+    minimal quorum such as the MUBs, linear inversion already reproduces
+    the observed frequencies and takes no step; for an overcomplete set
+    such as the nine Pauli bases, about three steps reach that maximum.
+    Either way a start that needed no projection is already the maximum.
+    From there it runs
     accelerated projected gradient ascent on the log-likelihood (Shang,
     Zhang & Ng, PRA 95, 062336, 2017): a step along
     R = sum (n_k / (N p_k)) F_k, the gradient over N, from the extrapolated
@@ -252,7 +318,7 @@ def ml_reconstruct(
     total = n.sum(axis=1)
     estimates = np.empty((len(n), 4, 4), dtype=complex)
     active = np.arange(len(n))
-    rho = _linear_inversion_start(n, total, flat)
+    rho = _fisher_scoring_start(n, total, flat, gap)
     p = _probabilities(rho, flat)
     r = _r_operator(n, total, p, flat)
     # the extrapolated point y, where each step starts
@@ -325,17 +391,18 @@ def run_experiment(
     states, and per-state sampling streams depend only on the master seed,
     the scheme's stream index, and the state index, so reports are
     reproducible.  A scheme's stream index is its position in ``schemes``
-    unless ``streams`` gives one per scheme.  Each scheme's states are
-    reconstructed and scored as one stack.
+    unless ``streams`` gives one per scheme.  The states are drawn, and each
+    scheme's outcome probabilities computed, as one stack; only the
+    multinomial draw runs per state, on that state's stream.  Each scheme's
+    states are reconstructed and scored as one stack.
     """
     if n_states < 1:
         raise ValueError("n_states must be >= 1")
     streams = range(len(schemes)) if streams is None else streams
     if len(streams) != len(schemes):
         raise ValueError("streams must give one index per scheme")
-    states = np.array([
-        random_density(4, np.random.default_rng(
-            np.random.SeedSequence(entropy=rng_seed, spawn_key=(0, i))))
+    states = random_densities(4, [
+        np.random.default_rng(np.random.SeedSequence(entropy=rng_seed, spawn_key=(0, i)))
         for i in range(n_states)
     ])
     reports = []
@@ -344,9 +411,9 @@ def run_experiment(
         if shots < 1:
             raise ValueError(f"budget {total_shots} too small for scheme {scheme.label!r}")
         counts = np.array([
-            sample_measurement(rho, scheme.effects, shots, np.random.default_rng(
-                np.random.SeedSequence(entropy=rng_seed, spawn_key=(1 + s_idx, i))))
-            for i, rho in enumerate(states)
+            np.random.default_rng(np.random.SeedSequence(
+                entropy=rng_seed, spawn_key=(1 + s_idx, i))).multinomial(shots, p)
+            for i, p in enumerate(outcome_probabilities(states, scheme.effects))
         ])
         estimates = ml_reconstruct(counts, scheme.effects)
         assert_density(estimates, tol=1e-8)

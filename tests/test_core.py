@@ -11,6 +11,7 @@ from noisyqst.core import (
     assert_density,
     gram_volume,
     haar_random_unitaries,
+    random_densities,
     random_density,
     state_fidelity,
     traceless_part,
@@ -53,12 +54,27 @@ def test_random_density_valid_and_reproducible():
 
 def test_random_density_mean_purity_qubit():
     # Eigenvalues (r, 1-r) with uniform r: E[Tr rho^2] = int r^2+(1-r)^2 dr = 2/3.
-    rng = np.random.default_rng(4)
-    purity = np.empty(100_000)
-    for i in range(purity.size):
-        rho = random_density(2, rng)
-        purity[i] = np.trace(rho @ rho).real
+    # One generator listed 100,000 times draws the states of 100,000
+    # random_density(2, rng) calls in turn.
+    rho = random_densities(2, [np.random.default_rng(4)] * 100_000)
+    purity = np.einsum("nij,nji->n", rho, rho).real
     assert abs(purity.mean() - 2.0 / 3.0) < 0.01
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_random_densities_match_random_density_bit_for_bit(d):
+    stacked = random_densities(d, [np.random.default_rng(seed) for seed in range(50)])
+    assert stacked.shape == (50, d, d)
+    for seed, rho in enumerate(stacked):
+        assert rho.tobytes() == random_density(d, np.random.default_rng(seed)).tobytes()
+    rng = np.random.default_rng(9)
+    in_turn = random_densities(d, [rng] * 5)
+    rng = np.random.default_rng(9)
+    assert all(rho.tobytes() == random_density(d, rng).tobytes() for rho in in_turn)
+    with pytest.raises(ValueError):
+        random_densities(3, [rng])
+    with pytest.raises(ValueError):
+        random_densities(d, [])
 
 
 def test_state_fidelity_self_and_orthogonal():

@@ -3,11 +3,17 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from noisyqst.core import assert_density, random_density, state_fidelity
+from noisyqst.core import (
+    TRACELESS_BASIS,
+    assert_density,
+    random_densities,
+    random_density,
+    state_fidelity,
+)
 from noisyqst.gates import standard_mub_params
 from noisyqst.noise import NoiseModel, ideal_effects, povm_stack
 from noisyqst.quality import quality_report
@@ -46,6 +52,27 @@ def test_outcome_probabilities_sum_to_one_for_noisy_povm():
         assert np.max(np.abs(p.sum(axis=1) - 1.0)) < 1e-12
         assert np.all(p >= 0)
 
+def test_stacked_outcome_probabilities_match_one_state_calls():
+    rng = np.random.default_rng(12)
+    states = random_densities(4, [rng] * 20)
+    for scheme in (mub_scheme(NoiseModel("ou", "ising", 0.3)), pauli9_scheme()):
+        stacked = outcome_probabilities(states, scheme.effects)
+        assert stacked.shape == (20, len(scheme.effects), 4)
+        for rho, p in zip(states, stacked):
+            assert p.tobytes() == outcome_probabilities(rho, scheme.effects).tobytes()
+
+
+def test_outcome_probabilities_name_the_first_bad_state_of_a_stack():
+    states = random_densities(4, [np.random.default_rng(13)] * 1000)
+    states[417] *= 1.5
+    states[600] *= 3.0
+    with pytest.raises(ValueError) as info:
+        outcome_probabilities(states, pauli9_scheme().effects)
+    message = str(info.value)
+    assert "state 417 of 1000" in message and "by up to 0.5" in message
+    assert len(message) < 200
+
+
 def test_sample_measurement_frequencies_match_probabilities():
     rng = np.random.default_rng(2)
     rho = random_density(4, rng)
@@ -81,12 +108,11 @@ def test_ml_reconstruct_uniform_counts_give_maximally_mixed():
 def test_ml_reconstruct_log_likelihood_non_decreasing():
     # max_iter=k returns the k-th iterate of a state still above the gap, and
     # the momentum restart keeps every iterate at least as likely as the last.
-    # The nine Pauli bases are overcomplete, so their linear-inversion start
-    # is not the maximum and every state needs iterations.
+    # Rank-deficient states put the maximum on the boundary, so their
+    # Fisher-scoring start is projected, is not the maximum, and every state
+    # needs iterations.
     scheme = pauli9_scheme()
-    rng = np.random.default_rng(4)
-    counts = np.array([sample_measurement(random_density(4, rng), scheme.effects, 500, rng)
-                       for _ in range(5)])
+    counts = _stack_counts(scheme, 5, 4500, seed=4, ranks=(1, 1, 2, 2, 3))
     logger = logging.getLogger("noisyqst.tomography")
     logger.disabled = True
     try:
@@ -142,7 +168,8 @@ def test_run_experiment_pinned_reports(monkeypatch):
     # The counts are the RNG stream: recorded before sampling drew all of a
     # state's measurements in one multinomial call, and before the
     # projected-gradient reconstruction and its linear-inversion start,
-    # which moved only the reports.
+    # which moved only the reports.  Stacked sampling left them unchanged;
+    # the Fisher-scoring start moved only the pauli9 report, in its low digits.
     import noisyqst.tomography as tomography
 
     counts = []
@@ -159,7 +186,7 @@ def test_run_experiment_pinned_reports(monkeypatch):
         "5c7cb91a19bf64ff7251a16c1e56070a053963179e3ef9316eb280f18df9b49e",
     ]
     assert (mub.mean_infidelity, mub.sem) == (0.01582071129170487, 0.00392643376539764)
-    assert (pauli.mean_infidelity, pauli.sem) == (0.018028705644182907, 0.004230421604935835)
+    assert (pauli.mean_infidelity, pauli.sem) == (0.018028537137732004, 0.004230152807559235)
     assert (mub.total_shots, pauli.total_shots) == (2300, 2304)
 
 
@@ -226,12 +253,10 @@ def test_scheme_validation():
 
 
 def test_ml_reconstruct_warns_only_when_stopped_at_max_iter(caplog):
-    # The nine Pauli bases are overcomplete: the linear-inversion start of
-    # sampled counts is not the maximum, so those states need iterations.
-    rng = np.random.default_rng(6)
+    # A pure state puts the maximum on the boundary: its projected start is
+    # not the maximum, so it needs iterations.
     scheme = pauli9_scheme()
-    rho = random_density(4, rng)
-    counts = sample_measurement(rho, scheme.effects, 1000, rng)
+    counts = _stack_counts(scheme, 1, 9000, seed=6, ranks=(1,))[0]
     stack = np.stack([counts, np.full((9, 4), 250), counts])
     with caplog.at_level(logging.WARNING, logger="noisyqst.tomography"):
         ml_reconstruct(counts, scheme.effects)
@@ -326,19 +351,20 @@ def test_ml_every_state_converges_to_a_density_matrix(
 
 
 def test_ml_stack_estimates_do_not_depend_on_the_stack():
-    scheme = mub_scheme(NoiseModel("ou", "heisenberg", 0.1))
-    counts = _stack_counts(scheme, 16, 2304, seed=1)
-    full = ml_reconstruct(counts, scheme.effects)
-    perm = np.random.default_rng(2).permutation(len(counts))
-    assert ml_reconstruct(counts[perm], scheme.effects).tobytes() == full[perm].tobytes()
-    assert ml_reconstruct(counts[:7], scheme.effects).tobytes() == full[:7].tobytes()
-    for i in (0, 5, 15):
-        alone = ml_reconstruct(counts[i : i + 1], scheme.effects)
-        assert alone.shape == (1, 4, 4)
-        assert alone[0].tobytes() == full[i].tobytes()
-        one_state = ml_reconstruct(counts[i], scheme.effects)
-        assert one_state.shape == (4, 4)
-        assert one_state.tobytes() == full[i].tobytes()
+    # pauli9 states take Fisher-scoring steps in their start, the MUB states none
+    for scheme in (mub_scheme(NoiseModel("ou", "heisenberg", 0.1)), pauli9_scheme()):
+        counts = _stack_counts(scheme, 16, 2304, seed=1)
+        full = ml_reconstruct(counts, scheme.effects)
+        perm = np.random.default_rng(2).permutation(len(counts))
+        assert ml_reconstruct(counts[perm], scheme.effects).tobytes() == full[perm].tobytes()
+        assert ml_reconstruct(counts[:7], scheme.effects).tobytes() == full[:7].tobytes()
+        for i in (0, 5, 15):
+            alone = ml_reconstruct(counts[i : i + 1], scheme.effects)
+            assert alone.shape == (1, 4, 4)
+            assert alone[0].tobytes() == full[i].tobytes()
+            one_state = ml_reconstruct(counts[i], scheme.effects)
+            assert one_state.shape == (4, 4)
+            assert one_state.tobytes() == full[i].tobytes()
 
 
 def test_ml_linear_inversion_start_certifies_most_mub_states(caplog):
@@ -351,6 +377,47 @@ def test_ml_linear_inversion_start_certifies_most_mub_states(caplog):
     (record,) = caplog.records
     uncertified = int(record.getMessage().split("ml_reconstruct: ")[1].split(" of 200")[0])
     assert 0 < uncertified < 100
+
+
+def test_ml_fisher_scoring_start_certifies_most_pauli9_states(caplog):
+    # The nine Pauli bases are overcomplete, so linear inversion is not the
+    # maximum; a few Fisher-scoring steps reach the unconstrained maximum,
+    # which is the maximum wherever it is a density matrix.
+    scheme = pauli9_scheme()
+    counts = _stack_counts(scheme, 200, 23040, seed=8)
+    with caplog.at_level(logging.WARNING, logger="noisyqst.tomography"):
+        ml_reconstruct(counts, scheme.effects, max_iter=0)
+    (record,) = caplog.records
+    uncertified = int(record.getMessage().split("ml_reconstruct: ")[1].split(" of 200")[0])
+    assert 0 < uncertified < 100
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    scheme_name=st.sampled_from(["mub", "pauli9"]),
+    rank=st.integers(1, 4),
+    shots=st.sampled_from([10, 100, 10_000]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ml_certificate_is_at_most_sqrt2_times_the_unconstrained_gradient(
+    scheme_name, rank, shots, seed
+):
+    # At a density matrix rho, N R = sum (n_k / p_k) F_k has Tr(R rho) = 1 and
+    # traceless coordinates g = A^T (n / p), so N (lambda_max(R) - 1) is at
+    # most N times the spread of R's eigenvalues, at most sqrt(2) |g|.  The
+    # Fisher-scoring start stops stepping on this bound.
+    scheme = mub_scheme(NoiseModel("ou", "ising", 0.2)) if scheme_name == "mub" else pauli9_scheme()
+    rng = np.random.default_rng(seed)
+    rho = _rank_deficient_density(rank, rng)
+    # counts of another state, so rho is not their maximum
+    counts = sample_measurement(random_density(4, rng), scheme.effects, shots, rng)
+    p = np.einsum("mkij,ji->mk", scheme.effects, rho).real
+    assume((p > 1e-9).all())
+    ratio = counts / p
+    a = np.einsum("mkij,bji->mkb", scheme.effects, TRACELESS_BASIS[4]).real
+    g = np.einsum("mk,mkb->b", ratio, a)
+    bound = oracles.ml_certificate(counts, scheme.effects, rho)
+    assert bound <= np.sqrt(2.0) * np.linalg.norm(g) * (1 + 1e-9) + 1e-9
 
 
 def _assert_converged(counts, effects, estimates):
