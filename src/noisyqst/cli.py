@@ -303,8 +303,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> dict:
-    """Set the --config file's keys as defaults of every subcommand; returns them."""
+def _with_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """argv with the --config file's keys spliced in as flags after the subcommand.
+
+    The user's own flags follow them and so override them, and one parser checks
+    both: a config value fails argparse's type and choices checks as its flag would.
+    """
     for idx, arg in enumerate(argv):
         if arg == "--config":
             if idx + 1 == len(argv):
@@ -315,7 +319,7 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> dict
             path = arg.split("=", 1)[1]
             break
     else:
-        return {}
+        return argv
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -323,25 +327,30 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> dict
             raise ValueError("config must be a JSON object")
     except (OSError, ValueError) as exc:
         raise SystemExit2(f"cannot load config {path!r}: {exc}")
-    # Subparsers parse into a fresh namespace, so defaults must be set on
-    # them directly; explicit flags still override these.
-    defaults = {k: v for k, v in cfg.items() if k != "config"}
-    for sp in parser.subcommand_parsers.values():
-        sp.set_defaults(**defaults)
-    return defaults
+    command = parser.subcommand_parsers.get(argv[0])
+    if command is None:  # argparse reports the missing or unknown subcommand
+        return argv
+    flags = {a.dest: a.option_strings[0] for a in command._actions
+             if a.option_strings and a.nargs is None}
+    unknown = sorted(set(cfg) - set(flags))
+    if unknown:
+        raise SystemExit2(f"unknown config key(s) for {argv[0]}: " + ", ".join(map(repr, unknown)))
+    spliced = []
+    for key, value in cfg.items():
+        if key == "config" or value is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise SystemExit2(f"config key {key!r} must be a string or a number, "
+                              f"got {type(value).__name__}")
+        spliced.append(f"{flags[key]}={value}")
+    return argv[:1] + spliced + argv[1:]
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        config = _apply_config_file(parser, argv)
-        args = parser.parse_args(argv)
-        flags = {action.dest for action in parser.subcommand_parsers[args.command]._actions}
-        unknown = sorted(set(config) - flags)
-        if unknown:
-            raise SystemExit2(f"unknown config key(s) for {args.command}: "
-                              + ", ".join(map(repr, unknown)))
+        args = parser.parse_args(_with_config(parser, argv))
         if args.threads < 1:
             raise SystemExit2("--threads must be >= 1")
         return args.func(args)

@@ -139,16 +139,33 @@ class QuorumParams:
 # gates of every measurement of a quorum; the single-gate functions below
 # them are the one-element case.
 
-# Bell frame in which each interaction's entangler is diagonal, and the
-# coefficients of its eigenphases: the Heisenberg gate has phases
-# e^(i pi S alpha), the canonical (Ising) gate e^(-i S beta).
-BELL_FRAMES = {HEISENBERG: BELL_SORTED, ISING: BELL_CONVENTIONAL}
-EIGENPHASE_COEFFS = {
-    HEISENBERG: np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
-    ISING: np.array([[1.0, -1.0, 1.0], [1.0, 1.0, -1.0], [-1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]]),
+class Entangler:
+    """An interaction's entangler, diagonal in a Bell frame.
+
+    With parameters x (3,) the gate is frame . diag(e^(i rate S x)) . frame^dagger,
+    S being ``coeffs`` (4, 3) and ``rate`` the phase per unit parameter: pi for
+    SWAP^alpha pulses, -1 for canonical couplings beta.  Parameter k moves the
+    eigenphase gap of Bell vectors a and b by 0, where ``dephased_by[a, b, k]``
+    is false, or by ``dephasing_rate`` |x_k| = |rate| gap(S) |x_k|, gap(S) being
+    the largest difference within a column of S.  A unit of entangling time is
+    a phase of pi, so a parameter of ``half_turn`` = pi / |rate|.
+    """
+
+    def __init__(self, frame: np.ndarray, coeffs: np.ndarray, rate: float):
+        self.frame, self.coeffs, self.rate = frame, coeffs, rate
+        self.dephased_by = coeffs[:, None, :] != coeffs[None, :, :]
+        # Python floats: a numpy scalar would warn where -r * rate overflows
+        self.dephasing_rate = abs(rate) * float((coeffs.max(axis=0) - coeffs.min(axis=0)).max())
+        self.half_turn = np.pi / abs(rate)
+
+
+ENTANGLERS = {
+    HEISENBERG: Entangler(BELL_SORTED, np.array(
+        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), np.pi),
+    ISING: Entangler(BELL_CONVENTIONAL, np.array(
+        [[1.0, -1.0, 1.0], [1.0, 1.0, -1.0], [-1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]]), -1.0),
 }
 
-_FRAMES_INVERSE = {name: frame.conj().T for name, frame in BELL_FRAMES.items()}
 
 def single_qubit_gates(angles) -> np.ndarray:
     """Single-qubit gates of angles (..., 3) = (phi, psi, chi), shape (..., 2, 2).
@@ -198,32 +215,27 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def entanglers(ent, interaction: str) -> np.ndarray:
-    """Entangling gates built spectrally in their Bell frame.
+    """Entangling gates built spectrally in their Bell frame; see :class:`Entangler`.
 
     ``ent`` has shape (..., 3): SWAP^alpha durations (Heisenberg, taken as
     given, i.e. already canonicalized) or canonical couplings beta (Ising,
     exp(-i sum_k beta_k sigma_k x sigma_k)).  The result has shape (..., 4, 4).
     """
-    eta = np.asarray(ent, dtype=float) @ EIGENPHASE_COEFFS[interaction].T
-    phases = np.exp(1j * np.pi * eta) if interaction == HEISENBERG else np.exp(-1j * eta)
-    frame = BELL_FRAMES[interaction]
-    return (frame * phases[..., None, :]) @ _FRAMES_INVERSE[interaction]
+    rec = ENTANGLERS[interaction]
+    phases = np.exp(1j * rec.rate * (np.asarray(ent, dtype=float) @ rec.coeffs.T))
+    return (rec.frame * phases[..., None, :]) @ rec.frame.conj().T
 
 
 def entangler_derivatives(ent, interaction: str) -> np.ndarray:
     """Derivatives of :func:`entanglers` by its three parameters, shape (..., 3, 4, 4).
 
-    In the Bell frame the gate is diag(e^(i phi)), so the derivative by
-    parameter m is frame . diag(d phi / d m . e^(i phi)) . frame^dagger.
+    In the Bell frame the gate is diag(e^(i phi)), phi = rate S x, so the derivative
+    by parameter m is frame . diag(i rate S_m e^(i phi)) . frame^dagger.
     """
-    coeffs = EIGENPHASE_COEFFS[interaction]
-    eta = np.asarray(ent, dtype=float) @ coeffs.T
-    if interaction == HEISENBERG:
-        dphases = 1j * np.pi * coeffs.T * np.exp(1j * np.pi * eta)[..., None, :]
-    else:
-        dphases = -1j * coeffs.T * np.exp(-1j * eta)[..., None, :]
-    frame = BELL_FRAMES[interaction]
-    return (frame * dphases[..., None, :]) @ _FRAMES_INVERSE[interaction]
+    rec = ENTANGLERS[interaction]
+    phases = np.exp(1j * rec.rate * (np.asarray(ent, dtype=float) @ rec.coeffs.T))
+    dphases = 1j * rec.rate * rec.coeffs.T * phases[..., None, :]
+    return (rec.frame * dphases[..., None, :]) @ rec.frame.conj().T
 
 
 def measurement_layers(params, interaction: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -266,13 +278,10 @@ def measurement_unitary(m) -> np.ndarray:
 def entangling_times(ent, interaction: str) -> np.ndarray:
     """Normalized time the interaction is on, for entangler parameters of shape (..., 3).
 
-    Heisenberg pulses contribute their alpha directly; each Ising coupling
-    beta is a phase, so its normalized duration is |beta| / pi.
+    Each parameter x_k contributes |x_k| / half_turn: a Heisenberg pulse its
+    duration alpha, an Ising coupling beta, a phase, |beta| / pi.
     """
-    ent = np.asarray(ent, dtype=float)
-    if interaction == HEISENBERG:
-        return ent.sum(axis=-1)
-    return np.abs(ent).sum(axis=-1) / np.pi
+    return np.abs(np.asarray(ent, dtype=float)).sum(axis=-1) / ENTANGLERS[interaction].half_turn
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,11 @@ Two channel families are supported.  The depolarizing channel shrinks the
 traceless part of the state by q = exp(-zeta pi T), where T is the
 normalized time the interaction is switched on.  Over-/under-rotation (OU)
 models a Gaussian spread of each pulse angle: it dephases the state in the
-Bell eigenframe of the entangler, with decay factors
-
-    gamma_k = exp(-r alpha_k pi)     (Heisenberg pulses)
-    gamma_k = exp(-2 r |beta_k|)     (Ising couplings)
+Bell eigenframe of the entangler, each coherence by e^(-r gap), gap being
+the eigenphase gap that the entangler's parameters open one by one.  So
+parameter k contributes gamma_k = exp(-r |rate| gap(S) |x_k|) (see
+:class:`~noisyqst.gates.Entangler`): exp(-r pi alpha_k) per Heisenberg
+pulse, exp(-2 r |beta_k|) per Ising coupling.
 
 Both channels commute with the ideal entangler and are unital and
 self-adjoint.  The maps below are the one implementation of each channel:
@@ -24,10 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import (
-    BELL_FRAMES,
-    EIGENPHASE_COEFFS,
     ENTANGLER_SLOTS,
-    HEISENBERG,
+    ENTANGLERS,
     INTERACTIONS,
     entangling_times,
     measurement_layers,
@@ -93,36 +92,26 @@ def apply_depolarizing(rho: np.ndarray, q) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def ou_gammas(r: float, ent, interaction: str) -> np.ndarray:
-    """Dephasing factors of entangler parameters of shape (..., 3).
+    """Dephasing factors exp(-r |rate| gap(S) |x_k|) of entangler parameters x of shape (..., 3).
 
-    exp(-r alpha_k pi) per Heisenberg pulse, exp(-2 r |beta_k|) per Ising
-    coupling.
+    exp(-r pi alpha_k) per Heisenberg pulse, exp(-2 r |beta_k|) per Ising coupling.
     """
     ent = np.asarray(ent, dtype=float)
-    if interaction == HEISENBERG:
-        return np.exp(-r * np.pi * ent)
-    return np.exp(-2.0 * r * np.abs(ent))
-
-
-# Entry [a, b] of the state in the entangler's Bell frame decays by gamma_k
-# for every pulse or coupling k whose phase differs between Bell vectors a
-# and b; table [a, b, k] marks those k.
-_DEPHASED_BY = {
-    name: coeffs[:, None, :] != coeffs[None, :, :] for name, coeffs in EIGENPHASE_COEFFS.items()
-}
+    return np.exp(-r * ENTANGLERS[interaction].dephasing_rate * np.abs(ent))
 
 
 def apply_ou(rho: np.ndarray, gammas, interaction: str) -> np.ndarray:
     """Dephase stacked rho (..., 4, 4) in the entangler's Bell frame.
 
     ``gammas`` (..., 3) broadcasts against the stack.  The Bell-diagonal
-    part is untouched; off-diagonal entries decay by products of gammas.
+    part is untouched; entry [a, b] decays by the product of the gammas of
+    the parameters that move the eigenphase gap of a and b.
     """
+    rec = ENTANGLERS[interaction]
     g = np.asarray(gammas, dtype=float)[..., None, None, :]
-    pattern = np.prod(np.where(_DEPHASED_BY[interaction], g, 1.0), axis=-1)
-    frame = BELL_FRAMES[interaction]
-    rb = frame.conj().T @ rho @ frame
-    return frame @ (pattern * rb) @ frame.conj().T
+    pattern = np.prod(np.where(rec.dephased_by, g, 1.0), axis=-1)
+    rb = rec.frame.conj().T @ rho @ rec.frame
+    return rec.frame @ (pattern * rb) @ rec.frame.conj().T
 
 
 def _apply_channel(rho: np.ndarray, ent, noise: NoiseModel) -> np.ndarray:
@@ -138,27 +127,25 @@ def channel_derivatives(rho: np.ndarray, weights, noise: NoiseModel) -> np.ndarr
 
     The weights (..., 3) >= 0 stand where the channel reads the entangler's
     parameters: pulse durations alpha, or coupling magnitudes |beta|.  Each
-    weight m enters through one log-rate, d ln q / dw_m = -zeta pi
-    (Heisenberg) or -zeta (Ising) for the depolarizing q, and
-    d ln gamma_m / dw_m = -r pi or -2 r for OU.  Returns shape (..., 3, 4, 4).
+    weight m enters through one log-rate, d ln q / dw_m = -zeta |rate|
+    for the depolarizing q, and d ln gamma_m / dw_m = -r |rate| gap(S) for
+    OU.  Returns shape (..., 3, 4, 4).
     """
     weights = np.asarray(weights, dtype=float)
-    heisenberg = noise.interaction == HEISENBERG
+    rec = ENTANGLERS[noise.interaction]
     if noise.channel == DEPOLARIZING:
         # d/dw_m [q rho + (1 - q) Tr(rho) 1/4] = q d(ln q)/dw_m (rho - Tr(rho) 1/4)
         q = depolarizing_q(noise.strength, entangling_times(weights, noise.interaction))
-        rate = -noise.strength * (np.pi if heisenberg else 1.0)
+        rate = -noise.strength * abs(rec.rate)
         traceless = rho - np.einsum("...ii->...", rho)[..., None, None] * np.eye(4) / 4.0
         return np.repeat((rate * q)[..., None, None, None] * traceless[..., None, :, :], 3, axis=-3)
-    rates = -noise.strength * (np.pi if heisenberg else 2.0)
+    rate = -noise.strength * rec.dephasing_rate
     g = ou_gammas(noise.strength, weights, noise.interaction)[..., None, None, :]
-    mask = _DEPHASED_BY[noise.interaction]
-    pattern = np.prod(np.where(mask, g, 1.0), axis=-1)
+    pattern = np.prod(np.where(rec.dephased_by, g, 1.0), axis=-1)
     # d pattern / dw_m = pattern * [m dephases the entry] * d(ln gamma_m)/dw_m
-    dpattern = np.moveaxis(rates * mask * pattern[..., None], -1, -3)
-    frame = BELL_FRAMES[noise.interaction]
-    rb = (frame.conj().T @ rho @ frame)[..., None, :, :]
-    return frame @ (dpattern * rb) @ frame.conj().T
+    dpattern = np.moveaxis(rate * rec.dephased_by * pattern[..., None], -1, -3)
+    rb = (rec.frame.conj().T @ rho @ rec.frame)[..., None, :, :]
+    return rec.frame @ (dpattern * rb) @ rec.frame.conj().T
 
 
 # ---------------------------------------------------------------------------

@@ -123,32 +123,14 @@ def quality_report(quorum: QuorumParams, noise: NoiseModel) -> QualityReport:
                          per_measurement_q=qs, entangling_times=times)
 
 
-def neg_log_qn(params, noise: NoiseModel):
-    """-ln Q_N of stacked quorums of (..., 5, 15) parameters, taken as given (canonical).
-
-    This is the optimizers' objective: it has the argmax of Q_N and avoids
-    underflow for small volumes.  Each value is capped at -ln(1e-300), and NaN
-    where a parameter is not finite or an effect is fully depolarized.  Returns
-    one value per quorum, a scalar for one (5, 15) array; a quorum's value
-    does not depend on the rest of the stack.
-    """
-    params = np.asarray(params, dtype=float)
-    if params.shape[-2:] != (5, 15):
-        raise ValueError(f"a quorum needs (5, 15) parameters, got shape {params.shape}")
-    values = np.full(params.shape[:-2], np.nan)
-    finite = np.isfinite(params).all(axis=(-1, -2))
-    log_noisy = _log_qualities(povm_stack(params[finite], noise))[1]
-    values[finite] = np.minimum(-log_noisy, -np.log(_QN_FLOOR))
-    return values[()]
-
-
 def neg_log_qn_and_grad(params, weights, noise: NoiseModel, strict: bool = False):
     """-ln Q_N of stacked quorums and its gradients by the parameters and by the noise weights.
 
     ``params`` (..., 5, 15) sets the gates, and the channel of entangler j reads
     ``weights[..., j, :]`` (3,) >= 0 where it would read the pulses alpha or the
-    coupling magnitudes |beta|; at those weights the value is that of
-    :func:`neg_log_qn`.  Returns (values (...), d/d params (..., 5, 15),
+    coupling magnitudes |beta|; at those weights the value is the optimizers'
+    objective, -ln Q_N of the effects of :func:`~noisyqst.noise.povm_stack`,
+    capped at -ln(1e-300).  Returns (values (...), d/d params (..., 5, 15),
     d/d weights (..., 5, 3)); a quorum's row does not depend on the rest of the stack.
 
     By Jacobi's formula, with w_k = 0.5975 - [k <= 3],

@@ -100,15 +100,6 @@ def outcome_probabilities(rho: np.ndarray, effects: np.ndarray) -> np.ndarray:
     return p.reshape(rho.shape[:-2] + p.shape[1:])
 
 
-def sample_measurement(
-    rho: np.ndarray, effects: np.ndarray, n_shots: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Multinomial outcome counts (m, 4) for n_shots repetitions of each measurement."""
-    if n_shots < 1:
-        raise ValueError("n_shots must be >= 1")
-    return rng.multinomial(n_shots, outcome_probabilities(rho, effects))
-
-
 def _assert_informationally_complete(flat: np.ndarray) -> None:
     # Span test of the flattened effects (k, 16) in the real 16-dimensional
     # space of Hermitian operators.

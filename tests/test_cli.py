@@ -478,6 +478,39 @@ def test_echoed_config_reproduces_the_run(tmp_path):
     (tmp_path / "coeff.json").write_text(json.dumps(echoed))
     assert run_cli("coeff", "--config", tmp_path / "coeff.json").stdout == coeff
 
+    # mub-seeded optimize, and a sweep, whose --grid is required, from the config alone
+    run_cli("optimize", "--zeta", "0.05", "--channel", "ou", "--seed", "2",
+            "--out", tmp_path / "mub.csv")
+    echoed = json.loads((tmp_path / "mub.csv.json").read_text())["config"]
+    (tmp_path / "mub.json").write_text(json.dumps(echoed))
+    run_cli("optimize", "--config", tmp_path / "mub.json", "--out", tmp_path / "mub-cfg.csv")
+    for suffix in (".csv", ".csv.json"):
+        assert ((tmp_path / f"mub-cfg{suffix}").read_bytes()
+                == (tmp_path / f"mub{suffix}").read_bytes())
+    sweep = run_cli("sweep", "--grid", "0,0.15", "--schemes", "mub,pauli9", "--states", "3",
+                    "--shots", "2304", "--seed", "2").stdout
+    echoed = json.loads(sweep.split("\n", 1)[0].removeprefix("# config: "))
+    assert echoed["grid"] == "0,0.15"
+    (tmp_path / "sweep.json").write_text(json.dumps(echoed))
+    assert run_cli("sweep", "--config", tmp_path / "sweep.json").stdout == sweep
+
+
+@pytest.mark.parametrize("command, key, value", [
+    (["optimize", "--zeta", "0.05"], "strategy", "annealing"),
+    (["sweep", "--grid", "0"], "states", 2.5),
+    (["sweep", "--grid", "0"], "schemes", ["mub"]),
+    (["quality", "--zeta", "0.05"], "mub", "bogus"),
+], ids=["strategy", "states", "schemes", "mub"])
+def test_bad_config_value_is_usage_error_naming_its_key(command, key, value, tmp_path, capsys):
+    # a config value passes the checks its flag would, not a raw Python error
+    from noisyqst.cli import main
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert main(command + ["--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and key in err and "Traceback" not in err
+
 
 @pytest.mark.parametrize("args", [
     ["--zeta", "0.02", "--strategy", "multistart", "--max-iters", "1", "--threshold-pairs", "50",

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from noisyqst.gates import INTERACTIONS, QuorumParams
+from noisyqst.gates import ENTANGLER_SLOTS, INTERACTIONS, QuorumParams
 from noisyqst.noise import CHANNELS, NoiseModel, povm_stack
-from noisyqst.quality import neg_log_qn, quality_report
+from noisyqst.quality import neg_log_qn_and_grad, quality_report
 
 TOL = 1e-12
 
@@ -43,4 +43,6 @@ def test_kernel_matches_per_matrix_oracle(channel, interaction, x, strength):
     q_geometric, _, q_noisy = oracles.quality(quorum, noise)
     assert abs(rep.q_geometric - q_geometric) <= TOL
     assert abs(rep.q_noisy - q_noisy) <= TOL
-    assert abs(np.exp(-neg_log_qn(quorum.to_array(), noise)) - q_noisy) <= TOL
+    params = quorum.to_array()
+    value = neg_log_qn_and_grad(params, np.abs(params[:, ENTANGLER_SLOTS]), noise)[0]
+    assert abs(np.exp(-value) - q_noisy) <= TOL

@@ -8,7 +8,10 @@ from numpy.testing import assert_allclose
 from noisyqst.core import random_density
 from noisyqst.gates import (
     ENTANGLER_SLOTS,
+    ENTANGLERS,
+    INTERACTIONS,
     QuorumParams,
+    entanglers,
     entangling_times,
     measurement_unitary,
     standard_mub_params,
@@ -122,6 +125,31 @@ def test_ou_channels_fix_bell_populations():
             BELL_CONVENTIONAL.conj().T @ apply_ou(rho, g, "ising") @ BELL_CONVENTIONAL
         )
         assert_allclose(after, before, atol=1e-13)
+
+
+@pytest.mark.parametrize("interaction", INTERACTIONS)
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(x=arrays(np.float64, 3, elements=st.floats(-0.99, 0.99)), r=st.floats(0.0, 5.0))
+def test_entangler_record_sets_ou_decay_and_entangling_time(interaction, x, r):
+    # Parameter k alone gives Bell vector a the eigenphase phi_ka and opens the
+    # gap |phi_ka - phi_kb| between a and b; |x_k| < 1 keeps every phase and
+    # gap below pi, so np.angle reads them unwrapped.  OU noise dephases the
+    # coherence of a and b by e^(-r gap), gap summed over the parameters.
+    frame = ENTANGLERS[interaction].frame
+    phases = []
+    for k in range(3):
+        u = frame.conj().T @ entanglers(np.where(np.arange(3) == k, x, 0.0), interaction) @ frame
+        assert np.max(np.abs(u - np.diag(np.diag(u)))) < 1e-14
+        phases.append(np.angle(np.diag(u)))
+    phases = np.array(phases)
+    gap = np.abs(phases[:, :, None] - phases[:, None, :]).sum(axis=0)
+    coherences = frame @ np.ones((4, 4)) @ frame.conj().T
+    out = frame.conj().T @ apply_ou(coherences, ou_gammas(r, x, interaction), interaction) @ frame
+    assert_allclose(out, np.exp(-r * gap), rtol=1e-12, atol=1e-14)
+    # the interaction is on for sum |phase| / pi, the phase of parameter k
+    # being the largest eigenphase it gives a Bell vector
+    assert entangling_times(x, interaction) == pytest.approx(
+        np.abs(phases).max(axis=1).sum() / np.pi, rel=1e-14, abs=1e-15)
 
 
 def test_kraus_depolarizing_limits_and_action():

@@ -13,6 +13,7 @@ import noisyqst.optimize as optimize_module
 from noisyqst.gates import (
     ENTANGLER_SLOTS,
     INTERACTIONS,
+    QuorumParams,
     standard_mub_params,
 )
 from noisyqst.noise import CHANNELS, NoiseModel
@@ -29,7 +30,6 @@ from noisyqst.optimize import (
 from noisyqst.quality import (
     analytic_alpha_max,
     analytic_heisenberg_qn,
-    neg_log_qn,
     quality_report,
 )
 
@@ -207,8 +207,8 @@ def test_bounded_objective_value_and_gradient(channel, interaction):
     z, bounds = _bounded_start(params, interaction)
     # the start is the quorum itself: pulses as phases pi alpha, at most one
     # part of each coupling nonzero
-    assert _bounded_objective(z, noise)[0] == pytest.approx(neg_log_qn(params, noise),
-                                                            abs=1e-12)
+    q_noisy = quality_report(QuorumParams(interaction, params), noise).q_noisy
+    assert _bounded_objective(z, noise)[0] == pytest.approx(-np.log(q_noisy), abs=1e-12)
     low, high = bounds
     assert len(z) == len(low) == len(high) == (75 if interaction == "heisenberg" else 90)
     assert np.all((low <= z) & (z <= high))

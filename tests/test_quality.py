@@ -27,7 +27,6 @@ from noisyqst.quality import (
     estimate_log_coefficient,
     geometric_quality,
     log_average_qubit_exact,
-    neg_log_qn,
     neg_log_qn_and_grad,
     quality_report,
     single_qubit_optimal_angle,
@@ -159,12 +158,12 @@ def test_neg_log_qn_matches_closed_forms_near_a_singular_quorum(zeta):
     heisenberg = _mub_family_quorum(a, a, 0.5, 0.5).to_array()
     closed = analytic_heisenberg_qn(a, a, 0.5, 0.5, zeta)
     noise = NoiseModel("depolarizing", "heisenberg", zeta)
-    assert abs(neg_log_qn(heisenberg, noise) + np.log(closed)) < 1e-9
+    assert abs(_neg_log_qn(heisenberg, noise) + np.log(closed)) < 1e-9
     ising = standard_mub_params("ising").to_array().copy()
     ising[3, ENTANGLER_SLOTS.start + 1] = a  # beta_y of measurement 4
     closed = analytic_ising_qn(a, np.pi / 4.0, zeta)
     noise = NoiseModel("depolarizing", "ising", zeta)
-    assert abs(neg_log_qn(ising, noise) + np.log(closed)) < 1e-9
+    assert abs(_neg_log_qn(ising, noise) + np.log(closed)) < 1e-9
 
 
 def test_singular_quorum_is_capped_without_warnings():
@@ -174,7 +173,6 @@ def test_singular_quorum_is_capped_without_warnings():
     for interaction in INTERACTIONS:
         for channel in CHANNELS:
             noise = NoiseModel(channel, interaction, 0.1)
-            assert neg_log_qn(np.zeros((5, 15)), noise) == -np.log(1e-300)
             rep = quality_report(QuorumParams(interaction, np.zeros((5, 15))), noise)
             assert rep.q_geometric == 0.0 and rep.q_noisy == 0.0
             value, grad_params, grad_weights = neg_log_qn_and_grad(
@@ -185,13 +183,20 @@ def test_singular_quorum_is_capped_without_warnings():
     x = np.zeros(75)
     x[[2, 10, 30, 36, 58, 60]] = [2.26846167e-307, 1.0, 2.26846167e-307, 3.0, 2.0, -1.0]
     params = QuorumParams("heisenberg", x.reshape(5, 15)).to_array()
-    assert neg_log_qn(params, NoiseModel("ou", "heisenberg", 0.0)) == -np.log(1e-300)
+    value, grad_params, grad_weights = neg_log_qn_and_grad(
+        params, _noise_weights(params), NoiseModel("ou", "heisenberg", 0.0))
+    assert value == -np.log(1e-300)
+    assert not grad_params.any() and not grad_weights.any()
 
 
-def _noise_weights(params, interaction):
+def _noise_weights(params):
     """The weights the channel reads from canonical parameters: alpha, or |beta|."""
-    ent = params[:, ENTANGLER_SLOTS]
-    return ent.copy() if interaction == "heisenberg" else np.abs(ent)
+    return np.abs(params[..., ENTANGLER_SLOTS])
+
+
+def _neg_log_qn(params, noise):
+    """-ln Q_N of canonical parameters, the value of neg_log_qn_and_grad at their own weights."""
+    return neg_log_qn_and_grad(params, _noise_weights(params), noise)[0]
 
 
 @pytest.mark.parametrize("channel", CHANNELS)
@@ -229,10 +234,11 @@ def test_neg_log_qn_gradient_matches_central_differences(channel, interaction, p
 @given(x=arrays(np.float64, 75, elements=st.floats(-2 * np.pi, 2 * np.pi)),
        strength=st.floats(0.0, 0.3))
 def test_neg_log_qn_and_grad_value_is_neg_log_qn(channel, interaction, x, strength):
+    # at the weights the parameters set, the value is -ln of the report's Q_N, capped
     noise = NoiseModel(channel, interaction, strength)
-    params = QuorumParams(interaction, x.reshape(5, 15)).to_array()
-    value = neg_log_qn_and_grad(params, _noise_weights(params, interaction), noise)[0]
-    assert abs(value - neg_log_qn(params, noise)) <= 1e-12
+    quorum = QuorumParams(interaction, x.reshape(5, 15))
+    q_noisy = quality_report(quorum, noise).q_noisy
+    assert abs(_neg_log_qn(quorum.to_array(), noise) + np.log(max(q_noisy, 1e-300))) <= 1e-12
 
 
 def _bits(*arrays):
@@ -258,15 +264,15 @@ def test_stacked_objective_rows_equal_stacks_of_one(channel, interaction, n, see
         params.insert(min(capped_at, len(params)), np.zeros((5, 15)))
         weights.insert(min(capped_at, len(weights)), np.zeros((5, 3)))
     params, weights = np.stack(params), np.stack(weights)
-    values = neg_log_qn(params, noise)
     stacked = neg_log_qn_and_grad(params, weights, noise)
-    assert values.shape == stacked[0].shape == (len(params),)
+    values = stacked[0]
+    assert values.shape == (len(params),)
     for i in range(len(params)):
         # row i against a stack of one, and against the (5, 15) array itself
-        one = neg_log_qn(params[i : i + 1], noise)
-        assert _bits(values[i], values[i]) == _bits(one[0], neg_log_qn(params[i], noise))
         alone = neg_log_qn_and_grad(params[i : i + 1], weights[i : i + 1], noise)
         assert _bits(*(part[i] for part in stacked)) == _bits(*(part[0] for part in alone))
+        single = neg_log_qn_and_grad(params[i], weights[i], noise)
+        assert _bits(*(part[i] for part in stacked)) == _bits(*single)
     assert np.count_nonzero(np.isnan(values)) == (nan_at is not None)
     assert np.count_nonzero(values == -np.log(1e-300)) == (capped_at is not None)
 
@@ -277,12 +283,11 @@ def test_stacked_objective_fails_a_fully_depolarized_quorum_alone():
     product = random_quorum("heisenberg", np.random.default_rng(0))
     product[:, ENTANGLER_SLOTS] = 0.0  # no entangler, so no noise
     params = np.stack([degenerate.to_array(), product])
-    values = neg_log_qn(params, noise)
-    assert np.isnan(values[0]) and np.isfinite(values[1])
     value, grad_params, grad_weights = neg_log_qn_and_grad(params, params[:, :, ENTANGLER_SLOTS],
                                                            noise)
     assert np.isnan(value[0]) and np.isnan(grad_params[0]).all() and np.isnan(grad_weights[0]).all()
-    assert value[1] == values[1] and np.isfinite(grad_params[1]).all()
+    assert np.isfinite(value[1]) and np.isfinite(grad_params[1]).all()
+    assert value[1] == _neg_log_qn(product, noise)
     with pytest.raises(DegeneratePovmError, match="effect 0 of measurement 3"):
         quality_report(degenerate, noise)
 

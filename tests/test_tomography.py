@@ -27,7 +27,6 @@ from noisyqst.tomography import (
     quorum_scheme,
     reports_to_csv,
     run_experiment,
-    sample_measurement,
 )
 
 _NOISELESS = NoiseModel("depolarizing", "heisenberg", 0.0)
@@ -38,7 +37,7 @@ _STANDARD_BASIS = ideal_effects(np.eye(4, dtype=complex)[None])
 def test_sample_measurement_pure_state_standard_basis():
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0
-    counts = sample_measurement(rho, _STANDARD_BASIS, 1000, np.random.default_rng(0))
+    counts = np.random.default_rng(0).multinomial(1000, outcome_probabilities(rho, _STANDARD_BASIS))
     assert counts.shape == (1, 4)
     assert counts[0, 0] == 1000 and counts[0, 1:].sum() == 0
 
@@ -79,17 +78,17 @@ def test_sample_measurement_frequencies_match_probabilities():
     effects = mub_scheme(_NOISELESS).effects[3:4]
     p = outcome_probabilities(rho, effects)
     n = 100_000
-    counts = sample_measurement(rho, effects, n, rng)
+    counts = rng.multinomial(n, p)
     sigma = np.sqrt(p * (1 - p) / n)
     assert np.all(np.abs(counts / n - p) < 4 * sigma + 1e-12)
 
 def test_sample_measurement_rejects_bad_inputs():
-    rho = np.eye(4, dtype=complex) / 4
-    with pytest.raises(ValueError):
-        sample_measurement(rho, _STANDARD_BASIS, 0, np.random.default_rng(0))
-    bad = np.eye(4, dtype=complex)  # trace 4: probabilities sum to 4
-    with pytest.raises(ValueError):
-        sample_measurement(bad, _STANDARD_BASIS, 10, np.random.default_rng(0))
+    # fewer shots than measurements, and a state whose probabilities sum to 4
+    with pytest.raises(ValueError, match="budget 8 too small"):
+        run_experiment([pauli9_scheme()], 1, 8, 0)
+    bad = np.eye(4, dtype=complex)
+    with pytest.raises(ValueError, match="by up to 3"):
+        outcome_probabilities(bad, _STANDARD_BASIS)
 
 def test_ml_reconstruct_exact_probabilities_recovers_state():
     scheme = mub_scheme(_NOISELESS)
@@ -135,7 +134,7 @@ def test_ml_reconstruct_output_is_valid_density():
     rng = np.random.default_rng(5)
     for _ in range(5):
         rho = random_density(4, rng)
-        counts = sample_measurement(rho, scheme.effects, 400, rng)
+        counts = rng.multinomial(400, outcome_probabilities(rho, scheme.effects))
         rho_hat = ml_reconstruct(counts, scheme.effects)
         assert_density(rho_hat, tol=1e-8)
 
@@ -149,7 +148,7 @@ def test_noise_ignorant_mode_differs_under_noise():
                          NoiseModel("depolarizing", "heisenberg", 0.0))
     rng = np.random.default_rng(6)
     rho = random_density(4, rng)
-    counts = sample_measurement(rho, scheme.effects, 2000, rng)
+    counts = rng.multinomial(2000, outcome_probabilities(rho, scheme.effects))
     aware = ml_reconstruct(counts, scheme.effects)
     ignorant = ml_reconstruct(counts, nominal)
     assert np.max(np.abs(aware - ignorant)) > 1e-4
@@ -293,7 +292,7 @@ def _stack_counts(scheme, n_states, total_shots, seed, ranks=()):
     shots = total_shots // len(scheme.effects)
     states = [_rank_deficient_density(rank, rng) for rank in ranks]
     states += [random_density(4, rng) for _ in range(n_states - len(ranks))]
-    return np.array([sample_measurement(rho, scheme.effects, shots, rng) for rho in states])
+    return rng.multinomial(shots, outcome_probabilities(np.array(states), scheme.effects))
 
 
 @pytest.mark.parametrize("channel", ["depolarizing", "ou"])
@@ -344,7 +343,7 @@ def test_ml_every_state_converges_to_a_density_matrix(
     states = [_rank_deficient_density(rank, rng) for rank in (1, 2, 3)]
     states += [random_density(4, rng) for _ in range(3)]
     shots = total_shots // len(scheme.effects)
-    counts = np.array([sample_measurement(rho, scheme.effects, shots, rng) for rho in states])
+    counts = rng.multinomial(shots, outcome_probabilities(np.array(states), scheme.effects))
     for est, c in zip(ml_reconstruct(counts, scheme.effects), counts):
         assert_density(est, tol=1e-8)
         assert oracles.ml_certificate(c, scheme.effects, est) < GAP
@@ -410,7 +409,7 @@ def test_ml_certificate_is_at_most_sqrt2_times_the_unconstrained_gradient(
     rng = np.random.default_rng(seed)
     rho = _rank_deficient_density(rank, rng)
     # counts of another state, so rho is not their maximum
-    counts = sample_measurement(random_density(4, rng), scheme.effects, shots, rng)
+    counts = rng.multinomial(shots, outcome_probabilities(random_density(4, rng), scheme.effects))
     p = np.einsum("mkij,ji->mk", scheme.effects, rho).real
     assume((p > 1e-9).all())
     ratio = counts / p
