@@ -22,7 +22,7 @@ import numpy as np
 
 from . import optimize as opt
 from . import tomography as tomo
-from .gates import HEISENBERG, INTERACTIONS, QuorumParams, standard_mub_params
+from .gates import ENTANGLERS, HEISENBERG, INTERACTIONS, QuorumParams, standard_mub_params
 from .noise import CHANNELS, DEPOLARIZING, NoiseModel, average_gate_fidelity
 from .quality import (
     estimate_log_coefficient,
@@ -202,8 +202,7 @@ def cmd_gate_fidelity(args) -> int:
     if args.gate != "cnot":
         raise SystemExit2(f"unknown gate {args.gate!r} (only 'cnot' is built in)")
     noise = _noise_from_args(args)
-    # The CNOT-class entangler row: SWAP^(1/2) pulses, or one beta_z = pi/4 coupling.
-    ent = (0.5, 0.0, 0.5) if noise.interaction == HEISENBERG else (0.0, 0.0, np.pi / 4)
+    ent = ENTANGLERS[noise.interaction].cnot
     _emit(args, f"{average_gate_fidelity(noise, ent):.12g}")
     return 0
 

@@ -10,7 +10,8 @@ where ``post`` acts first on the state and ``pre`` acts right before
 readout.  The entangler is either the Heisenberg-exchange gate of three
 SWAP^alpha pulses or the Ising realization of the canonical 4x4 gate
 exp(-i sum_k beta_k sigma_k x sigma_k) by conjugated ZZ evolutions; both are
-built spectrally in their Bell frame.
+built spectrally in their Bell frame.  Every fact about an interaction is
+its :class:`Entangler` record in ``ENTANGLERS``.
 
 A quorum is five measurements, held as one (5, 15) array of real
 parameters beside its interaction tag (:class:`QuorumParams`); the builders
@@ -57,9 +58,9 @@ class QuorumParams:
     Row j of ``params`` holds measurement j's 15 reals as the triples
     ``SLOT_NAMES``: single-qubit angles (phi, psi, chi) for pre1, pre2, post1
     and post2, and the entangler's SWAP^alpha durations (Heisenberg) or
-    canonical couplings beta (Ising).  The phases e^(i alpha pi) are
-    2-periodic in each alpha, so Heisenberg durations are reduced mod 2
-    into [0, 2).  ``params`` is stored as a read-only copy.
+    canonical couplings beta (Ising).  Non-negative phases mod 2 pi, as the
+    :class:`Entangler` record has them, are reduced: Heisenberg durations into
+    [0, 2).  ``params`` is stored as a read-only copy.
     """
 
     interaction: str
@@ -73,11 +74,11 @@ class QuorumParams:
             raise ValueError(f"a quorum needs (5, 15) parameters, got shape {params.shape}")
         if not np.all(np.isfinite(params)):
             raise ValueError("quorum parameters must be finite")
-        if self.interaction == HEISENBERG:
-            # A tiny negative duration rounds to 2.0 under one % 2.0; the
-            # second reduction folds that onto 0.0, so the result lies in
-            # [0, 2) and a second construction leaves it unchanged.
-            params[:, ENTANGLER_SLOTS] = params[:, ENTANGLER_SLOTS] % 2.0 % 2.0
+        rec = ENTANGLERS[self.interaction]
+        if min(rec.signs) > 0:  # non-negative phases, mod 2 pi
+            # a tiny negative x rounds to the period under one %; the second folds it onto 0
+            period = 2.0 * rec.half_turn
+            params[:, ENTANGLER_SLOTS] = params[:, ENTANGLER_SLOTS] % period % period
         params.flags.writeable = False
         object.__setattr__(self, "params", params)
 
@@ -140,7 +141,7 @@ class QuorumParams:
 # them are the one-element case.
 
 class Entangler:
-    """An interaction's entangler, diagonal in a Bell frame.
+    """An interaction's entangler, diagonal in a Bell frame, and the range of its parameters.
 
     With parameters x (3,) the gate is frame . diag(e^(i rate S x)) . frame^dagger,
     S being ``coeffs`` (4, 3) and ``rate`` the phase per unit parameter: pi for
@@ -149,21 +150,38 @@ class Entangler:
     is false, or by ``dephasing_rate`` |x_k| = |rate| gap(S) |x_k|, gap(S) being
     the largest difference within a column of S.  A unit of entangling time is
     a phase of pi, so a parameter of ``half_turn`` = pi / |rate|.
+
+    The refinement holds a parameter x as phases |rate| x, so that a unit step
+    means the same in every coordinate: one part in [0, ``phase_bound``] per
+    entry of ``signs``, x being sum(sign part) / |rate| and its noise weight
+    sum(part) / |rate|; ``box`` is the range of x they span.  A Heisenberg
+    pulse is one phase pi alpha in [0, 2 pi], alpha being taken mod 2 (held as
+    alpha, the first step from the MUB seed lands every entangled pulse on 0, a
+    singular quorum).  An Ising coupling is signed, beta = b+ - b- with b+- in
+    [0, pi/2]: beta = 0 is no kink, and the box holds every optimum, since
+    exp(-i pi/2 sigma x sigma) is local and local gates flip the signs of
+    couplings only in pairs.  ``cnot`` is a CNOT-class entangler's parameters.
     """
 
-    def __init__(self, frame: np.ndarray, coeffs: np.ndarray, rate: float):
+    def __init__(self, frame: np.ndarray, coeffs: np.ndarray, rate: float, signs: tuple,
+                 phase_bound: float, cnot: tuple):
         self.frame, self.coeffs, self.rate = frame, coeffs, rate
+        self.signs, self.phase_bound, self.cnot = signs, phase_bound, cnot
         self.dephased_by = coeffs[:, None, :] != coeffs[None, :, :]
         # Python floats: a numpy scalar would warn where -r * rate overflows
         self.dephasing_rate = abs(rate) * float((coeffs.max(axis=0) - coeffs.min(axis=0)).max())
         self.half_turn = np.pi / abs(rate)
+        self.box = tuple(phase_bound * sum(pick(s, 0) for s in signs) / abs(rate)
+                         for pick in (min, max))
 
 
 ENTANGLERS = {
     HEISENBERG: Entangler(BELL_SORTED, np.array(
-        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), np.pi),
+        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), np.pi,
+        (1,), 2.0 * np.pi, (0.5, 0.0, 0.5)),
     ISING: Entangler(BELL_CONVENTIONAL, np.array(
-        [[1.0, -1.0, 1.0], [1.0, 1.0, -1.0], [-1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]]), -1.0),
+        [[1.0, -1.0, 1.0], [1.0, 1.0, -1.0], [-1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]]), -1.0,
+        (1, -1), np.pi / 2, (0.0, np.pi / 4, 0.0)),
 }
 
 
@@ -290,7 +308,7 @@ def entangling_times(ent, interaction: str) -> np.ndarray:
 
 _Q, _H = np.pi / 4, np.pi / 2
 
-# The entangler triples of rows 3 and 4 are set per interaction.
+# Rows 3 and 4 take the interaction's CNOT-class entangler.
 _MUB_TABLE = np.array([
     # pre1            pre2             entangler      post1          post2
     [0.0, 0.0, 0.0,   0.0, 0.0, 0.0,   0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
@@ -299,7 +317,6 @@ _MUB_TABLE = np.array([
     [0.0, _Q, 0.0,    -_H, 0.0, _Q,    0.0, 0.0, 0.0, 0.0, 0.0, 0.0, _Q, np.pi, -np.pi],
     [_Q, _Q, _Q,      0.0, _Q, 0.0,    0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
 ])
-_MUB_ENTANGLER = {HEISENBERG: (0.5, 0.0, 0.5), ISING: (0.0, _Q, 0.0)}
 
 
 def standard_mub_params(interaction: str) -> QuorumParams:
@@ -312,7 +329,7 @@ def standard_mub_params(interaction: str) -> QuorumParams:
     if interaction not in INTERACTIONS:
         raise ValueError(f"unknown interaction {interaction!r}")
     params = _MUB_TABLE.copy()
-    params[3:, ENTANGLER_SLOTS] = _MUB_ENTANGLER[interaction]
+    params[3:, ENTANGLER_SLOTS] = ENTANGLERS[interaction].cnot
     return QuorumParams(interaction, params)
 
 

@@ -4,11 +4,12 @@ Inside the search a quorum is its canonical (5, 15) parameter array.  Every
 start, whatever the strategy, is refined by projected L-BFGS in a box
 (Bertsekas 1982; Kim, Sra & Dhillon 2010; see lbfgs_minimize) on the
 analytic gradient of -ln Q_N: the MUB seed, or each of a multistart run's
-plain random quorums.  The objective is -ln Q_N, which has the same argmax
-as Q_N and avoids underflow for small volumes.  The refinement is a step
-generator that yields the points it needs evaluated, so all starts of a run
-advance in lockstep in one process, and each round evaluates their points
-as one stack.
+plain random quorums, with every interaction's entangler parameters held as
+phases in the box of its gates.Entangler record.  The objective is -ln Q_N,
+which has the same argmax as Q_N and avoids underflow for small volumes.
+The refinement is a step generator that yields the points it needs
+evaluated, so all starts of a run advance in lockstep in one process, and
+each round evaluates their points as one stack.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ import numpy as np
 
 from .gates import (
     ENTANGLER_SLOTS,
-    HEISENBERG,
-    ISING,
+    ENTANGLERS,
     QuorumParams,
     entangling_times,
     standard_mub_params,
@@ -198,23 +198,11 @@ def _projected_gradient(x, g, low, high) -> float:
 # quorum parameters
 # ---------------------------------------------------------------------------
 
-# The ranges of canonical entangler parameters that random_quorum draws from:
-# Heisenberg pulses alpha and Ising couplings beta.
-_ENTANGLER_BOX = {HEISENBERG: (0.0, 2.0), ISING: (-np.pi / 2, np.pi / 2)}
-
-
-def _box(entangler_bounds):
-    """Bounds (low, high), each (5, 15): free angles, entangler slots in ``entangler_bounds``."""
-    low, high = np.full((5, 15), -np.inf), np.full((5, 15), np.inf)
-    low[:, ENTANGLER_SLOTS], high[:, ENTANGLER_SLOTS] = entangler_bounds
-    return low, high
-
-
 def random_quorum(interaction: str, rng: np.random.Generator) -> np.ndarray:
-    """(5, 15) parameters: uniform angles in [0, 2 pi), then the entanglers'
-    Heisenberg pulses in [0, 2) or Ising couplings in [-pi/2, pi/2)."""
+    """(5, 15) parameters: uniform angles in [0, 2 pi), then entangler parameters uniform
+    in their record's box, Heisenberg pulses in [0, 2) or Ising couplings in [-pi/2, pi/2)."""
     x = rng.uniform(0.0, 2.0 * np.pi, size=(5, 15))
-    x[:, ENTANGLER_SLOTS] = rng.uniform(*_ENTANGLER_BOX[interaction], size=(5, 3))
+    x[:, ENTANGLER_SLOTS] = rng.uniform(*ENTANGLERS[interaction].box, size=(5, 3))
     return x
 
 
@@ -233,56 +221,49 @@ def _finish(noise: NoiseModel, label: str, evaluations: int, params: np.ndarray,
         iterations=iterations, projected_gradient=pg, evaluations=evaluations)
 
 
-# Every coordinate of the bounded refinement is a phase in radians, so that
-# lbfgs_minimize's first step, of unit length, means the same for each: a
-# Heisenberg pulse alpha is held as its phase pi alpha, boxed to [0, 2 pi].
-# (Held as alpha, the first step from the MUB seed lands every entangled
-# pulse on 0, a singular quorum.)
-# Each Ising coupling is split as beta = b+ - b-, with b+ and b- in [0, pi/2]
-# and the noise charged on b+ + b-: beta = 0 is then no kink, and
-# exp(-i pi/2 sigma x sigma) is local, so the box holds every optimum.  (Local
-# gates flip the signs of couplings only in pairs, so one sign of beta alone
-# would not.)
-_PHASE_BOX = {HEISENBERG: (0.0, 2.0 * np.pi), ISING: (0.0, np.pi / 2)}
-
-
 def _bounded_start(params: np.ndarray, interaction: str):
-    """The bounded vector of a quorum's (5, 15) parameters, and its bounds (low, high)."""
+    """The bounded vector of a quorum's (5, 15) parameters, and its bounds (low, high).
+
+    Entangler parameter x has one part max(sign |rate| x, 0) per sign of its record
+    (:class:`~noisyqst.gates.Entangler`): the first in x's slot, the others after the 75.
+    """
+    rec = ENTANGLERS[interaction]
     params = np.array(params, dtype=float)
-    low, high = _box(_PHASE_BOX[interaction])
-    if interaction == HEISENBERG:
-        params[:, ENTANGLER_SLOTS] *= np.pi
-        return params.ravel(), (low.ravel(), high.ravel())
-    beta = params[:, ENTANGLER_SLOTS].copy()
-    params[:, ENTANGLER_SLOTS] = np.maximum(beta, 0.0)
-    z = np.concatenate([params.ravel(), np.maximum(-beta, 0.0).ravel()])
-    return z, (np.append(low, low[:, ENTANGLER_SLOTS]), np.append(high, high[:, ENTANGLER_SLOTS]))
+    phases = abs(rec.rate) * params[:, ENTANGLER_SLOTS]
+    parts = [np.maximum(sign * phases, 0.0) for sign in rec.signs]
+    params[:, ENTANGLER_SLOTS] = parts[0]
+    low, high = np.full((5, 15), -np.inf), np.full((5, 15), np.inf)
+    low[:, ENTANGLER_SLOTS], high[:, ENTANGLER_SLOTS] = 0.0, rec.phase_bound
+    extra = 15 * (len(rec.signs) - 1)
+    return (np.append(params, parts[1:]),
+            (np.append(low, np.zeros(extra)), np.append(high, np.full(extra, rec.phase_bound))))
 
 
 def _unpack(z: np.ndarray, interaction: str):
-    """(..., 5, 15) parameters and (..., 5, 3) noise weights of stacked bounded vectors (..., n)."""
+    """(..., 5, 15) parameters sum(sign part) / |rate| and (..., 5, 3) noise weights
+    sum(part) / |rate| of stacked bounded vectors (..., n)."""
+    rec = ENTANGLERS[interaction]
     lead = z.shape[:-1]
     params = z[..., :75].reshape(*lead, 5, 15).copy()
-    if interaction == HEISENBERG:
-        params[..., ENTANGLER_SLOTS] /= np.pi
-        return params, params[..., ENTANGLER_SLOTS]
-    b_plus, b_minus = params[..., ENTANGLER_SLOTS].copy(), z[..., 75:].reshape(*lead, 5, 3)
-    params[..., ENTANGLER_SLOTS] = b_plus - b_minus
-    return params, b_plus + b_minus
+    parts = np.concatenate([params[..., None, :, ENTANGLER_SLOTS],
+                            z[..., 75:].reshape(*lead, len(rec.signs) - 1, 5, 3)], axis=-3)
+    signed = np.reshape(rec.signs, (-1, 1, 1)) * parts
+    params[..., ENTANGLER_SLOTS] = signed.sum(axis=-3) / abs(rec.rate)
+    return params, parts.sum(axis=-3) / abs(rec.rate)
 
 
 def _bounded_objective(z: np.ndarray, noise: NoiseModel):
     """-ln Q_N of stacked bounded vectors (..., n) and its gradients by them, row by row."""
+    rec = ENTANGLERS[noise.interaction]
     params, weights = _unpack(z, noise.interaction)
     val, grad_params, grad_weights = neg_log_qn_and_grad(params, weights, noise)
-    grad_beta = grad_params[..., ENTANGLER_SLOTS].copy()
-    grad_params[..., ENTANGLER_SLOTS] += grad_weights
+    # by part: (sign d/dx + d/dw) / |rate|
+    grad_parts = (np.reshape(rec.signs, (-1, 1, 1)) * grad_params[..., None, :, ENTANGLER_SLOTS]
+                  + grad_weights[..., None, :, :]) / abs(rec.rate)
+    grad_params[..., ENTANGLER_SLOTS] = grad_parts[..., 0, :, :]
     lead = z.shape[:-1]
-    if noise.interaction == HEISENBERG:
-        grad_params[..., ENTANGLER_SLOTS] /= np.pi
-        return val, grad_params.reshape(*lead, 75)
     return val, np.concatenate([grad_params.reshape(*lead, 75),
-                                (grad_weights - grad_beta).reshape(*lead, 15)], axis=-1)
+                                grad_parts[..., 1:, :, :].reshape(*lead, -1)], axis=-1)
 
 
 def _start_steps(noise: NoiseModel, max_iters: int, x0: np.ndarray):

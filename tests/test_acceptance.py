@@ -244,7 +244,7 @@ def test_criterion_7_channel_algebra_suite():
 
 def test_criterion_8_cli_determinism(tmp_path):
     with _Timer() as t:
-        base = [sys.executable, "-m", "noisyqst"]
+        base = [sys.executable, "-W", "error::RuntimeWarning", "-m", "noisyqst"]
         commands = [
             ["quality", "--mub", "heisenberg", "--zeta", "0.05", "--seed", "1"],
             ["gate-fidelity", "--channel", "ou", "--interaction", "ising", "-r", "0.2"],

@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-BASE = [sys.executable, "-m", "noisyqst"]
+# RuntimeWarnings are errors in the CLI's process too, as pyproject.toml makes them in-process.
+BASE = [sys.executable, "-W", "error::RuntimeWarning", "-m", "noisyqst"]
 
 
 def run_cli(*args, check=True):
@@ -145,13 +146,13 @@ def test_gate_fidelity_matches_inline_closed_forms_bytewise(capsys):
     )
 
     # The CNOT entangler: time 1 (Heisenberg) or 1/4 (Ising); OU gammas of
-    # pulses (1/2, 0, 1/2) or of the single coupling beta_z = pi/4.
+    # pulses (1/2, 0, 1/2) or of the single coupling beta_y = pi/4.
     for s in (0.0, 0.034, 0.2, 1.3):
         expected = {
             ("depolarizing", "heisenberg"): kraus_depolarizing(np.exp(-s * np.pi * 1.0)),
             ("depolarizing", "ising"): kraus_depolarizing(np.exp(-s * np.pi * 0.25)),
             ("ou", "heisenberg"): kraus_ou_heisenberg(np.exp(-s * np.pi * np.array([0.5, 0, 0.5]))),
-            ("ou", "ising"): kraus_ou_ising(np.exp(-2.0 * s * np.array([0, 0, np.pi / 4]))),
+            ("ou", "ising"): kraus_ou_ising(np.exp(-2.0 * s * np.array([0, np.pi / 4, 0]))),
         }
         for (channel, interaction), ops in expected.items():
             code = main(["gate-fidelity", "--channel", channel, "--interaction", interaction,
@@ -574,7 +575,20 @@ def test_runtime_error_exits_1():
     proc = run_cli("quality", "--mub", "heisenberg", "--zeta", "1e6", check=False)
     assert proc.returncode == 1
     assert "error" in proc.stderr.lower()
-    # near the float limit the OU decay factors of zero-duration pulses are NaN
-    proc = run_cli("quality", "--mub", "heisenberg", "--channel", "ou", "-r", "1e308", check=False)
+    # near the float limit the OU decay factors of zero parameters are NaN, and
+    # the one line on stderr says what that did, with no numpy warning before it
+    for args, message in [
+        (("quality", "--interaction", "heisenberg"), "fully depolarized (q=nan)"),
+        (("quality", "--interaction", "ising"), "fully depolarized (q=nan)"),
+        (("gate-fidelity", "--interaction", "heisenberg"), "average gate fidelity is nan"),
+        (("gate-fidelity", "--interaction", "ising"), "average gate fidelity is nan"),
+    ]:
+        proc = run_cli(*args, "--channel", "ou", "-r", "1e308", check=False)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert message in proc.stderr
+    # the refinement's gradient too: the start fails by its NaN effect alone
+    proc = run_cli("optimize", "--channel", "ou", "-r", "1e308", check=False)
     assert proc.returncode == 1
-    assert "fully depolarized (q=nan)" in proc.stderr
+    assert proc.stderr.endswith("error: all optimization starts failed: mub: effect 0 of "
+                                "measurement 0 is fully depolarized (q=nan)\n"), proc.stderr

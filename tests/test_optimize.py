@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import subprocess
 import sys
 
@@ -12,6 +13,7 @@ from scipy.optimize import rosen, rosen_der
 import noisyqst.optimize as optimize_module
 from noisyqst.gates import (
     ENTANGLER_SLOTS,
+    ENTANGLERS,
     INTERACTIONS,
     QuorumParams,
     standard_mub_params,
@@ -23,6 +25,7 @@ from noisyqst.optimize import (
     _bounded_objective,
     _bounded_start,
     _lockstep,
+    _unpack,
     lbfgs_minimize,
     optimize_quorum,
     random_quorum,
@@ -210,7 +213,7 @@ def test_bounded_objective_value_and_gradient(channel, interaction):
     q_noisy = quality_report(QuorumParams(interaction, params), noise).q_noisy
     assert _bounded_objective(z, noise)[0] == pytest.approx(-np.log(q_noisy), abs=1e-12)
     low, high = bounds
-    assert len(z) == len(low) == len(high) == (75 if interaction == "heisenberg" else 90)
+    assert len(z) == len(low) == len(high) == 75 + 15 * (len(ENTANGLERS[interaction].signs) - 1)
     assert np.all((low <= z) & (z <= high))
     # an interior point, where both parts of a coupling are free
     z = np.where(np.isfinite(low), rng.uniform(0.1, 1.4, size=len(z)), z)
@@ -240,12 +243,39 @@ def test_optimize_multistart_smoke_sorted():
 @pytest.mark.parametrize("interaction", INTERACTIONS)
 def test_multistart_results_stay_in_the_box(interaction):
     noise = NoiseModel("ou", interaction, 0.05)
+    low, high = ENTANGLERS[interaction].box
     for r in optimize_quorum(noise, "multistart", 2, seed=2):
         ent = r.params.to_array()[:, ENTANGLER_SLOTS]
-        if interaction == "heisenberg":
-            assert np.all((0.0 <= ent) & (ent < 2.0))
-        else:
-            assert np.all(np.abs(ent) <= np.pi / 2)
+        assert np.all((low <= ent) & (ent <= high))
+
+
+@pytest.mark.parametrize("interaction", INTERACTIONS)
+def test_bounded_parametrization_follows_the_entangler_record(interaction):
+    rec = ENTANGLERS[interaction]
+    extra = 15 * (len(rec.signs) - 1)
+    rng = np.random.default_rng(7)
+    quorums = [random_quorum(interaction, rng) for _ in range(200)]
+    draws = np.array([q[:, ENTANGLER_SLOTS] for q in quorums])
+    assert np.all((rec.box[0] <= draws) & (draws < rec.box[1]))
+    for params in (standard_mub_params(interaction).to_array(), *quorums[:20]):
+        z, (low, high) = _bounded_start(params, interaction)
+        # free angles; each entangler parameter has one part in [0, phase_bound] per sign
+        boxed = np.zeros((5, 15), dtype=bool)
+        boxed[:, ENTANGLER_SLOTS] = True
+        boxed = np.append(boxed, np.ones(extra, dtype=bool))
+        assert np.array_equal(low, np.where(boxed, 0.0, -np.inf))
+        assert np.array_equal(high, np.where(boxed, rec.phase_bound, np.inf))
+        assert np.all((low <= z) & (z <= high))
+        back, weights = _unpack(z, interaction)
+        if abs(rec.rate) == 1.0:  # the phases are the parameters
+            assert np.array_equal(back, params)
+        else:  # x |rate| / |rate|, one rounding each way
+            assert np.all(np.abs(back - params) <= np.spacing(np.abs(params)))
+        assert np.array_equal(weights, np.abs(back[:, ENTANGLER_SLOTS]))
+    # the bounds of the parts span the record's box of a parameter
+    spanned = [_unpack(np.append(np.full(75, c[0]), np.repeat(c[1:], 15)), interaction)[0][0, 6]
+               for c in itertools.product((0.0, rec.phase_bound), repeat=len(rec.signs))]
+    assert (min(spanned), max(spanned)) == rec.box
 
 
 @pytest.mark.parametrize("max_iters", [0, -1])
