@@ -305,8 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _with_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     """argv with the --config file's keys spliced in as flags after the subcommand.
 
-    The user's own flags follow them and so override them, and one parser checks
-    both: a config value fails argparse's type and choices checks as its flag would.
+    The user's own flags follow them and so override them.  A config value
+    passes its flag's type and choices checks here, so that a failure names the
+    key and the file; the parser then checks both alike.
     """
     for idx, arg in enumerate(argv):
         if arg == "--config":
@@ -329,9 +330,8 @@ def _with_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     command = parser.subcommand_parsers.get(argv[0])
     if command is None:  # argparse reports the missing or unknown subcommand
         return argv
-    flags = {a.dest: a.option_strings[0] for a in command._actions
-             if a.option_strings and a.nargs is None}
-    unknown = sorted(set(cfg) - set(flags))
+    actions = {a.dest: a for a in command._actions if a.option_strings and a.nargs is None}
+    unknown = sorted(set(cfg) - set(actions))
     if unknown:
         raise SystemExit2(f"unknown config key(s) for {argv[0]}: " + ", ".join(map(repr, unknown)))
     spliced = []
@@ -341,7 +341,16 @@ def _with_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
         if isinstance(value, bool) or not isinstance(value, (str, int, float)):
             raise SystemExit2(f"config key {key!r} must be a string or a number, "
                               f"got {type(value).__name__}")
-        spliced.append(f"{flags[key]}={value}")
+        action = actions[key]
+        try:  # argparse would name the flag, not the key or the file
+            parsed = action.type(str(value)) if action.type else str(value)
+        except ValueError:
+            raise SystemExit2(f"config {path!r} key {key!r}: invalid "
+                              f"{action.type.__name__} value {value!r}")
+        if action.choices is not None and parsed not in action.choices:
+            raise SystemExit2(f"config {path!r} key {key!r}: invalid choice {value!r} "
+                              f"(choose from {', '.join(map(str, action.choices))})")
+        spliced.append(f"{action.option_strings[0]}={value}")
     return argv[:1] + spliced + argv[1:]
 
 

@@ -74,7 +74,10 @@ def depolarizing_q(zeta: float, entangling_time):
     entangling_time = np.asarray(entangling_time, dtype=float)
     if zeta < 0 or np.any(entangling_time < 0):
         raise ValueError("zeta and entangling time must be >= 0")
-    return np.exp(-zeta * np.pi * entangling_time)
+    rate = -float(zeta) * np.pi  # a Python float: -inf, not a numpy warning, where it overflows
+    if rate == -np.inf:  # and -inf * 0 would be NaN at a zero entangling time
+        raise ValueError(f"depolarizing strength {zeta} is too large: zeta pi overflows")
+    return np.exp(rate * entangling_time)
 
 
 def apply_depolarizing(rho: np.ndarray, q) -> np.ndarray:

@@ -82,9 +82,12 @@ class ObjectiveError(RuntimeError):
 
 
 def _finite(val, x, grad=0.0) -> float:
-    """The objective value ``val`` at ``x``; :class:`ObjectiveError` if it or ``grad`` is not finite."""
-    if not (np.isfinite(val) and np.all(np.isfinite(grad))):
+    """The objective value ``val`` at ``x``; :class:`ObjectiveError` if it or ``grad`` is not
+    finite, whose message says which."""
+    if not np.isfinite(val):
         raise ObjectiveError(f"objective returned {val}", x)
+    if not np.all(np.isfinite(grad)):
+        raise ObjectiveError(f"objective returned {val} with a non-finite gradient", x)
     return float(val)
 
 

@@ -4,6 +4,7 @@ import logging
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -592,3 +593,110 @@ def test_runtime_error_exits_1():
     assert proc.returncode == 1
     assert proc.stderr.endswith("error: all optimization starts failed: mub: effect 0 of "
                                 "measurement 0 is fully depolarized (q=nan)\n"), proc.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["quality", "--zeta", "1e308"],
+    ["quality", "--interaction", "ising", "--zeta", "1e308"],
+    ["optimize", "--zeta", "1e308"],
+    ["sweep", "--grid", "1e308", "--states", "2"],
+], ids=lambda argv: "-".join(argv[:3]))
+def test_depolarizing_strength_whose_rate_overflows_is_one_line_error(args):
+    # zeta pi overflows to inf, and -inf * 0 would be NaN at a zero entangling time
+    proc = run_cli(*args, check=False)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: depolarizing strength 1e+308 is too large: zeta pi overflows\n"
+    assert proc.stdout == ""
+
+
+def test_a_nan_gradient_is_reported_as_the_gradient():
+    # near the float limit the OU value stays finite while its gradient is NaN
+    proc = run_cli("optimize", "--channel", "ou", "--interaction", "ising", "-r", "1e308",
+                   "--strategy", "multistart", "--starts", "2", check=False)
+    assert proc.returncode == 1
+    last = proc.stderr.splitlines()[-1]
+    assert last.startswith("error: all optimization starts failed: multistart-0: objective "
+                           "returned "), last
+    assert last.count("with a non-finite gradient") == 2, last
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("strength", "x", "invalid float value 'x'"),
+    ("max_iters", 2.5, "invalid int value 2.5"),
+])
+def test_bad_config_value_names_the_key_and_the_file(key, value, message, tmp_path, capsys):
+    # the key's flag is spelled differently (--zeta, --max-iters); the error names the key
+    from noisyqst.cli import main
+
+    cfg = tmp_path / f"{key}.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert main(["optimize", "--zeta", "0.05", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: config {str(cfg)!r} key {key!r}: {message}\n"
+
+
+def test_a_launch_freezes_the_import_time_heap():
+    # The entry function imports the CLI with the collector off, freezes what the
+    # import made, and runs main with the collector back on.
+    code = textwrap.dedent("""\
+        import builtins, gc, json, sys
+        seen = {}
+        real_import = builtins.__import__
+
+        def report():
+            seen["main"] = [gc.isenabled(), gc.get_freeze_count()]
+            print(json.dumps(seen))
+            return 3
+
+        def spy(name, globals=None, locals=None, fromlist=(), level=0):
+            module = real_import(name, globals, locals, fromlist, level)
+            if level == 1 and name == "cli" and globals["__name__"] == "noisyqst.__main__":
+                seen["imported"] = [gc.isenabled(), gc.get_freeze_count(), "numpy" in sys.modules]
+                module.main = report
+            return module
+
+        builtins.__import__ = spy
+        from noisyqst.__main__ import run
+        status = run()
+        builtins.__import__ = real_import
+        assert gc.isenabled()
+        sys.exit(status)
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 3, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["imported"] == [False, 0, True]
+    enabled, frozen = seen["main"]
+    assert enabled and frozen > 10_000
+
+
+def test_importing_the_package_leaves_the_collector_as_it_was(capsys):
+    import gc
+    import importlib
+    import pkgutil
+
+    import noisyqst
+
+    enabled = gc.isenabled()
+    for module in pkgutil.iter_modules(noisyqst.__path__):
+        importlib.import_module(f"noisyqst.{module.name}")
+    from noisyqst.cli import main
+
+    assert main(["gate-fidelity", "--zeta", "0.1"]) == 0
+    capsys.readouterr()
+    assert gc.isenabled() == enabled and gc.get_freeze_count() == 0
+
+
+def test_the_installed_script_is_the_entry_function():
+    import importlib
+
+    import noisyqst.__main__ as entry
+
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["noisyqst"]
+    module, name = target.split(":")
+    assert getattr(importlib.import_module(module), name) is entry.run

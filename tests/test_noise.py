@@ -376,3 +376,11 @@ def test_noise_model_validation_and_json():
         NoiseModel("ou", "heisenberg", -0.1)
     n = NoiseModel("ou", "ising", 0.2)
     assert n.to_dict() == {"channel": "ou", "interaction": "ising", "strength": 0.2}
+
+
+def test_depolarizing_q_rejects_a_strength_whose_rate_overflows():
+    # zeta pi overflows to inf, and -inf * 0 would be NaN at a zero entangling time
+    for zeta in (1e308, np.float64(1e308)):
+        with pytest.raises(ValueError, match=r"^depolarizing strength 1e\+308 is too large"):
+            depolarizing_q(zeta, [0.0, 1.0])
+    assert depolarizing_q(5e307, [0.0, 1.0]).tolist() == [1.0, 0.0]

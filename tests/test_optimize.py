@@ -145,8 +145,10 @@ def test_lbfgs_aborts_on_non_finite_objective():
     def bad_gradient(x):
         return (bowl(x)[0], np.full(2, np.nan)) if x[0] > 0.5 else bowl(x)
 
-    for bad in (bad_value, bad_gradient):
-        with pytest.raises(ObjectiveError, match="objective returned"):
+    # the message says which was not finite, the value or the gradient
+    for bad, message in ((bad_value, r"^objective returned inf$"),
+                         (bad_gradient, r"^objective returned [0-9.]+ with a non-finite gradient$")):
+        with pytest.raises(ObjectiveError, match=message):
             lbfgs_minimize(bad, np.array([0.4, 0.0]), box, 200)
 
 
