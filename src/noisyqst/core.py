@@ -111,9 +111,9 @@ def random_densities(d: int, rngs) -> np.ndarray:
     U is Haar and D gap-of-uniforms.  Each state's numbers come from its own
     generator in the order d-1 uniforms, then the real and imaginary parts
     of a d x d Ginibre matrix; the sort, QR and products then run on the
-    whole stack.  Each state is bit-identical to :func:`random_density` on
-    the same generator, and one generator listed n times draws n states in
-    turn.
+    whole stack.  Each state is bit-identical to the stack of one drawn from
+    the same generator, ``random_densities(d, [rng])[0]``, and one generator
+    listed n times draws n states in turn.
     """
     _check_dim(d)
     draws = [(rng.uniform(size=d - 1), rng.standard_normal((d, d)), rng.standard_normal((d, d)))
@@ -124,11 +124,6 @@ def random_densities(d: int, rngs) -> np.ndarray:
     u = _haar_unitaries(re, im)
     rho = (u * _gap_spectra(uniforms)[:, None, :]) @ u.conj().mT
     return (rho + rho.conj().mT) / 2
-
-
-def random_density(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw a random density matrix U D U' with Haar U and gap-of-uniforms D."""
-    return random_densities(d, [rng])[0]
 
 
 def state_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:

@@ -100,8 +100,12 @@ def ou_gammas(r: float, ent, interaction: str) -> np.ndarray:
     exp(-r pi alpha_k) per Heisenberg pulse, exp(-2 r |beta_k|) per Ising coupling.
     """
     ent = np.asarray(ent, dtype=float)
-    with np.errstate(invalid="ignore"):  # NaN at x_k = 0 where -r |rate| gap(S) overflows
-        return np.exp(-r * ENTANGLERS[interaction].dephasing_rate * np.abs(ent))
+    dephasing_rate = ENTANGLERS[interaction].dephasing_rate
+    rate = -float(r) * dephasing_rate  # a Python float: -inf, not a numpy warning, on overflow
+    if rate == -np.inf:  # and -inf * 0 would be NaN at a zero parameter
+        raise ValueError(f"OU strength {r} is too large: r times the dephasing rate "
+                         f"{dephasing_rate:.6g} overflows")
+    return np.exp(rate * np.abs(ent))
 
 
 def apply_ou(rho: np.ndarray, gammas, interaction: str) -> np.ndarray:
@@ -147,8 +151,7 @@ def channel_derivatives(rho: np.ndarray, weights, noise: NoiseModel) -> np.ndarr
     g = ou_gammas(noise.strength, weights, noise.interaction)[..., None, None, :]
     pattern = np.prod(np.where(rec.dephased_by, g, 1.0), axis=-1)
     # d pattern / dw_m = pattern * [m dephases the entry] * d(ln gamma_m)/dw_m
-    with np.errstate(invalid="ignore"):  # -inf * 0 where -r |rate| gap(S) overflows
-        dpattern = np.moveaxis(rate * rec.dephased_by * pattern[..., None], -1, -3)
+    dpattern = np.moveaxis(rate * rec.dephased_by * pattern[..., None], -1, -3)
     rb = (rec.frame.conj().T @ rho @ rec.frame)[..., None, :, :]
     return rec.frame @ (dpattern * rb) @ rec.frame.conj().T
 

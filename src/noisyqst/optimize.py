@@ -2,7 +2,7 @@
 
 Inside the search a quorum is its canonical (5, 15) parameter array.  Every
 start, whatever the strategy, is refined by projected L-BFGS in a box
-(Bertsekas 1982; Kim, Sra & Dhillon 2010; see lbfgs_minimize) on the
+(Bertsekas 1982; Kim, Sra & Dhillon 2010; see _lbfgs_steps) on the
 analytic gradient of -ln Q_N: the MUB seed, or each of a multistart run's
 plain random quorums, with every interaction's entangler parameters held as
 phases in the box of its gates.Entangler record.  The objective is -ln Q_N,
@@ -34,12 +34,12 @@ logger = logging.getLogger(__name__)
 
 STRATEGIES = ("mub-seeded", "multistart")
 
-# lbfgs_minimize runs until a step gains at most LBFGS_F_TOL relative, or its
+# _lbfgs_steps runs until a step gains at most LBFGS_F_TOL relative, or its
 # line search fails: at the rounding floor of -ln Q_N.  The refinement has
 # converged if the max-norm of the projected gradient is then at most G_TOL.
 G_TOL = 1e-6
 LBFGS_F_TOL = 1e-15
-# The (s, y) pairs lbfgs_minimize keeps, and its sufficient-decrease constant.
+# The (s, y) pairs _lbfgs_steps keeps, and its sufficient-decrease constant.
 LBFGS_MEMORY = 10
 ARMIJO_C = 1e-4
 
@@ -110,18 +110,9 @@ def _two_loop(g: np.ndarray, pairs) -> np.ndarray:
     return q
 
 
-def _drive(steps, evaluate):
-    """Run a step generator alone, answering each point it yields with ``evaluate(point)``."""
-    try:
-        point = next(steps)
-        while True:
-            point = steps.send(evaluate(point))
-    except StopIteration as done:
-        return done.value
-
-
-def lbfgs_minimize(fg, x0, bounds, max_iters: int):
-    """Projected L-BFGS minimization of ``fg(x) -> (f, grad)`` in a box, at most ``max_iters`` iterations.
+def _lbfgs_steps(x0, bounds, max_iters: int):
+    """Projected L-BFGS minimization in a box, at most ``max_iters`` iterations, as a step
+    generator: each point x it yields is answered by ``f, grad = yield x``.
 
     An active-set projected quasi-Newton method (Bertsekas, SIAM J. Control
     Optim. 20, 221 (1982); Kim, Sra & Dhillon, SIAM J. Sci. Comput. 32, 3548
@@ -138,14 +129,9 @@ def lbfgs_minimize(fg, x0, bounds, max_iters: int):
     trajectory lists the objective after each iteration and pg is the
     max-norm of the projected gradient at x_min.  Raises
     :class:`ObjectiveError` if the objective or its gradient ever evaluates
-    non-finite.  It runs as the step generator ``_lbfgs_steps``, so that
-    :func:`optimize_quorum` can evaluate the points of many runs as one stack.
+    non-finite.  As a generator it lets :func:`optimize_quorum` evaluate the
+    points of many runs as one stack.
     """
-    return _drive(_lbfgs_steps(x0, bounds, max_iters), fg)
-
-
-def _lbfgs_steps(x0, bounds, max_iters: int):
-    """:func:`lbfgs_minimize` as a step generator: ``f, grad = yield x``."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     low, high = (np.broadcast_to(np.asarray(b, dtype=float), x0.shape) for b in bounds)
 

@@ -49,7 +49,6 @@ from .noise import (
 LOG_COEFF_4D = 1.195
 PER_EFFECT_EXPONENT = LOG_COEFF_4D / 2.0
 NOISE_EXPONENT_4D = 4.0 * PER_EFFECT_EXPONENT  # s = 2.39
-NOISE_EXPONENT_2D = 1.5
 
 # Q_N below this is treated as this, so -ln Q_N stays finite.
 _QN_FLOOR = 1e-300
@@ -216,9 +215,9 @@ def estimate_log_coefficient(d: int, n_samples: int, rng: np.random.Generator) -
 
     For d=2 this is the same quantity: the gap-of-uniforms average regressed
     over q in [0.9, 1], about 1.237 (1.23724 and 1.23723 at 10^6 samples,
-    seeds 1 and 2).  It is not the 3/2 of ``NOISE_EXPONENT_2D``, which is
-    the exact small-c coefficient over the uniform Bloch ball (see
-    :func:`log_average_qubit_exact`).
+    seeds 1 and 2).  It is not the 3/2 of ``NOISE_EXPONENT_2D`` in
+    tests/oracles.py, which is the exact small-c coefficient over the
+    uniform Bloch ball (see ``log_average_qubit_exact`` there).
     """
     if n_samples < 100_000:
         raise ValueError("n_samples must be at least 10^5 for a stable slope")
@@ -237,24 +236,6 @@ def estimate_log_coefficient(d: int, n_samples: int, rng: np.random.Generator) -
     means = acc / (done * d)
     slope = np.polyfit(1.0 - qs, means, 1)[0]
     return float(slope)
-
-
-def log_average_qubit_exact(c: float) -> float:
-    """Closed-form qubit average <ln(p + c)> over the uniform Bloch ball.
-
-    Its expansion around c = 0 is -5/6 + 3c + O(c^2 log c); with
-    c = (1-q)/(2q) the linear coefficient in (1-q) is exactly 3/2.
-    """
-    if c < 0:
-        raise ValueError("c must be >= 0")
-    if c == 0.0:
-        return -5.0 / 6.0
-    return float(
-        -5.0 / 6.0
-        + 2.0 * c * (1.0 + c)
-        + c * c * (3.0 + 2.0 * c) * np.log(c)
-        - (1.0 + c) ** 2 * (2.0 * c - 1.0) * np.log(1.0 + c)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -290,15 +271,6 @@ def analytic_alpha_max(zeta: float, s: float = NOISE_EXPONENT_4D) -> float:
     return float(np.arctan(1.0 / (zeta * s)) / np.pi)
 
 
-def analytic_beta_max(zeta: float, s: float = NOISE_EXPONENT_4D) -> float:
-    """Optimal Ising coupling arctan(4/(zeta s))/2; pi/4 at zero noise."""
-    if zeta < 0 or s <= 0:
-        raise ValueError("zeta must be >= 0 and s > 0")
-    if zeta == 0.0:
-        return float(np.pi / 4.0)
-    return float(np.arctan(4.0 / (zeta * s)) / 2.0)
-
-
 def analytic_heisenberg_qn(a41: float, a43: float, a51: float, a53: float, zeta: float,
                            s: float = NOISE_EXPONENT_4D) -> float:
     """Q_N of the MUB family with free SWAP^alpha durations on the two entangled bases.
@@ -314,10 +286,3 @@ def analytic_heisenberg_qn(a41: float, a43: float, a51: float, a53: float, zeta:
         * np.sin((a51 + a53) * np.pi / 2.0) ** 2
     )
     return float(geometric * np.exp(-zeta * s * np.pi * (a41 + a43 + a51 + a53)))
-
-
-def analytic_ising_qn(b4y: float, b5y: float, zeta: float,
-                      s: float = NOISE_EXPONENT_4D) -> float:
-    """Q_N of the MUB family with free beta_y couplings on the two entangled bases."""
-    geometric = np.sin(2.0 * b4y) ** 2 * np.sin(2.0 * b5y) ** 2 / 32.0
-    return float(geometric * np.exp(-zeta * s * (abs(b4y) + abs(b5y))))

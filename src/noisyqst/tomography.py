@@ -77,27 +77,28 @@ def quorum_scheme(quorum: QuorumParams, noise: NoiseModel, label: str) -> Scheme
 # ---------------------------------------------------------------------------
 
 def outcome_probabilities(rho: np.ndarray, effects: np.ndarray) -> np.ndarray:
-    """Clamped, renormalized outcome probabilities Tr(F_mk rho), shape (m, 4).
+    """Clamped, renormalized outcome probabilities Tr(F_mk rho) (s, m, 4) of states (s, 4, 4).
 
-    A stack of states (s, 4, 4) gives (s, m, 4), each state's rows equal to
-    its one-state call, bit for bit.  Tr(F_mk rho) is the product that the
-    reconstruction uses.  A probability below -1e-10, or a measurement whose
-    probabilities miss 1 by more than 1e-10, raises ValueError naming the
-    first such state and its largest deviation.
+    A state's rows do not depend on the rest of the stack, bit for bit.
+    Tr(F_mk rho) is the product that the reconstruction uses.  A probability
+    below -1e-10, a measurement whose probabilities miss 1 by more than
+    1e-10, or a NaN raises ValueError naming the first such state and its
+    largest deviation.
     """
     rho = np.asarray(rho)
     effects = np.asarray(effects)
-    p = _probabilities(rho.reshape(-1, 4, 4), effects.reshape(-1, 16)).reshape(
-        -1, len(effects), 4)
+    if rho.ndim != 3 or rho.shape[1:] != (4, 4):
+        raise ValueError(f"invalid states: expected a stack (s, 4, 4), got shape {rho.shape}")
+    p = _probabilities(rho, effects.reshape(-1, 16)).reshape(len(rho), len(effects), 4)
     deviation = np.maximum(-p.min(axis=2), np.abs(p.sum(axis=2) - 1.0)).max(axis=1)
-    bad = np.flatnonzero(deviation > 1e-10)
+    bad = np.flatnonzero(~(deviation <= 1e-10))
     if len(bad):
-        where = f"state {bad[0]} of {len(p)}" if rho.ndim == 3 else "the state"
-        raise ValueError(f"invalid outcome probabilities for {where}: a probability below 0 "
-                         f"or a measurement total off 1 by up to {deviation[bad[0]]:.3g}")
+        raise ValueError(f"invalid outcome probabilities for state {bad[0]} of {len(p)}: a "
+                         f"probability below 0 or a measurement total off 1 by up to "
+                         f"{deviation[bad[0]]:.3g}")
     p = np.clip(p, 0.0, 1.0)
     p /= p.sum(axis=2, keepdims=True)
-    return p.reshape(rho.shape[:-2] + p.shape[1:])
+    return p
 
 
 def _assert_informationally_complete(flat: np.ndarray) -> None:
@@ -266,8 +267,7 @@ def ml_reconstruct(
 
     ``counts`` has shape (n_states, m, 4): per state, the outcome counts of
     the m measurements whose effects (m, 4, 4, 4) are ``effects``.  The
-    result has shape (n_states, 4, 4).  One state's counts (m, 4) give one
-    4x4 matrix.
+    result has shape (n_states, 4, 4).
 
     Each state starts at its linear-inversion estimate, moved by a few
     Fisher-scoring steps to the likelihood's maximum over unit-trace
@@ -300,8 +300,7 @@ def ml_reconstruct(
     flat = effects.reshape(-1, 16)
     _assert_informationally_complete(flat)
     n = np.asarray(counts, dtype=float)
-    stacked = n.ndim == 3
-    if n.ndim not in (2, 3) or n.shape[-2:] != effects.shape[:2]:
+    if n.ndim != 3 or n.shape[1:] != effects.shape[:2]:
         raise ValueError("counts do not match the number of effects")
     n = n.reshape(-1, len(flat))
     if not len(n):
@@ -361,7 +360,7 @@ def ml_reconstruct(
             "log-likelihood gap bound up to %.3g nats (gap=%g)",
             len(active), len(estimates), max_iter, bound.max(), gap,
         )
-    return estimates if stacked else estimates[0]
+    return estimates
 
 
 # ---------------------------------------------------------------------------

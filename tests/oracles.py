@@ -4,8 +4,9 @@ Each function builds one gate, one effect or one projector at a time, along
 a route independent of the package's batched kernel: entanglers from their
 pulse or ZZ sequences, channels and average gate fidelities from their
 explicit Kraus sets, q and the nominal projectors from each effect
-separately.  The validators and coordinate maps at the end are used only by
-the tests.
+separately.  The closed forms beside them are references that only the
+tests evaluate; the validators and coordinate maps at the end are used only
+by the tests.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from noisyqst.core import (
 )
 from noisyqst.gates import BELL_CONVENTIONAL, BELL_SORTED, HEISENBERG, QuorumParams
 from noisyqst.noise import DEPOLARIZING, DegeneratePovmError, NoiseModel
-from noisyqst.quality import NOISE_EXPONENT_2D, PER_EFFECT_EXPONENT
+from noisyqst.quality import NOISE_EXPONENT_4D, PER_EFFECT_EXPONENT
 
 _EYE4 = np.eye(4, dtype=complex)
 
@@ -280,6 +281,49 @@ def log_likelihood(counts, effects: np.ndarray, rho: np.ndarray) -> float:
     n = np.asarray(counts, dtype=float).ravel()
     p = np.clip(np.einsum("mkij,ji->mk", effects, rho).real.ravel(), 1e-12, None)
     return float(np.dot(n, np.log(p)))
+
+
+# ---------------------------------------------------------------------------
+# closed forms: the qubit log-average and the Ising optimum
+# ---------------------------------------------------------------------------
+
+# The per-measurement noise exponent of a qubit, the exact small-c
+# coefficient of log_average_qubit_exact.
+NOISE_EXPONENT_2D = 1.5
+
+
+def log_average_qubit_exact(c: float) -> float:
+    """Closed-form qubit average <ln(p + c)> over the uniform Bloch ball.
+
+    Its expansion around c = 0 is -5/6 + 3c + O(c^2 log c); with
+    c = (1-q)/(2q) the linear coefficient in (1-q) is exactly 3/2.
+    """
+    if c < 0:
+        raise ValueError("c must be >= 0")
+    if c == 0.0:
+        return -5.0 / 6.0
+    return float(
+        -5.0 / 6.0
+        + 2.0 * c * (1.0 + c)
+        + c * c * (3.0 + 2.0 * c) * np.log(c)
+        - (1.0 + c) ** 2 * (2.0 * c - 1.0) * np.log(1.0 + c)
+    )
+
+
+def analytic_beta_max(zeta: float, s: float = NOISE_EXPONENT_4D) -> float:
+    """Optimal Ising coupling arctan(4/(zeta s))/2 under depolarizing noise; pi/4 at zero noise."""
+    if zeta < 0 or s <= 0:
+        raise ValueError("zeta must be >= 0 and s > 0")
+    if zeta == 0.0:
+        return float(np.pi / 4.0)
+    return float(np.arctan(4.0 / (zeta * s)) / 2.0)
+
+
+def analytic_ising_qn(b4y: float, b5y: float, zeta: float,
+                      s: float = NOISE_EXPONENT_4D) -> float:
+    """Q_N of the MUB family with free beta_y couplings on the two entangled bases."""
+    geometric = np.sin(2.0 * b4y) ** 2 * np.sin(2.0 * b5y) ** 2 / 32.0
+    return float(geometric * np.exp(-zeta * s * (abs(b4y) + abs(b5y))))
 
 
 # ---------------------------------------------------------------------------

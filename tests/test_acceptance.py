@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from noisyqst.core import random_density
+from noisyqst.core import random_densities
 from noisyqst.gates import ENTANGLER_SLOTS, measurement_unitary, standard_mub_params
 from noisyqst.noise import (
     NoiseModel,
@@ -25,9 +25,7 @@ from noisyqst.noise import (
 from noisyqst.optimize import optimize_quorum
 from noisyqst.quality import (
     analytic_alpha_max,
-    analytic_beta_max,
     analytic_heisenberg_qn,
-    analytic_ising_qn,
     estimate_log_coefficient,
     geometric_quality,
     quality_report,
@@ -36,6 +34,8 @@ from noisyqst.quality import (
 )
 from noisyqst.tomography import mub_scheme, pauli9_scheme, run_experiment
 from oracles import (
+    analytic_beta_max,
+    analytic_ising_qn,
     apply_kraus,
     assert_kraus_complete,
     extract_q_and_nominal,
@@ -212,7 +212,7 @@ def test_criterion_7_channel_algebra_suite():
     with _Timer() as t:
         rng = np.random.default_rng(31)
         for _ in range(100):
-            rho = random_density(4, rng)
+            rho = random_densities(4, [rng])[0]
             g = rng.uniform(0.2, 1.0, size=3)
             q = rng.uniform(0.0, 1.0)
             dep = kraus_depolarizing(q)

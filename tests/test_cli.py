@@ -218,7 +218,7 @@ def test_optimize_command_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
     doc = json.loads((tmp_path / "a.csv.json").read_text())
     # the refined entangler couplings sit at the analytic optimum
-    from noisyqst.quality import analytic_beta_max
+    from oracles import analytic_beta_max
 
     target = analytic_beta_max(0.02)
     for j in (3, 4):
@@ -576,23 +576,25 @@ def test_runtime_error_exits_1():
     proc = run_cli("quality", "--mub", "heisenberg", "--zeta", "1e6", check=False)
     assert proc.returncode == 1
     assert "error" in proc.stderr.lower()
-    # near the float limit the OU decay factors of zero parameters are NaN, and
-    # the one line on stderr says what that did, with no numpy warning before it
-    for args, message in [
-        (("quality", "--interaction", "heisenberg"), "fully depolarized (q=nan)"),
-        (("quality", "--interaction", "ising"), "fully depolarized (q=nan)"),
-        (("gate-fidelity", "--interaction", "heisenberg"), "average gate fidelity is nan"),
-        (("gate-fidelity", "--interaction", "ising"), "average gate fidelity is nan"),
-    ]:
-        proc = run_cli(*args, "--channel", "ou", "-r", "1e308", check=False)
+    # near the float limit r times the OU dephasing rate overflows, r pi for
+    # Heisenberg and r 2 for Ising, and -inf * 0 would be NaN at a zero
+    # parameter: the one line on stderr names the strength, with no numpy
+    # warning before it
+    r = ("--channel", "ou", "-r", "1e308")
+    for args in [("quality", *r), ("quality", "--interaction", "ising", *r),
+                 ("gate-fidelity", *r), ("gate-fidelity", "--interaction", "ising", *r),
+                 ("optimize", *r),
+                 ("optimize", "--interaction", "ising", "--strategy", "multistart",
+                  "--starts", "2", *r),
+                 ("sweep", "--channel", "ou", "--grid", "1e308", "--states", "2"),
+                 ("sweep", "--channel", "ou", "--interaction", "ising", "--grid", "1e308",
+                  "--states", "2", "--schemes", "mub,pauli9,optimized")]:
+        proc = run_cli(*args, check=False)
         assert proc.returncode == 1
-        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
-        assert message in proc.stderr
-    # the refinement's gradient too: the start fails by its NaN effect alone
-    proc = run_cli("optimize", "--channel", "ou", "-r", "1e308", check=False)
-    assert proc.returncode == 1
-    assert proc.stderr.endswith("error: all optimization starts failed: mub: effect 0 of "
-                                "measurement 0 is fully depolarized (q=nan)\n"), proc.stderr
+        rate = "2" if "ising" in args else "3.14159"
+        assert proc.stderr == (f"error: OU strength 1e+308 is too large: r times the dephasing "
+                               f"rate {rate} overflows\n"), proc.stderr
+        assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("args", [
@@ -609,12 +611,21 @@ def test_depolarizing_strength_whose_rate_overflows_is_one_line_error(args):
     assert proc.stdout == ""
 
 
-def test_a_nan_gradient_is_reported_as_the_gradient():
-    # near the float limit the OU value stays finite while its gradient is NaN
-    proc = run_cli("optimize", "--channel", "ou", "--interaction", "ising", "-r", "1e308",
-                   "--strategy", "multistart", "--starts", "2", check=False)
-    assert proc.returncode == 1
-    last = proc.stderr.splitlines()[-1]
+def test_a_nan_gradient_is_reported_as_the_gradient(monkeypatch, capsys):
+    # a finite value with a NaN gradient fails each start on its gradient
+    import noisyqst.optimize as optimize
+    from noisyqst.cli import main
+
+    real = optimize._bounded_objective
+
+    def nan_gradient(z, noise):
+        values, grads = real(z, noise)
+        return values, np.full_like(grads, np.nan)
+
+    monkeypatch.setattr(optimize, "_bounded_objective", nan_gradient)
+    assert main(["optimize", "--channel", "ou", "--interaction", "ising", "-r", "0.05",
+                 "--strategy", "multistart", "--starts", "2"]) == 1
+    last = capsys.readouterr().err.splitlines()[-1]
     assert last.startswith("error: all optimization starts failed: multistart-0: objective "
                            "returned "), last
     assert last.count("with a non-finite gradient") == 2, last

@@ -12,7 +12,6 @@ from noisyqst.core import (
     gram_volume,
     haar_random_unitaries,
     random_densities,
-    random_density,
     state_fidelity,
     traceless_part,
 )
@@ -46,16 +45,16 @@ def test_haar_first_entry_moment():
 
 
 def test_random_density_valid_and_reproducible():
-    rho = random_density(4, np.random.default_rng(3))
+    rho = random_densities(4, [np.random.default_rng(3)])[0]
     assert_density(rho)
-    rho2 = random_density(4, np.random.default_rng(3))
+    rho2 = random_densities(4, [np.random.default_rng(3)])[0]
     assert_allclose(rho, rho2, rtol=0, atol=0)
 
 
 def test_random_density_mean_purity_qubit():
     # Eigenvalues (r, 1-r) with uniform r: E[Tr rho^2] = int r^2+(1-r)^2 dr = 2/3.
     # One generator listed 100,000 times draws the states of 100,000
-    # random_density(2, rng) calls in turn.
+    # random_densities(2, [rng]) calls in turn.
     rho = random_densities(2, [np.random.default_rng(4)] * 100_000)
     purity = np.einsum("nij,nji->n", rho, rho).real
     assert abs(purity.mean() - 2.0 / 3.0) < 0.01
@@ -66,11 +65,13 @@ def test_random_densities_match_random_density_bit_for_bit(d):
     stacked = random_densities(d, [np.random.default_rng(seed) for seed in range(50)])
     assert stacked.shape == (50, d, d)
     for seed, rho in enumerate(stacked):
-        assert rho.tobytes() == random_density(d, np.random.default_rng(seed)).tobytes()
+        alone = random_densities(d, [np.random.default_rng(seed)])
+        assert alone.shape == (1, d, d)
+        assert rho.tobytes() == alone[0].tobytes()
     rng = np.random.default_rng(9)
     in_turn = random_densities(d, [rng] * 5)
     rng = np.random.default_rng(9)
-    assert all(rho.tobytes() == random_density(d, rng).tobytes() for rho in in_turn)
+    assert all(rho.tobytes() == random_densities(d, [rng])[0].tobytes() for rho in in_turn)
     with pytest.raises(ValueError):
         random_densities(3, [rng])
     with pytest.raises(ValueError):
@@ -78,7 +79,7 @@ def test_random_densities_match_random_density_bit_for_bit(d):
 
 
 def test_state_fidelity_self_and_orthogonal():
-    rho = random_density(4, np.random.default_rng(5))
+    rho = random_densities(4, [np.random.default_rng(5)])[0]
     assert abs(state_fidelity(rho, rho) - 1.0) < 1e-10
     p00 = np.zeros((4, 4), dtype=complex)
     p00[0, 0] = 1.0
@@ -237,7 +238,7 @@ def test_traceless_basis_is_orthonormal():
 
 def test_assert_density_on_a_stack_rejects_any_one_bad_member():
     rng = np.random.default_rng(8)
-    stack = np.array([random_density(4, rng) for _ in range(5)])
+    stack = random_densities(4, [rng] * 5)
     assert_density(stack)
     not_hermitian = stack[0].copy()
     not_hermitian[0, 1] += 1e-6

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from noisyqst.core import random_density
+from noisyqst.core import random_densities
 from noisyqst.gates import (
     ENTANGLER_SLOTS,
     ENTANGLERS,
@@ -99,7 +101,7 @@ def test_ou_gammas():
 def test_ou_channels_match_kraus_and_preserve_bell_diagonal():
     rng = np.random.default_rng(0)
     for _ in range(20):
-        rho = random_density(4, rng)
+        rho = random_densities(4, [rng])[0]
         g = rng.uniform(0.3, 1.0, size=3)
         heis = apply_ou(rho, g, "heisenberg")
         assert np.max(np.abs(heis - apply_kraus(rho, kraus_ou_heisenberg(g)))) < 1e-12
@@ -115,7 +117,7 @@ def test_ou_channels_fix_bell_populations():
 
     rng = np.random.default_rng(1)
     for _ in range(10):
-        rho = random_density(4, rng)
+        rho = random_densities(4, [rng])[0]
         g = rng.uniform(0.2, 0.9, size=3)
         before = np.diag(BELL_SORTED.conj().T @ rho @ BELL_SORTED)
         after = np.diag(BELL_SORTED.conj().T @ apply_ou(rho, g, "heisenberg") @ BELL_SORTED)
@@ -159,7 +161,7 @@ def test_kraus_depolarizing_limits_and_action():
     assert_kraus_complete(kraus_depolarizing(0.7), tol=1e-12)
     rng = np.random.default_rng(2)
     for _ in range(50):
-        rho = random_density(4, rng)
+        rho = random_densities(4, [rng])[0]
         q = rng.uniform(0, 1)
         dev = np.max(np.abs(apply_kraus(rho, kraus_depolarizing(q)) - apply_depolarizing(rho, q)))
         assert dev < 1e-12
@@ -183,7 +185,7 @@ def test_kraus_ou_limits_and_completeness():
 def test_channels_preserve_trace_and_positivity():
     rng = np.random.default_rng(4)
     for _ in range(100):
-        rho = random_density(4, rng)
+        rho = random_densities(4, [rng])[0]
         g = rng.uniform(0.1, 1.0, size=3)
         q = rng.uniform(0.0, 1.0)
         for out in (
@@ -364,9 +366,11 @@ def test_effective_povm_degenerate_error():
     quorum = standard_mub_params("heisenberg")
     with pytest.raises(DegeneratePovmError, match="effect 0 of measurement 3"):
         quality_report(quorum, NoiseModel("depolarizing", "heisenberg", 1e4))
-    # -r * pi overflows to -inf, so a zero-duration pulse gives NaN effects
-    with np.errstate(invalid="ignore"), pytest.raises(DegeneratePovmError, match="q=nan"):
+    # -r * pi overflows to -inf, which would give a zero-duration pulse NaN
+    # effects: the strength is named instead of a depolarized effect
+    with pytest.raises(ValueError, match=r"^OU strength 1e\+308 is too large") as info:
         quality_report(quorum, NoiseModel("ou", "heisenberg", 1e308))
+    assert not isinstance(info.value, DegeneratePovmError)
 
 
 def test_noise_model_validation_and_json():
@@ -384,3 +388,20 @@ def test_depolarizing_q_rejects_a_strength_whose_rate_overflows():
         with pytest.raises(ValueError, match=r"^depolarizing strength 1e\+308 is too large"):
             depolarizing_q(zeta, [0.0, 1.0])
     assert depolarizing_q(5e307, [0.0, 1.0]).tolist() == [1.0, 0.0]
+
+
+@pytest.mark.parametrize("interaction, rate, largest", [
+    ("heisenberg", "3.14159", 5.7e307),
+    ("ising", "2", 8.98e307),
+])
+def test_ou_gammas_reject_a_strength_whose_rate_overflows(interaction, rate, largest):
+    # r |rate| gap(S) overflows to inf above about 5.7e307 (r pi) and 9.0e307
+    # (r 2), and -inf * 0 would be NaN at a zero parameter
+    for r in (1e308, np.float64(1e308), 9.0e307 if interaction == "ising" else 5.8e307):
+        message = rf"^OU strength {re.escape(str(r))} is too large: r times the dephasing rate {rate} overflows$"
+        with pytest.raises(ValueError, match=message):
+            ou_gammas(r, [0.0, 0.5, 1.0], interaction)
+    for r in (5e307, largest):
+        assert ou_gammas(r, [0.0, 0.5, 1.0], interaction).tolist() == [1.0, 0.0, 0.0]
+        noise = NoiseModel("ou", interaction, r)
+        assert np.isfinite(quality_report(standard_mub_params(interaction), noise).q_noisy)

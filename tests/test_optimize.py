@@ -24,9 +24,9 @@ from noisyqst.optimize import (
     OptimizationResult,
     _bounded_objective,
     _bounded_start,
+    _lbfgs_steps,
     _lockstep,
     _unpack,
-    lbfgs_minimize,
     optimize_quorum,
     random_quorum,
 )
@@ -57,9 +57,20 @@ MULTISTART_PINNED = [("multistart-0", "0.00039442448315322006", 3),
 FREE = (-np.inf, np.inf)
 
 
+def _run_lbfgs(fg, x0, bounds, max_iters):
+    """Run the refinement's step generator alone, answering each point x it yields with fg(x)."""
+    steps = _lbfgs_steps(x0, bounds, max_iters)
+    try:
+        x = next(steps)
+        while True:
+            x = steps.send(fg(x))
+    except StopIteration as done:
+        return done.value
+
+
 def test_lbfgs_quadratic_bowl():
     fg = lambda x: (float(np.sum((x - 1.0) ** 2)), 2.0 * (x - 1.0))
-    x, fx, traj, _ = lbfgs_minimize(fg, np.zeros(5), FREE, 200)
+    x, fx, traj, _ = _run_lbfgs(fg, np.zeros(5), FREE, 200)
     assert np.max(np.abs(x - 1.0)) < 1e-6
     assert fx < 1e-10
     assert traj and traj[-1][1] == fx
@@ -67,14 +78,14 @@ def test_lbfgs_quadratic_bowl():
 
 def test_lbfgs_rosenbrock():
     fg = lambda v: (float(rosen(v)), rosen_der(v))
-    x, fx, _, _ = lbfgs_minimize(fg, np.array([-1.2, 1.0]), FREE, 200)
+    x, fx, _, _ = _run_lbfgs(fg, np.array([-1.2, 1.0]), FREE, 200)
     assert fx < 1e-8
     assert np.max(np.abs(x - 1.0)) < 1e-3  # known minimum at (1, 1)
 
 
 def test_lbfgs_stops_on_an_active_bound():
     fg = lambda x: (float((x[0] - 3.0) ** 2), 2.0 * (x - 3.0))
-    x, fx, _, pg = lbfgs_minimize(fg, np.array([0.5]), (np.zeros(1), np.ones(1)), 200)
+    x, fx, _, pg = _run_lbfgs(fg, np.array([0.5]), (np.zeros(1), np.ones(1)), 200)
     assert x[0] == 1.0 and fx == 4.0
     assert pg == 0.0  # the gradient points out of the box
 
@@ -106,7 +117,7 @@ def test_lbfgs_diagonal_quadratic_reaches_the_clipped_minimum(problem, data):
     def fg(x):
         return 0.5 * float(a @ ((x - x_star) * (x + x_star - 2.0 * c))), a * (x - c)
 
-    x, _, _, _ = lbfgs_minimize(fg, x0, (low, high), 1000)
+    x, _, _, _ = _run_lbfgs(fg, x0, (low, high), 1000)
     on_bound = x_star != c
     assert np.array_equal(x[on_bound], x_star[on_bound])
     assert np.max(np.abs(x - x_star)) <= 1e-7
@@ -125,7 +136,7 @@ def test_lbfgs_dense_quadratic_descends_inside_the_box(problem, seed):
         return 0.5 * float((x - c) @ hessian @ (x - c)), hessian @ (x - c)
 
     f0, g0 = fg(np.clip(x0, low, high))
-    x, _, trajectory, pg = lbfgs_minimize(fg, x0, (low, high), 1000)
+    x, _, trajectory, pg = _run_lbfgs(fg, x0, (low, high), 1000)
     assert np.all((low <= x) & (x <= high))
     values = [f0] + [f for _, f in trajectory]
     assert all(later <= earlier for earlier, later in zip(values, values[1:]))
@@ -149,7 +160,7 @@ def test_lbfgs_aborts_on_non_finite_objective():
     for bad, message in ((bad_value, r"^objective returned inf$"),
                          (bad_gradient, r"^objective returned [0-9.]+ with a non-finite gradient$")):
         with pytest.raises(ObjectiveError, match=message):
-            lbfgs_minimize(bad, np.array([0.4, 0.0]), box, 200)
+            _run_lbfgs(bad, np.array([0.4, 0.0]), box, 200)
 
 
 def test_multistart_starts_are_the_first_random_quorum_draws(monkeypatch):
@@ -196,7 +207,7 @@ def test_optimize_mub_seeded_recovers_analytic_alpha():
         assert abs(alpha3 - target) < 1e-3
     closed = analytic_heisenberg_qn(target, target, target, target, zeta)
     assert abs(res.q_noisy - closed) < 1e-6
-    # lbfgs_minimize only accepts steps that lower -ln Q_N, so the result never
+    # the refinement only accepts steps that lower -ln Q_N, so the result never
     # scores below the start, and the report is re-evaluable
     start_qn = quality_report(standard_mub_params("heisenberg"), noise).q_noisy
     assert res.q_noisy >= start_qn - 1e-9
@@ -365,7 +376,7 @@ def test_evaluations_count_the_objective_calls_of_a_start_run_alone(strategy):
             return _bounded_objective(z, noise)
 
         z0, bounds = _bounded_start(x0s[result.start_label], "ising")
-        _, _, trajectory, _ = lbfgs_minimize(fg, z0, bounds, max_iters)
+        _, _, trajectory, _ = _run_lbfgs(fg, z0, bounds, max_iters)
         assert result.iterations == len(trajectory)
         assert result.evaluations == len(calls) > len(trajectory)
         assert "evaluations" not in result.to_dict()

@@ -17,22 +17,26 @@ from noisyqst.gates import (
 from noisyqst.noise import CHANNELS, DegeneratePovmError, NoiseModel
 from noisyqst.optimize import random_quorum
 from noisyqst.quality import (
-    NOISE_EXPONENT_2D,
     NOISE_EXPONENT_4D,
     PER_EFFECT_EXPONENT,
     analytic_alpha_max,
-    analytic_beta_max,
     analytic_heisenberg_qn,
-    analytic_ising_qn,
     estimate_log_coefficient,
     geometric_quality,
-    log_average_qubit_exact,
     neg_log_qn_and_grad,
     quality_report,
     single_qubit_optimal_angle,
     single_qubit_quality,
 )
-from oracles import SingleQubitScheme, bloch_gram_volume, single_qubit_quality_decomposed
+from oracles import (
+    NOISE_EXPONENT_2D,
+    SingleQubitScheme,
+    analytic_beta_max,
+    analytic_ising_qn,
+    bloch_gram_volume,
+    log_average_qubit_exact,
+    single_qubit_quality_decomposed,
+)
 
 
 def test_geometric_quality_mub_is_one_over_32():

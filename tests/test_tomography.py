@@ -11,7 +11,6 @@ from noisyqst.core import (
     TRACELESS_BASIS,
     assert_density,
     random_densities,
-    random_density,
     state_fidelity,
 )
 from noisyqst.gates import standard_mub_params
@@ -35,21 +34,19 @@ _STANDARD_BASIS = ideal_effects(np.eye(4, dtype=complex)[None])
 
 
 def test_sample_measurement_pure_state_standard_basis():
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = 1.0
+    rho = np.zeros((1, 4, 4), dtype=complex)
+    rho[0, 0, 0] = 1.0
     counts = np.random.default_rng(0).multinomial(1000, outcome_probabilities(rho, _STANDARD_BASIS))
-    assert counts.shape == (1, 4)
-    assert counts[0, 0] == 1000 and counts[0, 1:].sum() == 0
+    assert counts.shape == (1, 1, 4)
+    assert counts[0, 0, 0] == 1000 and counts[0, 0, 1:].sum() == 0
 
 def test_outcome_probabilities_sum_to_one_for_noisy_povm():
     rng = np.random.default_rng(1)
     scheme = mub_scheme(NoiseModel("ou", "heisenberg", 0.2))
-    for _ in range(10):
-        rho = random_density(4, rng)
-        p = outcome_probabilities(rho, scheme.effects)
-        assert p.shape == (5, 4)
-        assert np.max(np.abs(p.sum(axis=1) - 1.0)) < 1e-12
-        assert np.all(p >= 0)
+    p = outcome_probabilities(random_densities(4, [rng] * 10), scheme.effects)
+    assert p.shape == (10, 5, 4)
+    assert np.max(np.abs(p.sum(axis=2) - 1.0)) < 1e-12
+    assert np.all(p >= 0)
 
 def test_stacked_outcome_probabilities_match_one_state_calls():
     rng = np.random.default_rng(12)
@@ -58,7 +55,7 @@ def test_stacked_outcome_probabilities_match_one_state_calls():
         stacked = outcome_probabilities(states, scheme.effects)
         assert stacked.shape == (20, len(scheme.effects), 4)
         for rho, p in zip(states, stacked):
-            assert p.tobytes() == outcome_probabilities(rho, scheme.effects).tobytes()
+            assert p.tobytes() == outcome_probabilities(rho[None], scheme.effects)[0].tobytes()
 
 
 def test_outcome_probabilities_name_the_first_bad_state_of_a_stack():
@@ -74,9 +71,9 @@ def test_outcome_probabilities_name_the_first_bad_state_of_a_stack():
 
 def test_sample_measurement_frequencies_match_probabilities():
     rng = np.random.default_rng(2)
-    rho = random_density(4, rng)
+    rho = random_densities(4, [rng])
     effects = mub_scheme(_NOISELESS).effects[3:4]
-    p = outcome_probabilities(rho, effects)
+    p = outcome_probabilities(rho, effects)[0]
     n = 100_000
     counts = rng.multinomial(n, p)
     sigma = np.sqrt(p * (1 - p) / n)
@@ -86,23 +83,32 @@ def test_sample_measurement_rejects_bad_inputs():
     # fewer shots than measurements, and a state whose probabilities sum to 4
     with pytest.raises(ValueError, match="budget 8 too small"):
         run_experiment([pauli9_scheme()], 1, 8, 0)
-    bad = np.eye(4, dtype=complex)
+    bad = np.eye(4, dtype=complex)[None]
     with pytest.raises(ValueError, match="by up to 3"):
         outcome_probabilities(bad, _STANDARD_BASIS)
+    # a NaN state: NaN > 1e-10 is false, so it is tested as not <= 1e-10
+    states = random_densities(4, [np.random.default_rng(14)] * 3)
+    states[1, 2, 3] = np.nan
+    with pytest.raises(ValueError, match=r"^invalid outcome probabilities for state 1 of 3: .* nan$"):
+        outcome_probabilities(states, pauli9_scheme().effects)
+    # one state, or a stack of another shape, is not a stack of states (s, 4, 4)
+    for bad in (states[0], states[None], states[:, :2]):
+        with pytest.raises(ValueError, match=r"^invalid states: expected a stack \(s, 4, 4\)"):
+            outcome_probabilities(bad, _STANDARD_BASIS)
 
 def test_ml_reconstruct_exact_probabilities_recovers_state():
     scheme = mub_scheme(_NOISELESS)
     rng = np.random.default_rng(3)
-    for _ in range(5):
-        rho = random_density(4, rng)
-        counts = outcome_probabilities(rho, scheme.effects) * 1e7
-        rho_hat = ml_reconstruct(counts, scheme.effects)
-        assert state_fidelity(rho, rho_hat) > 1.0 - 1e-6
+    states = random_densities(4, [rng] * 5)
+    counts = outcome_probabilities(states, scheme.effects) * 1e7
+    rho_hat = ml_reconstruct(counts, scheme.effects)
+    assert np.all(state_fidelity(states, rho_hat) > 1.0 - 1e-6)
 
 def test_ml_reconstruct_uniform_counts_give_maximally_mixed():
     scheme = mub_scheme(_NOISELESS)
-    rho_hat = ml_reconstruct(np.full((5, 4), 250.0), scheme.effects)
-    assert np.max(np.abs(rho_hat - np.eye(4) / 4)) < 1e-6
+    rho_hat = ml_reconstruct(np.full((1, 5, 4), 250.0), scheme.effects)
+    assert rho_hat.shape == (1, 4, 4)
+    assert np.max(np.abs(rho_hat[0] - np.eye(4) / 4)) < 1e-6
 
 def test_ml_reconstruct_log_likelihood_non_decreasing():
     # max_iter=k returns the k-th iterate of a state still above the gap, and
@@ -126,16 +132,17 @@ def test_ml_reconstruct_log_likelihood_non_decreasing():
 
 def test_ml_reconstruct_requires_informational_completeness():
     scheme = mub_scheme(_NOISELESS)
-    with pytest.raises(ValueError):
-        ml_reconstruct(np.full((2, 4), 10.0), scheme.effects[:2])
+    with pytest.raises(ValueError, match="not informationally complete"):
+        ml_reconstruct(np.full((1, 2, 4), 10.0), scheme.effects[:2])
 
 def test_ml_reconstruct_output_is_valid_density():
     scheme = mub_scheme(NoiseModel("ou", "heisenberg", 0.15))
     rng = np.random.default_rng(5)
     for _ in range(5):
-        rho = random_density(4, rng)
+        rho = random_densities(4, [rng])
         counts = rng.multinomial(400, outcome_probabilities(rho, scheme.effects))
         rho_hat = ml_reconstruct(counts, scheme.effects)
+        assert rho_hat.shape == (1, 4, 4)
         assert_density(rho_hat, tol=1e-8)
 
 def test_noise_ignorant_mode_differs_under_noise():
@@ -147,13 +154,13 @@ def test_noise_ignorant_mode_differs_under_noise():
     nominal = povm_stack(standard_mub_params("heisenberg").to_array(),
                          NoiseModel("depolarizing", "heisenberg", 0.0))
     rng = np.random.default_rng(6)
-    rho = random_density(4, rng)
+    rho = random_densities(4, [rng])
     counts = rng.multinomial(2000, outcome_probabilities(rho, scheme.effects))
-    aware = ml_reconstruct(counts, scheme.effects)
-    ignorant = ml_reconstruct(counts, nominal)
+    (aware,) = ml_reconstruct(counts, scheme.effects)
+    (ignorant,) = ml_reconstruct(counts, nominal)
     assert np.max(np.abs(aware - ignorant)) > 1e-4
-    assert oracles.log_likelihood(counts, scheme.effects, aware) >= oracles.log_likelihood(
-        counts, scheme.effects, ignorant
+    assert oracles.log_likelihood(counts[0], scheme.effects, aware) >= oracles.log_likelihood(
+        counts[0], scheme.effects, ignorant
     )
 
 def test_run_experiment_reproducible():
@@ -255,8 +262,8 @@ def test_ml_reconstruct_warns_only_when_stopped_at_max_iter(caplog):
     # A pure state puts the maximum on the boundary: its projected start is
     # not the maximum, so it needs iterations.
     scheme = pauli9_scheme()
-    counts = _stack_counts(scheme, 1, 9000, seed=6, ranks=(1,))[0]
-    stack = np.stack([counts, np.full((9, 4), 250), counts])
+    counts = _stack_counts(scheme, 1, 9000, seed=6, ranks=(1,))
+    stack = np.concatenate([counts, np.full((1, 9, 4), 250), counts])
     with caplog.at_level(logging.WARNING, logger="noisyqst.tomography"):
         ml_reconstruct(counts, scheme.effects)
         ml_reconstruct(stack, scheme.effects)
@@ -287,11 +294,11 @@ def _rank_deficient_density(rank, rng):
 
 
 def _stack_counts(scheme, n_states, total_shots, seed, ranks=()):
-    # the first len(ranks) states have those ranks, the rest are random_density draws
+    # the first len(ranks) states have those ranks, the rest are random_densities draws
     rng = np.random.default_rng(seed)
     shots = total_shots // len(scheme.effects)
     states = [_rank_deficient_density(rank, rng) for rank in ranks]
-    states += [random_density(4, rng) for _ in range(n_states - len(ranks))]
+    states += [random_densities(4, [rng])[0] for _ in range(n_states - len(ranks))]
     return rng.multinomial(shots, outcome_probabilities(np.array(states), scheme.effects))
 
 
@@ -341,7 +348,7 @@ def test_ml_every_state_converges_to_a_density_matrix(
     rng = np.random.default_rng(seed)
     # pure and low-rank states put the maximum on the boundary
     states = [_rank_deficient_density(rank, rng) for rank in (1, 2, 3)]
-    states += [random_density(4, rng) for _ in range(3)]
+    states += list(random_densities(4, [rng] * 3))
     shots = total_shots // len(scheme.effects)
     counts = rng.multinomial(shots, outcome_probabilities(np.array(states), scheme.effects))
     for est, c in zip(ml_reconstruct(counts, scheme.effects), counts):
@@ -361,9 +368,6 @@ def test_ml_stack_estimates_do_not_depend_on_the_stack():
             alone = ml_reconstruct(counts[i : i + 1], scheme.effects)
             assert alone.shape == (1, 4, 4)
             assert alone[0].tobytes() == full[i].tobytes()
-            one_state = ml_reconstruct(counts[i], scheme.effects)
-            assert one_state.shape == (4, 4)
-            assert one_state.tobytes() == full[i].tobytes()
 
 
 def test_ml_linear_inversion_start_certifies_most_mub_states(caplog):
@@ -409,7 +413,8 @@ def test_ml_certificate_is_at_most_sqrt2_times_the_unconstrained_gradient(
     rng = np.random.default_rng(seed)
     rho = _rank_deficient_density(rank, rng)
     # counts of another state, so rho is not their maximum
-    counts = rng.multinomial(shots, outcome_probabilities(random_density(4, rng), scheme.effects))
+    counts = rng.multinomial(shots, outcome_probabilities(random_densities(4, [rng]),
+                                                          scheme.effects)[0])
     p = np.einsum("mkij,ji->mk", scheme.effects, rho).real
     assume((p > 1e-9).all())
     ratio = counts / p
@@ -450,8 +455,8 @@ def test_ml_start_is_maximally_mixed_where_an_observed_outcome_has_no_probabilit
     plus = np.full(2, 2**-0.5)
     rows = []
     for psi, readout in ((np.kron(plus, plus), 0), (np.eye(4)[0], 8)):
-        ideal = np.round(outcome_probabilities(np.outer(psi, psi).astype(complex),
-                                               scheme.effects) * 1000)
+        ideal = np.round(outcome_probabilities(np.outer(psi, psi).astype(complex)[None],
+                                               scheme.effects)[0] * 1000)
         for b in range(1, 9):
             counts = ideal.copy()
             counts[readout] = (0, 1000 - b, 0, b)
@@ -472,6 +477,9 @@ def test_ml_reconstruct_rejects_counts_of_the_wrong_shape():
         ml_reconstruct(np.full((3, 4, 4), 10.0), scheme.effects)
     with pytest.raises(ValueError, match="number of effects"):
         ml_reconstruct(np.full((3, 20), 10.0), scheme.effects)
+    # one state's counts (m, 4) are not a stack
+    with pytest.raises(ValueError, match="number of effects"):
+        ml_reconstruct(np.full((5, 4), 10.0), scheme.effects)
     with pytest.raises(ValueError, match="no states"):
         ml_reconstruct(np.empty((0, 5, 4)), scheme.effects)
 
@@ -480,7 +488,7 @@ def test_ml_reconstruct_rejects_a_nonpositive_gap():
     scheme = mub_scheme(_NOISELESS)
     for gap in (0.0, -1e-3, float("nan")):
         with pytest.raises(ValueError, match="gap must be > 0"):
-            ml_reconstruct(np.full((5, 4), 250.0), scheme.effects, gap=gap)
+            ml_reconstruct(np.full((1, 5, 4), 250.0), scheme.effects, gap=gap)
 
 
 def test_quorum_scheme_and_quality_report_reject_an_interaction_mismatch():
