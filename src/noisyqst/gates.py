@@ -10,8 +10,9 @@ where ``post`` acts first on the state and ``pre`` acts right before
 readout.  The entangler is either the Heisenberg-exchange gate of three
 SWAP^alpha pulses or the Ising realization of the canonical 4x4 gate
 exp(-i sum_k beta_k sigma_k x sigma_k) by conjugated ZZ evolutions; both are
-built spectrally in their Bell frame.  Every fact about an interaction is
-its :class:`Entangler` record in ``ENTANGLERS``.
+diagonal in their Bell frame, in which :func:`measurement_layers` holds each
+measurement.  Every fact about an interaction is its :class:`Entangler`
+record in ``ENTANGLERS``.
 
 A quorum is five measurements, held as one (5, 15) array of real
 parameters beside its interaction tag (:class:`QuorumParams`); the builders
@@ -232,6 +233,12 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return product.reshape(*product.shape[:-4], 4, 4)
 
 
+def _eigenphases(ent, interaction: str) -> np.ndarray:
+    """Bell-frame eigenvalues e^(i rate S x) (..., 4) of entanglers of parameters x (..., 3)."""
+    rec = ENTANGLERS[interaction]
+    return np.exp(1j * rec.rate * (np.asarray(ent, dtype=float) @ rec.coeffs.T))
+
+
 def entanglers(ent, interaction: str) -> np.ndarray:
     """Entangling gates built spectrally in their Bell frame; see :class:`Entangler`.
 
@@ -239,51 +246,45 @@ def entanglers(ent, interaction: str) -> np.ndarray:
     given, i.e. already canonicalized) or canonical couplings beta (Ising,
     exp(-i sum_k beta_k sigma_k x sigma_k)).  The result has shape (..., 4, 4).
     """
-    rec = ENTANGLERS[interaction]
-    phases = np.exp(1j * rec.rate * (np.asarray(ent, dtype=float) @ rec.coeffs.T))
-    return (rec.frame * phases[..., None, :]) @ rec.frame.conj().T
-
-
-def entangler_derivatives(ent, interaction: str) -> np.ndarray:
-    """Derivatives of :func:`entanglers` by its three parameters, shape (..., 3, 4, 4).
-
-    In the Bell frame the gate is diag(e^(i phi)), phi = rate S x, so the derivative
-    by parameter m is frame . diag(i rate S_m e^(i phi)) . frame^dagger.
-    """
-    rec = ENTANGLERS[interaction]
-    phases = np.exp(1j * rec.rate * (np.asarray(ent, dtype=float) @ rec.coeffs.T))
-    dphases = 1j * rec.rate * rec.coeffs.T * phases[..., None, :]
-    return (rec.frame * dphases[..., None, :]) @ rec.frame.conj().T
+    frame = ENTANGLERS[interaction].frame
+    return (frame * _eigenphases(ent, interaction)[..., None, :]) @ frame.conj().T
 
 
 def measurement_layers(params, interaction: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three factors (pre1 x pre2, entangler, post1 x post2) of stacked measurements.
+    """Stacked measurements in their entangler's Bell frame F: (pre, phases, post).
 
-    ``params`` has shape (..., 15) in the slot order of ``SLOT_NAMES``;
-    each factor has shape (..., 4, 4).
+    ``params`` has shape (..., 15) in the slot order of ``SLOT_NAMES``.  The
+    unitary (pre1 x pre2) . entangler . (post1 x post2) is pre . diag(phases) . post,
+    with pre = (pre1 x pre2) . F and post = F^dagger . (post1 x post2) of shape
+    (..., 4, 4), and the entangler's eigenphases e^(i rate S x) of shape (..., 4).
     """
     params = np.asarray(params, dtype=float)
+    frame = ENTANGLERS[interaction].frame
     gates = single_qubit_gates(params[..., _SINGLE_SLOTS])
     layers = _kron(gates[..., 0::2, :, :], gates[..., 1::2, :, :])
-    pre, post = layers[..., 0, :, :], layers[..., 1, :, :]
-    return pre, entanglers(params[..., ENTANGLER_SLOTS], interaction), post
+    phases = _eigenphases(params[..., ENTANGLER_SLOTS], interaction)
+    return layers[..., 0, :, :] @ frame, phases, frame.conj().T @ layers[..., 1, :, :]
 
 
 def measurement_layer_derivatives(params, interaction: str):
     """Derivatives of the three factors of :func:`measurement_layers` by their own parameters.
 
-    Returns (d pre, d entangler, d post) of shapes (..., 6, 4, 4), (..., 3, 4, 4)
-    and (..., 6, 4, 4), by parameters 0-5, 6-8 and 9-14 of ``SLOT_NAMES`` order.
+    Returns (d pre, d phases, d post) of shapes (..., 6, 4, 4), (..., 3, 4) and
+    (..., 6, 4, 4), by parameters 0-5, 6-8 and 9-14 of ``SLOT_NAMES`` order.  The
+    phases e^(i phi), phi = rate S x, have d/dx_m = i rate S_m e^(i phi).
     """
     params = np.asarray(params, dtype=float)
+    rec = ENTANGLERS[interaction]
     angles = params[..., _SINGLE_SLOTS]
     gates = single_qubit_gates(angles)[..., None, :, :]
     dgates = single_qubit_gate_derivatives(angles)
     # d(a x b) = da x b + a x db, for (pre1, pre2) and (post1, post2)
     dlayers = np.concatenate([_kron(dgates[..., 0::2, :, :, :], gates[..., 1::2, :, :, :]),
                               _kron(gates[..., 0::2, :, :, :], dgates[..., 1::2, :, :, :])], axis=-3)
-    dent = entangler_derivatives(params[..., ENTANGLER_SLOTS], interaction)
-    return dlayers[..., 0, :, :, :], dent, dlayers[..., 1, :, :, :]
+    phases = _eigenphases(params[..., ENTANGLER_SLOTS], interaction)
+    dphases = 1j * rec.rate * rec.coeffs.T * phases[..., None, :]
+    return (dlayers[..., 0, :, :, :] @ rec.frame, dphases,
+            rec.frame.conj().T @ dlayers[..., 1, :, :, :])
 
 
 def measurement_unitary(m) -> np.ndarray:

@@ -10,12 +10,14 @@ parameter k contributes gamma_k = exp(-r |rate| gap(S) |x_k|) (see
 :class:`~noisyqst.gates.Entangler`): exp(-r pi alpha_k) per Heisenberg
 pulse, exp(-2 r |beta_k|) per Ising coupling.
 
-Both channels commute with the ideal entangler and are unital and
-self-adjoint.  The maps below are the one implementation of each channel:
-they build the effective POVMs and the average gate fidelity alike, and
-:func:`channel_derivatives` differentiates them by the noise weights.  The
-channels' explicit Kraus sets are kept in tests/oracles.py, as the
-independent reference the maps are checked against.
+Both commute with the ideal entangler, are unital and self-adjoint, and are
+one map on operators Y in the entangler's Bell frame, where
+:func:`~noisyqst.gates.measurement_layers` holds the measurements:
+N(Y) = q (P o Y) + (1 - q) Tr(Y) 1/4, o being the entrywise product, with
+P = 1 for depolarizing noise (it looks the same in every frame) and q = 1
+for OU, P being its pattern of gammas.  The effective POVMs, their gradients
+and the average gate fidelity all use it; its explicit Kraus sets are kept
+in tests/oracles.py, as the independent reference it is checked against.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ class NoiseModel:
 
 
 # ---------------------------------------------------------------------------
-# depolarizing channel
+# the channel, in the entangler's Bell frame
 # ---------------------------------------------------------------------------
 
 def depolarizing_q(zeta: float, entangling_time):
@@ -77,22 +79,9 @@ def depolarizing_q(zeta: float, entangling_time):
     rate = -float(zeta) * np.pi  # a Python float: -inf, not a numpy warning, where it overflows
     if rate == -np.inf:  # and -inf * 0 would be NaN at a zero entangling time
         raise ValueError(f"depolarizing strength {zeta} is too large: zeta pi overflows")
-    return np.exp(rate * entangling_time)
+    with np.errstate(over="ignore"):  # rate T past the float range is -inf, and q is 0
+        return np.exp(rate * entangling_time)
 
-
-def apply_depolarizing(rho: np.ndarray, q) -> np.ndarray:
-    """q rho + (1 - q) Tr(rho) 1/d, for stacked rho (..., d, d) and q broadcast over the stack."""
-    q = np.asarray(q, dtype=float)
-    if not np.all((0.0 <= q) & (q <= 1.0)):
-        raise ValueError(f"q must lie in [0, 1], got {q}")
-    d = rho.shape[-1]
-    mixed = (1.0 - q) * np.einsum("...ii->...", rho)
-    return q[..., None, None] * rho + mixed[..., None, None] * np.eye(d) / d
-
-
-# ---------------------------------------------------------------------------
-# over-/under-rotation channel
-# ---------------------------------------------------------------------------
 
 def ou_gammas(r: float, ent, interaction: str) -> np.ndarray:
     """Dephasing factors exp(-r |rate| gap(S) |x_k|) of entangler parameters x of shape (..., 3).
@@ -105,55 +94,53 @@ def ou_gammas(r: float, ent, interaction: str) -> np.ndarray:
     if rate == -np.inf:  # and -inf * 0 would be NaN at a zero parameter
         raise ValueError(f"OU strength {r} is too large: r times the dephasing rate "
                          f"{dephasing_rate:.6g} overflows")
-    return np.exp(rate * np.abs(ent))
+    with np.errstate(over="ignore"):  # rate |x_k| past the float range is -inf, and gamma_k 0
+        return np.exp(rate * np.abs(ent))
 
 
-def apply_ou(rho: np.ndarray, gammas, interaction: str) -> np.ndarray:
-    """Dephase stacked rho (..., 4, 4) in the entangler's Bell frame.
-
-    ``gammas`` (..., 3) broadcasts against the stack.  The Bell-diagonal
-    part is untouched; entry [a, b] decays by the product of the gammas of
-    the parameters that move the eigenphase gap of a and b.
-    """
-    rec = ENTANGLERS[interaction]
+def ou_pattern(gammas, interaction: str) -> np.ndarray:
+    """The Bell-frame decay pattern P (..., 4, 4) of stacked OU gammas (..., 3): entry [a, b]
+    is the product of the gammas of the parameters that dephase Bell vectors a and b."""
     g = np.asarray(gammas, dtype=float)[..., None, None, :]
-    pattern = np.prod(np.where(rec.dephased_by, g, 1.0), axis=-1)
-    rb = rec.frame.conj().T @ rho @ rec.frame
-    return rec.frame @ (pattern * rb) @ rec.frame.conj().T
+    return np.prod(np.where(ENTANGLERS[interaction].dephased_by, g, 1.0), axis=-1)
 
 
-def _apply_channel(rho: np.ndarray, ent, noise: NoiseModel) -> np.ndarray:
-    """The noise of entanglers with parameters ``ent`` (..., 3), broadcast against stacked rho."""
-    if noise.channel == DEPOLARIZING:
-        q = depolarizing_q(noise.strength, entangling_times(ent, noise.interaction))
-        return apply_depolarizing(rho, q)
-    return apply_ou(rho, ou_gammas(noise.strength, ent, noise.interaction), noise.interaction)
-
-
-def channel_derivatives(rho: np.ndarray, weights, noise: NoiseModel) -> np.ndarray:
-    """Derivatives of the channel by its three noise weights, applied to stacked rho (..., 4, 4).
+def channel_coefficients(weights, noise: NoiseModel):
+    """The channel N(Y) = M o Y + c Tr(Y) 1/4 on Bell-frame operators, and its derivatives.
 
     The weights (..., 3) >= 0 stand where the channel reads the entangler's
-    parameters: pulse durations alpha, or coupling magnitudes |beta|.  Each
-    weight m enters through one log-rate, d ln q / dw_m = -zeta |rate|
-    for the depolarizing q, and d ln gamma_m / dw_m = -r |rate| gap(S) for
-    OU.  Returns shape (..., 3, 4, 4).
+    parameters: pulse durations alpha, or coupling magnitudes |beta|.  N is
+    q (P o Y) + (1 - q) Tr(Y) 1/4, so M = q P and c = 1 - q, and dN / dw_m is
+    the same form with dM = dq P + q dP and dc = -dq: d ln q / dw_m = -zeta
+    |rate| for depolarizing noise (P = 1), d ln gamma_m / dw_m = -r |rate|
+    gap(S) for OU (q = 1).  Returns M (..., 4, 4), c (...), dM (..., 3, 4, 4), dc (..., 3).
     """
     weights = np.asarray(weights, dtype=float)
     rec = ENTANGLERS[noise.interaction]
     if noise.channel == DEPOLARIZING:
-        # d/dw_m [q rho + (1 - q) Tr(rho) 1/4] = q d(ln q)/dw_m (rho - Tr(rho) 1/4)
         q = depolarizing_q(noise.strength, entangling_times(weights, noise.interaction))
-        rate = -noise.strength * abs(rec.rate)
-        traceless = rho - np.einsum("...ii->...", rho)[..., None, None] * np.eye(4) / 4.0
-        return np.repeat((rate * q)[..., None, None, None] * traceless[..., None, :, :], 3, axis=-3)
-    rate = -noise.strength * rec.dephasing_rate
-    g = ou_gammas(noise.strength, weights, noise.interaction)[..., None, None, :]
-    pattern = np.prod(np.where(rec.dephased_by, g, 1.0), axis=-1)
-    # d pattern / dw_m = pattern * [m dephases the entry] * d(ln gamma_m)/dw_m
-    dpattern = np.moveaxis(rate * rec.dephased_by * pattern[..., None], -1, -3)
-    rb = (rec.frame.conj().T @ rho @ rec.frame)[..., None, :, :]
-    return rec.frame @ (dpattern * rb) @ rec.frame.conj().T
+        dq = -noise.strength * abs(rec.rate) * q[..., None] * np.ones(3)
+        pattern, dpattern = np.ones((4, 4)), np.zeros((3, 4, 4))
+    else:
+        q, dq = np.ones(weights.shape[:-1]), np.zeros(weights.shape)
+        pattern = ou_pattern(ou_gammas(noise.strength, weights, noise.interaction),
+                             noise.interaction)
+        # d pattern / dw_m = pattern * [m dephases the entry] * d(ln gamma_m)/dw_m
+        rate = -noise.strength * rec.dephasing_rate
+        dpattern = np.moveaxis(rate * rec.dephased_by * pattern[..., None], -1, -3)
+    dmat = dq[..., None, None] * pattern[..., None, :, :] + q[..., None, None, None] * dpattern
+    return q[..., None, None] * pattern, 1.0 - q, dmat, -dq
+
+
+def frame_channel(y: np.ndarray, mat, mixed, tail=None) -> np.ndarray:
+    """tail^dagger (M o Y + c Tr(Y) 1/4) tail of stacked Y (..., 4, 4), for M (..., 4, 4) and
+    c (...) of :func:`channel_coefficients`; ``tail`` is unitary, the identity by default, so
+    the 1/4 term is not conjugated, and its rounding cannot swamp a depolarizing q near 1e-16."""
+    mixed = np.asarray(mixed) * np.einsum("...ii->...", y)
+    out = mat * y
+    if tail is not None:
+        out = tail.conj().swapaxes(-1, -2) @ out @ tail
+    return out + mixed[..., None, None] * np.eye(4) / 4
 
 
 # ---------------------------------------------------------------------------
@@ -163,11 +150,12 @@ def channel_derivatives(rho: np.ndarray, weights, noise: NoiseModel) -> np.ndarr
 def average_gate_fidelity(noise: NoiseModel, ent) -> float:
     """Haar-average fidelity of the noise on an entangler with parameters ``ent`` (3,).
 
-    The channel map acts once on the 16 matrix units |i><j|, stacked
-    (16, 4, 4), and F = (sum_ij <i|E(|i><j|)|j> + d) / (d^2 + d) with d = 4.
+    F = (sum_ij <i|E(|i><j|)|j> + d) / (d^2 + d) with d = 4.  The sum is the
+    channel's trace, the same in every frame, so the map acts once on the 16
+    matrix units |i><j| of the Bell frame, stacked (16, 4, 4).
     """
     units = np.eye(16, dtype=complex).reshape(16, 4, 4)  # |i><j| at index 4 i + j
-    out = _apply_channel(units, ent, noise)
+    out = frame_channel(units, *channel_coefficients(ent, noise)[:2])
     fidelity = float((np.einsum("ijij->", out.reshape(4, 4, 4, 4)).real + 4.0) / 20.0)
     if not np.isfinite(fidelity):
         raise ValueError(f"average gate fidelity is {fidelity} for {noise} and entangler {ent}")
@@ -197,9 +185,10 @@ def povm_stack(params, noise: NoiseModel) -> np.ndarray:
     :mod:`~noisyqst.quality` derives the per-effect scales q, Q and Q_N.
 
     Readout projectors are pulled back through the pre-readout single-qubit
-    layer, passed through the (self-adjoint) noise channel sitting at the
-    entangler, then pulled back through the ideal entangler and the first
-    single-qubit layer.  Single-qubit gates are taken error-free.
+    layer into the entangler's Bell frame, passed through the (self-adjoint)
+    noise channel sitting at the entangler, then pulled back through the
+    ideal entangler, diagonal there, and the first single-qubit layer.
+    Single-qubit gates are taken error-free.
     """
     params = np.asarray(params, dtype=float)
     layers = measurement_layers(params, noise.interaction)
@@ -207,16 +196,12 @@ def povm_stack(params, noise: NoiseModel) -> np.ndarray:
 
 
 def _layer_effects(layers, weights, noise: NoiseModel) -> np.ndarray:
-    """Effects (..., 4, 4, 4) of measurement layers (pre, entangler, post) whose
+    """Effects (..., 4, 4, 4) of Bell-frame measurement layers (pre, phases, post), whose
     channels read the noise weights (..., 3) in place of the entangler parameters."""
-    pre, entangler, post = layers
-    weights = np.asarray(weights, dtype=float)[..., None, :]  # one channel for the 4 effects
-    if noise.channel == DEPOLARIZING:
-        # The depolarizing channel commutes with every unitary, so it acts on the
-        # ideal effects of the whole circuit: cheaper than pulling each one back.
-        return _apply_channel(ideal_effects(pre @ entangler @ post), weights, noise)
-    tail = (entangler @ post)[..., None, :, :]
-    return tail.conj().swapaxes(-1, -2) @ _apply_channel(ideal_effects(pre), weights, noise) @ tail
+    pre, phases, post = layers
+    channel = channel_coefficients(np.asarray(weights, dtype=float)[..., None, :], noise)[:2]
+    tail = (phases[..., :, None] * post)[..., None, :, :]  # diag(phases) . post, for 4 effects
+    return frame_channel(ideal_effects(pre), *channel, tail)
 
 
 def _require_interaction(interaction: str, noise: NoiseModel) -> None:

@@ -28,7 +28,7 @@ from .gates import (
     standard_mub_params,
 )
 from .noise import DegeneratePovmError, NoiseModel
-from .quality import neg_log_qn_and_grad, quality_report
+from .quality import QN_FLOOR, neg_log_qn_and_grad, quality_report
 
 logger = logging.getLogger(__name__)
 
@@ -42,6 +42,8 @@ LBFGS_F_TOL = 1e-15
 # The (s, y) pairs _lbfgs_steps keeps, and its sufficient-decrease constant.
 LBFGS_MEMORY = 10
 ARMIJO_C = 1e-4
+# Past this gradient of a free coordinate the products of a step overflow, so _lbfgs_steps stops.
+LBFGS_G_MAX = 1e150
 
 
 @dataclass(frozen=True)
@@ -122,7 +124,8 @@ def _lbfgs_steps(x0, bounds, max_iters: int):
     Armijo's condition holds.  The first step has unit length at most.  A
     pair (s, y) is stored only if s.y > 0, with y zero on the fixed
     coordinates.  It stops when a step gains at most LBFGS_F_TOL relative,
-    or when the line search reaches the rounding floor of x.
+    when the line search reaches the rounding floor of x, or where a free
+    coordinate's gradient passes LBFGS_G_MAX.
 
     ``bounds`` is a pair (low, high), infinite where a coordinate is free; x0
     is clipped into it.  Returns (x_min, f_min, trajectory, pg) where
@@ -146,6 +149,8 @@ def _lbfgs_steps(x0, bounds, max_iters: int):
     while len(trajectory) < max_iters:
         fixed = ((x <= low) & (g > 0)) | ((x >= high) & (g < 0))
         g_free = np.where(fixed, 0.0, g)
+        if np.max(np.abs(g_free)) > LBFGS_G_MAX:
+            break
         d = -_two_loop(g_free, pairs)
         d[fixed] = 0.0
         if g @ d >= 0.0:  # the pairs give no descent direction: forget them
@@ -312,9 +317,10 @@ def optimize_quorum(
     iterations of projected L-BFGS on the analytic gradient; all run in
     lockstep in this process, each as it would alone.  A start whose
     objective turns non-finite or NaN (a fully depolarized effect, which the
-    warning names) fails alone.  Unconverged, then failed starts are logged
-    as warnings in start order.  Results are sorted by decreasing Q_N; if
-    every start fails, RuntimeError is raised.
+    warning names) fails alone.  Starts at the Q_N floor (the objective's cap),
+    or unconverged, then failed starts are logged as warnings in start order.
+    Results are sorted by decreasing Q_N; if every start fails, RuntimeError
+    is raised.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -333,7 +339,10 @@ def optimize_quorum(
     outcomes = _lockstep(noise, max_iters, starts)
     results = [r for r in outcomes if isinstance(r, OptimizationResult)]
     for r in results:
-        if r.projected_gradient > G_TOL:
+        if r.q_noisy <= QN_FLOOR:  # -ln Q_N is capped there, with a zero gradient
+            logger.warning("start %s stopped at the Q_N floor: Q_N %.3g <= %.0e after %d "
+                           "iterations", r.start_label, r.q_noisy, QN_FLOOR, r.iterations)
+        elif r.projected_gradient > G_TOL:
             logger.warning("start %s did not converge: projected gradient %.2e > %.0e after %d "
                            "iterations", r.start_label, r.projected_gradient, G_TOL, r.iterations)
     failures = [(label, exc) for (label, _), exc in zip(starts, outcomes)

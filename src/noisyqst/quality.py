@@ -36,10 +36,10 @@ from .gates import (
 from .noise import (
     DegeneratePovmError,
     NoiseModel,
-    _apply_channel,
     _layer_effects,
     _require_interaction,
-    channel_derivatives,
+    channel_coefficients,
+    frame_channel,
     ideal_effects,
     povm_stack,
 )
@@ -51,7 +51,7 @@ PER_EFFECT_EXPONENT = LOG_COEFF_4D / 2.0
 NOISE_EXPONENT_4D = 4.0 * PER_EFFECT_EXPONENT  # s = 2.39
 
 # Q_N below this is treated as this, so -ln Q_N stays finite.
-_QN_FLOOR = 1e-300
+QN_FLOOR = 1e-300
 
 # -ln Q_N = -ln|det C_3| - sum_jk w_k ln q_jk, with w_k = 0.5975 - [k <= 3].
 _LOG_Q_WEIGHTS = PER_EFFECT_EXPONENT - np.array([1.0, 1.0, 1.0, 0.0])
@@ -139,9 +139,9 @@ def neg_log_qn_and_grad(params, weights, noise: NoiseModel, strict: bool = False
 
     A_jk being the Hermitian operator with traceless coordinates
     (C_3^-T)_jk [k <= 3] + w_k c_jk / |c_jk|^2.  Each effect is
-    E_jk = tail^dagger N(pre^dagger P_k pre) tail, with tail = entangler . post
-    and N the self-adjoint channel, so each Tr(A dE) moves onto the
-    derivative of one layer or of N.  Where the value is capped at
+    E_jk = tail^dagger N(pre^dagger P_k pre) tail in the Bell-frame layers, tail =
+    diag(phases) . post, N being the self-adjoint channel, so each Tr(A dE) moves
+    onto the derivative of one layer or of N.  Where the value is capped at
     -ln(1e-300) the gradient is zero; a quorum's row is all NaN where one of
     its inputs is not finite or one of its effects is fully depolarized, or
     with ``strict`` the latter raises :class:`DegeneratePovmError`.
@@ -155,7 +155,7 @@ def neg_log_qn_and_grad(params, weights, noise: NoiseModel, strict: bool = False
                           & np.isfinite(weights).all(axis=(1, 2)))
     layers = measurement_layers(params[rows], noise.interaction)
     _, log_noisy, _, coords = _log_qualities(_layer_effects(layers, weights[rows], noise), strict)
-    cap = -np.log(_QN_FLOOR)
+    cap = -np.log(QN_FLOOR)
     values[rows] = np.minimum(-log_noisy, cap)
     capped, live = rows[-log_noisy >= cap], rows[-log_noisy < cap]
     grad_params[capped], grad_weights[capped] = 0.0, 0.0
@@ -170,28 +170,31 @@ def neg_log_qn_and_grad(params, weights, noise: NoiseModel, strict: bool = False
     h[:, :, :3] += np.linalg.inv(coords[:, :, :3].reshape(-1, 15, 15)).mT.reshape(-1, 5, 3, 15)
     a = (h.reshape(-1, 20, 15) @ _BASIS_ROWS).reshape(-1, 5, 4, 4, 4)
 
-    pre, entangler, post = layers
-    tail = (entangler @ post)[:, :, None]
+    pre, phases, post = layers
+    tail = (phases[:, :, :, None] * post)[:, :, None]
     tail_dag = tail.conj().swapaxes(-1, -2)
     readout = ideal_effects(pre)  # pre^dagger P_k pre
     pulled = tail @ a @ tail_dag  # Tr(A tail^dagger X tail) = Tr(pulled X)
+    mat, mixed, dmat, dmixed = channel_coefficients(weights, noise)
 
     def trace_products(dlayers, s):
         # 2 Re Tr(dL_p S) for derivatives dL (n, 5, p, 4, 4) and S (n, 5, 4, 4)
         return 2.0 * np.einsum("njpab,njba->njp", dlayers, s).real
 
-    dpre, dent, dpost = measurement_layer_derivatives(params, noise.interaction)
+    dpre, dphases, dpost = measurement_layer_derivatives(params, noise.interaction)
     # sum_k Tr(N(pulled_k) d(pre^dagger P_k pre)) = 2 Re Tr(d pre S), column k of S
     # being column k of N(pulled_k) pre^dagger
-    s_pre = np.einsum("njkak->njak", _apply_channel(pulled, weights, noise)
+    s_pre = np.einsum("njkak->njak", frame_channel(pulled, mat, mixed)
                       @ pre.conj().swapaxes(-1, -2)[:, :, None])
-    # sum_k Tr(A_k d(tail^dagger M_k tail)) = 2 Re Tr(d tail T), M_k = N(pre^dagger P_k pre)
-    t = (a @ tail_dag @ _apply_channel(readout, weights, noise)).sum(axis=2)
+    # sum_k Tr(A_k d(tail^dagger M_k tail)) = 2 Re Tr(d tail T), M_k = N(pre^dagger P_k pre),
+    # where d tail = diag(d phases) post + diag(phases) d post scales rows
+    t = (a @ (tail_dag @ frame_channel(readout, mat, mixed))).sum(axis=2)
     grad_params[rows, :, :6] = -trace_products(dpre, s_pre)
-    grad_params[rows, :, ENTANGLER_SLOTS] = -trace_products(dent, post @ t)
-    grad_params[rows, :, 9:] = -trace_products(dpost, t @ entangler)
+    dtail = dphases[..., None] * post[:, :, None]
+    grad_params[rows, :, ENTANGLER_SLOTS] = -trace_products(dtail, t)
+    grad_params[rows, :, 9:] = -trace_products(phases[:, :, None, :, None] * dpost, t)
     grad_weights[rows] = -np.einsum("njkab,njkmba->njm", pulled,
-                                    channel_derivatives(readout, weights, noise)).real
+                                    frame_channel(readout[:, :, :, None], dmat, dmixed)).real
     return (values.reshape(lead)[()], grad_params.reshape(*lead, 5, 15),
             grad_weights.reshape(*lead, 5, 3))
 

@@ -6,7 +6,8 @@ pulse or ZZ sequences, channels and average gate fidelities from their
 explicit Kraus sets, q and the nominal projectors from each effect
 separately.  The closed forms beside them are references that only the
 tests evaluate; the validators and coordinate maps at the end are used only
-by the tests.
+by the tests.  ``depolarize`` and ``dephase`` carry the package's Bell-frame
+channel into the standard frame, so that it meets the Kraus sets there.
 """
 
 from __future__ import annotations
@@ -25,7 +26,13 @@ from noisyqst.core import (
     gram_volume,
 )
 from noisyqst.gates import BELL_CONVENTIONAL, BELL_SORTED, HEISENBERG, QuorumParams
-from noisyqst.noise import DEPOLARIZING, DegeneratePovmError, NoiseModel
+from noisyqst.noise import (
+    DEPOLARIZING,
+    DegeneratePovmError,
+    NoiseModel,
+    frame_channel,
+    ou_pattern,
+)
 from noisyqst.quality import NOISE_EXPONENT_4D, PER_EFFECT_EXPONENT
 
 _EYE4 = np.eye(4, dtype=complex)
@@ -165,6 +172,22 @@ def apply_kraus(rho: np.ndarray, ops) -> np.ndarray:
     for m in ops:
         out += m @ rho @ m.conj().T
     return out
+
+
+def depolarize(rho: np.ndarray, q) -> np.ndarray:
+    """The package's Bell-frame channel at depolarizing q (P = 1) on stacked rho (..., 4, 4),
+    conjugated from the standard frame into a Bell frame and back."""
+    y = BELL_CONVENTIONAL.conj().T @ rho @ BELL_CONVENTIONAL
+    out = frame_channel(y, q * np.ones((4, 4)), 1.0 - q)
+    return BELL_CONVENTIONAL @ out @ BELL_CONVENTIONAL.conj().T
+
+
+def dephase(rho: np.ndarray, gammas, interaction: str) -> np.ndarray:
+    """The package's Bell-frame channel at OU gammas (3,) (q = 1) on stacked rho (..., 4, 4),
+    conjugated from the standard frame into the entangler's Bell frame and back."""
+    frame = BELL_SORTED if interaction == HEISENBERG else BELL_CONVENTIONAL
+    out = frame_channel(frame.conj().T @ rho @ frame, ou_pattern(gammas, interaction), 0.0)
+    return frame @ out @ frame.conj().T
 
 
 def kraus_set(ent, interaction: str, noise: NoiseModel) -> list[np.ndarray]:

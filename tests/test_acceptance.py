@@ -15,13 +15,7 @@ import pytest
 
 from noisyqst.core import random_densities
 from noisyqst.gates import ENTANGLER_SLOTS, measurement_unitary, standard_mub_params
-from noisyqst.noise import (
-    NoiseModel,
-    apply_depolarizing,
-    apply_ou,
-    average_gate_fidelity,
-    povm_stack,
-)
+from noisyqst.noise import NoiseModel, average_gate_fidelity, povm_stack
 from noisyqst.optimize import optimize_quorum
 from noisyqst.quality import (
     analytic_alpha_max,
@@ -38,6 +32,8 @@ from oracles import (
     analytic_ising_qn,
     apply_kraus,
     assert_kraus_complete,
+    dephase,
+    depolarize,
     extract_q_and_nominal,
     kraus_average_gate_fidelity,
     kraus_depolarizing,
@@ -220,9 +216,9 @@ def test_criterion_7_channel_algebra_suite():
             isg = kraus_ou_ising(g)
             for ops in (dep, heis, isg):
                 assert_kraus_complete(ops, tol=1e-10)
-            assert np.max(np.abs(apply_kraus(rho, dep) - apply_depolarizing(rho, q))) < 1e-12
-            assert np.max(np.abs(apply_kraus(rho, heis) - apply_ou(rho, g, "heisenberg"))) < 1e-12
-            assert np.max(np.abs(apply_kraus(rho, isg) - apply_ou(rho, g, "ising"))) < 1e-12
+            assert np.max(np.abs(apply_kraus(rho, dep) - depolarize(rho, q))) < 1e-12
+            assert np.max(np.abs(apply_kraus(rho, heis) - dephase(rho, g, "heisenberg"))) < 1e-12
+            assert np.max(np.abs(apply_kraus(rho, isg) - dephase(rho, g, "ising"))) < 1e-12
         for interaction, channel in (
             ("heisenberg", "depolarizing"),
             ("heisenberg", "ou"),

@@ -110,7 +110,7 @@ def test_quality_mub_output_is_pinned(capsys):
     assert main(["quality", "--mub", "heisenberg", "--zeta", "0.05", "--threads", "1"]) == 0
     out = capsys.readouterr().out
     assert (hashlib.sha256(out.encode()).hexdigest()
-            == "b58b6c531f0411fab3da414f22377e9c36a1f11bb05523f91d45c0b59539963a")
+            == "9d797c9de42be8d6a9c9d19b44faa7fba9b63bddec0cf327653dd2ea627798cf")
 
 
 def test_output_does_not_depend_on_the_core_count(monkeypatch, capsys):
@@ -595,6 +595,24 @@ def test_runtime_error_exits_1():
         assert proc.stderr == (f"error: OU strength 1e+308 is too large: r times the dephasing "
                                f"rate {rate} overflows\n"), proc.stderr
         assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("strength", ["1e10", "1e200", "5e307"])
+@pytest.mark.parametrize("strategy", [
+    ["--strategy", "mub-seeded"],
+    ["--strategy", "multistart", "--starts", "3", "--max-iters", "50"],
+], ids=["mub-seeded", "multistart"])
+def test_ou_ising_optimize_runs_at_large_accepted_strengths(strategy, strength):
+    # the OU derivative by a noise weight scales by -2 r, far past the value: a
+    # run ends, or fails with the one error that names the strength, never with
+    # numpy's bare overflow text
+    proc = run_cli("optimize", "--channel", "ou", "--interaction", "ising", "-r", strength,
+                   *strategy, check=False)
+    assert proc.returncode in (0, 1), proc.stderr
+    if proc.returncode == 1:
+        last = proc.stderr.splitlines()[-1]
+        assert last.startswith(f"error: OU strength {float(strength)} is too large"), last
+    assert "overflow encountered" not in proc.stderr
 
 
 @pytest.mark.parametrize("args", [

@@ -21,10 +21,10 @@ from noisyqst.gates import (
 from noisyqst.noise import (
     DegeneratePovmError,
     NoiseModel,
-    apply_depolarizing,
-    apply_ou,
     average_gate_fidelity,
+    channel_coefficients,
     depolarizing_q,
+    frame_channel,
     ideal_effects,
     ou_gammas,
     povm_stack,
@@ -34,6 +34,8 @@ from noisyqst.quality import _log_qualities, quality_report
 from oracles import (
     apply_kraus,
     assert_kraus_complete,
+    dephase,
+    depolarize,
     extract_q_and_nominal,
     kraus_average_gate_fidelity,
     kraus_depolarizing,
@@ -65,13 +67,11 @@ def test_depolarizing_q_values():
     assert depolarizing_q(0.034, 0.25) == pytest.approx(np.exp(-0.034 * np.pi / 4), rel=1e-15)
 
 
-def test_apply_depolarizing_limits_and_formula():
+def test_depolarizing_channel_limits_and_formula():
     rho = _bell_rho()
-    assert_allclose(apply_depolarizing(rho, 1.0), rho, atol=1e-15)
-    assert_allclose(apply_depolarizing(rho, 0.0), np.eye(4) / 4, atol=1e-15)
-    assert_allclose(apply_depolarizing(rho, 0.5), (rho + np.eye(4) / 4) / 2, atol=1e-15)
-    with pytest.raises(ValueError):
-        apply_depolarizing(rho, 1.5)
+    assert_allclose(depolarize(rho, 1.0), rho, atol=1e-15)
+    assert_allclose(depolarize(rho, 0.0), np.eye(4) / 4, atol=1e-15)
+    assert_allclose(depolarize(rho, 0.5), (rho + np.eye(4) / 4) / 2, atol=1e-15)
 
 
 def test_ou_gammas():
@@ -103,13 +103,13 @@ def test_ou_channels_match_kraus_and_preserve_bell_diagonal():
     for _ in range(20):
         rho = random_densities(4, [rng])[0]
         g = rng.uniform(0.3, 1.0, size=3)
-        heis = apply_ou(rho, g, "heisenberg")
+        heis = dephase(rho, g, "heisenberg")
         assert np.max(np.abs(heis - apply_kraus(rho, kraus_ou_heisenberg(g)))) < 1e-12
-        isg = apply_ou(rho, g, "ising")
+        isg = dephase(rho, g, "ising")
         assert np.max(np.abs(isg - apply_kraus(rho, kraus_ou_ising(g)))) < 1e-12
         # identity map at gamma = 1
-        assert np.max(np.abs(apply_ou(rho, np.ones(3), "heisenberg") - rho)) < 1e-12
-        assert np.max(np.abs(apply_ou(rho, np.ones(3), "ising") - rho)) < 1e-12
+        assert np.max(np.abs(dephase(rho, np.ones(3), "heisenberg") - rho)) < 1e-12
+        assert np.max(np.abs(dephase(rho, np.ones(3), "ising") - rho)) < 1e-12
 
 
 def test_ou_channels_fix_bell_populations():
@@ -120,11 +120,11 @@ def test_ou_channels_fix_bell_populations():
         rho = random_densities(4, [rng])[0]
         g = rng.uniform(0.2, 0.9, size=3)
         before = np.diag(BELL_SORTED.conj().T @ rho @ BELL_SORTED)
-        after = np.diag(BELL_SORTED.conj().T @ apply_ou(rho, g, "heisenberg") @ BELL_SORTED)
+        after = np.diag(BELL_SORTED.conj().T @ dephase(rho, g, "heisenberg") @ BELL_SORTED)
         assert_allclose(after, before, atol=1e-13)
         before = np.diag(BELL_CONVENTIONAL.conj().T @ rho @ BELL_CONVENTIONAL)
         after = np.diag(
-            BELL_CONVENTIONAL.conj().T @ apply_ou(rho, g, "ising") @ BELL_CONVENTIONAL
+            BELL_CONVENTIONAL.conj().T @ dephase(rho, g, "ising") @ BELL_CONVENTIONAL
         )
         assert_allclose(after, before, atol=1e-13)
 
@@ -145,8 +145,9 @@ def test_entangler_record_sets_ou_decay_and_entangling_time(interaction, x, r):
         phases.append(np.angle(np.diag(u)))
     phases = np.array(phases)
     gap = np.abs(phases[:, :, None] - phases[:, None, :]).sum(axis=0)
-    coherences = frame @ np.ones((4, 4)) @ frame.conj().T
-    out = frame.conj().T @ apply_ou(coherences, ou_gammas(r, x, interaction), interaction) @ frame
+    # the channel of the record's parameters x, on every Bell coherence at once
+    channel = channel_coefficients(x, NoiseModel("ou", interaction, r))[:2]
+    out = frame_channel(np.ones((4, 4)), *channel)
     assert_allclose(out, np.exp(-r * gap), rtol=1e-12, atol=1e-14)
     # the interaction is on for sum |phase| / pi, the phase of parameter k
     # being the largest eigenphase it gives a Bell vector
@@ -163,7 +164,7 @@ def test_kraus_depolarizing_limits_and_action():
     for _ in range(50):
         rho = random_densities(4, [rng])[0]
         q = rng.uniform(0, 1)
-        dev = np.max(np.abs(apply_kraus(rho, kraus_depolarizing(q)) - apply_depolarizing(rho, q)))
+        dev = np.max(np.abs(apply_kraus(rho, kraus_depolarizing(q)) - depolarize(rho, q)))
         assert dev < 1e-12
 
 
@@ -189,9 +190,9 @@ def test_channels_preserve_trace_and_positivity():
         g = rng.uniform(0.1, 1.0, size=3)
         q = rng.uniform(0.0, 1.0)
         for out in (
-            apply_depolarizing(rho, q),
-            apply_ou(rho, g, "heisenberg"),
-            apply_ou(rho, g, "ising"),
+            depolarize(rho, q),
+            dephase(rho, g, "heisenberg"),
+            dephase(rho, g, "ising"),
         ):
             assert abs(np.trace(out).real - 1.0) < 1e-10
             assert np.linalg.eigvalsh(out)[0] > -1e-10
@@ -218,13 +219,13 @@ def test_every_channel_is_cptp_and_unital_at_every_strength(channel, interaction
         assert 0.0 <= q <= 1.0
 
         def apply(rho):
-            return apply_depolarizing(rho, q)
+            return depolarize(rho, q)
     else:
         gammas = ou_gammas(strength, ent, interaction)
         assert np.all((0.0 <= gammas) & (gammas <= 1.0))
 
         def apply(rho):
-            return apply_ou(rho, gammas, interaction)
+            return dephase(rho, gammas, interaction)
     choi = _choi(apply)
     assert_allclose(choi, choi.conj().T, atol=1e-14)
     assert np.linalg.eigvalsh(choi)[0] > -1e-12  # completely positive
@@ -387,7 +388,8 @@ def test_depolarizing_q_rejects_a_strength_whose_rate_overflows():
     for zeta in (1e308, np.float64(1e308)):
         with pytest.raises(ValueError, match=r"^depolarizing strength 1e\+308 is too large"):
             depolarizing_q(zeta, [0.0, 1.0])
-    assert depolarizing_q(5e307, [0.0, 1.0]).tolist() == [1.0, 0.0]
+    # and past the float range, zeta pi T (here T = 6) is -inf, and q is 0
+    assert depolarizing_q(5e307, [0.0, 1.0, 6.0]).tolist() == [1.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize("interaction, rate, largest", [
@@ -402,6 +404,8 @@ def test_ou_gammas_reject_a_strength_whose_rate_overflows(interaction, rate, lar
         with pytest.raises(ValueError, match=message):
             ou_gammas(r, [0.0, 0.5, 1.0], interaction)
     for r in (5e307, largest):
-        assert ou_gammas(r, [0.0, 0.5, 1.0], interaction).tolist() == [1.0, 0.0, 0.0]
+        # past the float range, r |rate| |x_k| (here x_k = 2) is -inf, and gamma_k is 0
+        assert ou_gammas(r, [[0.0, 0.5, 1.0], [2.0, 2.0, 2.0]], interaction).tolist() == [
+            [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
         noise = NoiseModel("ou", interaction, r)
         assert np.isfinite(quality_report(standard_mub_params(interaction), noise).q_noisy)

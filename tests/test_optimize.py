@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import logging
 import subprocess
 import sys
 
@@ -51,8 +52,8 @@ MULTISTART_STARTS_SEED_5 = [
 # (label, repr of q_noisy, trajectory length) of a tiny run, pinned with the
 # projected L-BFGS refinement from plain random starts: multistart, 2 starts,
 # max_iters 3, seed 11, OU/Ising at 0.05
-MULTISTART_PINNED = [("multistart-0", "0.00039442448315322006", 3),
-                     ("multistart-1", "6.259203027156707e-05", 3)]
+MULTISTART_PINNED = [("multistart-0", "0.00039442448315321935", 3),
+                     ("multistart-1", "6.259203027156618e-05", 3)]
 
 FREE = (-np.inf, np.inf)
 
@@ -88,6 +89,18 @@ def test_lbfgs_stops_on_an_active_bound():
     x, fx, _, pg = _run_lbfgs(fg, np.array([0.5]), (np.zeros(1), np.ones(1)), 200)
     assert x[0] == 1.0 and fx == 4.0
     assert pg == 0.0  # the gradient points out of the box
+
+
+def test_lbfgs_stops_where_a_free_gradient_would_overflow_a_step():
+    # a slope of 1e200 overflows g . d; on a coordinate held at its bound it is harmless
+    fg = lambda x: (1e200 * float(x[0]) + float(x[1] ** 2), np.array([1e200, 2.0 * x[1]]))
+    box = (np.array([0.0, -np.inf]), np.full(2, np.inf))
+    x, _, _, pg = _run_lbfgs(fg, np.array([0.0, 1.0]), box, 200)
+    assert x[0] == 0.0 and abs(x[1]) < 1e-6 and pg < 1e-6
+    # a free one stops the run where it stands, unconverged
+    x, fx, trajectory, pg = _run_lbfgs(lambda x: (-1e200 * float(x[0]), np.array([-1e200])),
+                                       np.zeros(1), FREE, 200)
+    assert (x.tolist(), fx, trajectory, pg) == ([0.0], 0.0, [], 1e200)
 
 
 @st.composite
@@ -305,6 +318,27 @@ def test_optimize_rejects_nonpositive_max_iters(max_iters):
 def test_tiny_runs_are_pinned(noise, strategy, kwargs, pinned):
     results = optimize_quorum(noise, strategy, 2, **kwargs)
     assert [(r.start_label, repr(r.q_noisy), len(r.trajectory)) for r in results] == pinned
+
+
+def test_a_start_that_stops_at_the_qn_floor_is_reported(monkeypatch, caplog):
+    # The zero quorum is singular: -ln Q_N is capped at -ln(1e-300) with a zero
+    # gradient, so the start stops at once, and no projected gradient shows it
+    zeros = QuorumParams("heisenberg", np.zeros((5, 15)))
+    monkeypatch.setattr(optimize_module, "standard_mub_params", lambda interaction: zeros)
+    with caplog.at_level(logging.WARNING, logger="noisyqst.optimize"):
+        [result] = optimize_quorum(NoiseModel("depolarizing", "heisenberg", 0.05))
+    assert (result.q_noisy, result.iterations, result.projected_gradient) == (0.0, 0, 0.0)
+    assert caplog.messages == ["start mub stopped at the Q_N floor: Q_N 0 <= 1e-300 after 0 "
+                               "iterations"]
+    # At r = 100 the MUB seed's Q_N is rounding noise near the floor; whichever
+    # way its start ends, the run says so
+    monkeypatch.undo()
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="noisyqst.optimize"):
+        optimize_quorum(NoiseModel("ou", "ising", 100.0))
+    assert len(caplog.messages) == 1
+    assert caplog.messages[0].startswith(("start mub stopped at the Q_N floor",
+                                          "start mub did not converge"))
 
 
 def test_optimize_rejects_unknown_strategy():
