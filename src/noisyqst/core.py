@@ -72,29 +72,20 @@ def assert_density(rho: np.ndarray, tol: float = 1e-10) -> None:
 
 
 # ---------------------------------------------------------------------------
-# random states and unitaries
+# random states
 # ---------------------------------------------------------------------------
 
-def haar_random_unitaries(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n Haar-distributed d x d unitaries, shape (n, d, d).
-
-    QR decomposition of complex Ginibre matrices with the R diagonal
-    rephased to unit modulus, which makes the distribution exactly Haar
-    rather than merely column-orthonormal.
-    """
-    _check_dim(d)
-    return _haar_unitaries(rng.standard_normal((n, d, d)), rng.standard_normal((n, d, d)))
-
-
 def _haar_unitaries(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """Rephased Q factors of the Ginibre matrices (re + i im) / sqrt(2), (n, d, d)."""
+    """Haar unitaries (n, d, d): Q factors of the Ginibre matrices (re + i im) / sqrt(2),
+    rephased by the R diagonal's unit phases so as to be exactly Haar."""
     q, r = np.linalg.qr((re + 1j * im) / np.sqrt(2.0))
     diag = np.einsum("nii->ni", r)
     return q * (diag / np.abs(diag))[:, None, :]
 
 
 def random_eigenvalues(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Spectra sampled as consecutive gaps of d-1 sorted uniforms, shape (n, d)."""
+    """n uniform points on the simplex (n, d), the gaps of d-1 sorted uniforms: random
+    spectra, or the squared moduli of Haar unitaries' rows, both Dirichlet(1, ..., 1)."""
     return _gap_spectra(rng.uniform(size=(n, d - 1)))
 
 

@@ -83,16 +83,6 @@ class ObjectiveError(RuntimeError):
         self.x = x
 
 
-def _finite(val, x, grad=0.0) -> float:
-    """The objective value ``val`` at ``x``; :class:`ObjectiveError` if it or ``grad`` is not
-    finite, whose message says which."""
-    if not np.isfinite(val):
-        raise ObjectiveError(f"objective returned {val}", x)
-    if not np.all(np.isfinite(grad)):
-        raise ObjectiveError(f"objective returned {val} with a non-finite gradient", x)
-    return float(val)
-
-
 def _two_loop(g: np.ndarray, pairs) -> np.ndarray:
     """H g for the L-BFGS inverse Hessian of ``pairs`` (s, y, 1 / s.y), oldest first.
 
@@ -122,25 +112,30 @@ def _lbfgs_steps(x0, bounds, max_iters: int):
     with the gradient pointing out of the box, takes the L-BFGS direction of
     the others, and backtracks along the projection arc clip(x + t d) until
     Armijo's condition holds.  The first step has unit length at most.  A
-    pair (s, y) is stored only if s.y > 0, with y zero on the fixed
-    coordinates.  It stops when a step gains at most LBFGS_F_TOL relative,
-    when the line search reaches the rounding floor of x, or where a free
-    coordinate's gradient passes LBFGS_G_MAX.
+    pair (s, y) is stored only if y is finite and s.y > 0, with y zero on
+    the fixed coordinates.  It stops when a step gains at most LBFGS_F_TOL
+    relative, when the line search reaches the rounding floor of x, or where
+    a free coordinate's gradient passes LBFGS_G_MAX, infinite included.  A
+    fixed coordinate's gradient enters no product, so it may be infinite too.
 
     ``bounds`` is a pair (low, high), infinite where a coordinate is free; x0
     is clipped into it.  Returns (x_min, f_min, trajectory, pg) where
     trajectory lists the objective after each iteration and pg is the
     max-norm of the projected gradient at x_min.  Raises
-    :class:`ObjectiveError` if the objective or its gradient ever evaluates
-    non-finite.  As a generator it lets :func:`optimize_quorum` evaluate the
+    :class:`ObjectiveError` if the objective ever evaluates non-finite or its
+    gradient NaN.  As a generator it lets :func:`optimize_quorum` evaluate the
     points of many runs as one stack.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     low, high = (np.broadcast_to(np.asarray(b, dtype=float), x0.shape) for b in bounds)
 
-    def checked(reply, x):
+    def checked(reply, x):  # the error says which was not finite, the value or the gradient
         val, grad = reply
-        return _finite(val, x, grad), np.asarray(grad, dtype=float)
+        if not np.isfinite(val):
+            raise ObjectiveError(f"objective returned {val}", x)
+        if np.isnan(grad).any():
+            raise ObjectiveError(f"objective returned {val} with a non-finite gradient", x)
+        return float(val), np.asarray(grad, dtype=float)
 
     x = np.clip(x0, low, high)
     f, g = checked((yield x), x)
@@ -153,7 +148,7 @@ def _lbfgs_steps(x0, bounds, max_iters: int):
             break
         d = -_two_loop(g_free, pairs)
         d[fixed] = 0.0
-        if g @ d >= 0.0:  # the pairs give no descent direction: forget them
+        if g_free @ d >= 0.0:  # the pairs give no descent direction: forget them
             pairs.clear()
             d = -g_free
         if not d.any():  # the projected gradient is zero
@@ -165,15 +160,15 @@ def _lbfgs_steps(x0, bounds, max_iters: int):
             if np.array_equal(x_new, x):
                 return x, f, trajectory, _projected_gradient(x, g, low, high)
             f_new, g_new = checked((yield x_new), x_new)
-            slope = g @ (x_new - x)
+            slope = g_free @ (x_new - x)
             if slope < 0.0 and f_new <= f + ARMIJO_C * slope:
                 break
             # backtrack to the minimizer of the quadratic through f, slope and
             # f_new, kept in [t/10, t/2]; halve a step that does not descend
             ratio = -slope / (2.0 * (f_new - f - slope)) if slope < 0.0 else 0.5
             t *= min(max(ratio, 0.1), 0.5)
-        s, y = x_new - x, np.where(fixed, 0.0, g_new - g)
-        if s @ y > 0.0:
+        s, y = x_new - x, np.where(fixed, 0.0, g_new - g_free)
+        if np.isfinite(y).all() and s @ y > 0.0:
             pairs.append((s, y, 1.0 / (s @ y)))
         converged = f - f_new <= LBFGS_F_TOL * max(abs(f), abs(f_new), 1.0)
         x, f, g = x_new, f_new, g_new
@@ -184,8 +179,10 @@ def _lbfgs_steps(x0, bounds, max_iters: int):
 
 
 def _projected_gradient(x, g, low, high) -> float:
-    """The max-norm of the projected gradient clip(x - g) - x."""
-    return float(np.max(np.abs(np.clip(x - g, low, high) - x)))
+    """The max-norm of the projected gradient clip(x - g) - x; infinite where an
+    infinite gradient can move its coordinate, so that such a run never converges."""
+    step = np.abs(np.clip(x - g, low, high) - x)
+    return float(np.max(np.where(np.isinf(g) & (step > 0.0), np.inf, step)))
 
 
 # ---------------------------------------------------------------------------

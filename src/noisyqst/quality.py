@@ -22,7 +22,6 @@ import numpy as np
 from .core import (
     TRACELESS_BASIS,
     gram_volume,
-    haar_random_unitaries,
     random_eigenvalues,
     traceless_part,
 )
@@ -144,7 +143,8 @@ def neg_log_qn_and_grad(params, weights, noise: NoiseModel, strict: bool = False
     onto the derivative of one layer or of N.  Where the value is capped at
     -ln(1e-300) the gradient is zero; a quorum's row is all NaN where one of
     its inputs is not finite or one of its effects is fully depolarized, or
-    with ``strict`` the latter raises :class:`DegeneratePovmError`.
+    with ``strict`` the latter raises :class:`DegeneratePovmError`.  Near the
+    float limit of the strength a noise weight's gradient may be +-inf.
     """
     params, weights = np.asarray(params, dtype=float), np.asarray(weights, dtype=float)
     lead = params.shape[:-2]
@@ -193,8 +193,15 @@ def neg_log_qn_and_grad(params, weights, noise: NoiseModel, strict: bool = False
     dtail = dphases[..., None] * post[:, :, None]
     grad_params[rows, :, ENTANGLER_SLOTS] = -trace_products(dtail, t)
     grad_params[rows, :, 9:] = -trace_products(phases[:, :, None, :, None] * dpost, t)
-    grad_weights[rows] = -np.einsum("njkab,njkmba->njm", pulled,
-                                    frame_channel(readout[:, :, :, None], dmat, dmixed)).real
+    # The channel's derivative grows with the strength, and near the float limit its terms
+    # overflow to inf - inf = NaN.  Divided by the largest power of two not above dM's
+    # largest entry (|dc| is no larger), or by 1, they stay finite; scaled back, a sum is
+    # the same or +-inf.
+    scale = np.ldexp(1.0, np.maximum(np.frexp(np.abs(dmat).max(axis=(-2, -1)))[1] - 1, 0))
+    dchannel = frame_channel(readout[:, :, :, None], dmat / scale[..., None, None], dmixed / scale)
+    with np.errstate(over="ignore"):
+        grad_weights[rows] = -scale[:, :, 0] * np.einsum("njkab,njkmba->njm", pulled,
+                                                         dchannel).real
     return (values.reshape(lead)[()], grad_params.reshape(*lead, 5, 15),
             grad_weights.reshape(*lead, 5, 3))
 
@@ -210,14 +217,17 @@ COEFF_Q_MIN, COEFF_N_GRID, COEFF_CHUNK = 0.9, 40, 50_000
 def estimate_log_coefficient(d: int, n_samples: int, rng: np.random.Generator) -> float:
     """Monte-Carlo slope of <ln(p + (1-q)/(d q))> versus (1 - q).
 
-    Random densities are drawn as U D U' with Haar U and gap-of-uniforms D;
-    p runs over all d diagonal entries.  The same samples are reused across
-    the 40-point grid on q in [0.9, 1] and the slope is obtained by linear
-    regression.  Around 10^6 samples reproduce the d=4 coefficient 1.195 to
-    within a few percent.
+    p = <w, D> is an outcome probability of a density U D U' with Haar U and
+    gap-of-uniforms spectrum D, w being a row of |U|^2.  That is uniform on
+    the simplex like D, so :func:`~noisyqst.core.random_eigenvalues` draws D
+    and d independent rows w per sample, and no unitary; the rows of one U
+    are not independent, but the mean over all d entries p is the same.  The
+    samples are reused across the 40-point grid on q in [0.9, 1], and the
+    slope is a linear regression.  Around 10^6 samples reproduce the d=4
+    coefficient 1.195 to within a few percent.
 
     For d=2 this is the same quantity: the gap-of-uniforms average regressed
-    over q in [0.9, 1], about 1.237 (1.23724 and 1.23723 at 10^6 samples,
+    over q in [0.9, 1], about 1.237 (1.23675 and 1.23646 at 10^6 samples,
     seeds 1 and 2).  It is not the 3/2 of ``NOISE_EXPONENT_2D`` in
     tests/oracles.py, which is the exact small-c coefficient over the
     uniform Bloch ball (see ``log_average_qubit_exact`` there).
@@ -231,8 +241,8 @@ def estimate_log_coefficient(d: int, n_samples: int, rng: np.random.Generator) -
     while done < n_samples:
         m = int(min(COEFF_CHUNK, n_samples - done))
         ev = random_eigenvalues(d, m, rng)
-        u = haar_random_unitaries(d, m, rng)
-        p = np.einsum("nki,ni->nk", np.abs(u) ** 2, ev).ravel()
+        weights = random_eigenvalues(d, m * d, rng).reshape(m, d, d)
+        p = np.einsum("nki,ni->nk", weights, ev).ravel()
         for i, c in enumerate(cs):
             acc[i] += float(np.sum(np.log(p + c)))
         done += m

@@ -4,10 +4,11 @@ Each function builds one gate, one effect or one projector at a time, along
 a route independent of the package's batched kernel: entanglers from their
 pulse or ZZ sequences, channels and average gate fidelities from their
 explicit Kraus sets, q and the nominal projectors from each effect
-separately.  The closed forms beside them are references that only the
-tests evaluate; the validators and coordinate maps at the end are used only
-by the tests.  ``depolarize`` and ``dephase`` carry the package's Bell-frame
-channel into the standard frame, so that it meets the Kraus sets there.
+separately.  The closed forms beside them and the Haar sampler are
+references that only the tests evaluate; the validators and coordinate maps
+at the end are used only by the tests.  ``depolarize`` and ``dephase`` carry
+the package's Bell-frame channel into the standard frame, so that it meets
+the Kraus sets there.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from noisyqst.core import (
     PAULIS,
     TRACELESS_BASIS,
     _check_dim,
+    _haar_unitaries,
     gram_volume,
 )
 from noisyqst.gates import BELL_CONVENTIONAL, BELL_SORTED, HEISENBERG, QuorumParams
@@ -372,6 +374,17 @@ def single_qubit_quality_decomposed(theta: float, r: float) -> float:
     vol = bloch_gram_volume(scheme.bloch_vectors() / np.sqrt(2.0))
     q = np.exp(-r * abs(theta))
     return float(vol * q ** (3.0 * NOISE_EXPONENT_2D))
+
+
+# ---------------------------------------------------------------------------
+# Haar unitaries
+# ---------------------------------------------------------------------------
+
+def haar_random_unitaries(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n Haar-distributed d x d unitaries, shape (n, d, d): the rephased QR of complex
+    Ginibre matrices by which ``random_densities`` draws its U."""
+    _check_dim(d)
+    return _haar_unitaries(rng.standard_normal((n, d, d)), rng.standard_normal((n, d, d)))
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,20 @@ from noisyqst.core import (
     TRACELESS_BASIS,
     assert_density,
     gram_volume,
-    haar_random_unitaries,
     random_densities,
+    random_eigenvalues,
     state_fidelity,
     traceless_part,
 )
 from noisyqst.gates import measurement_unitary, standard_mub_params
 
-from oracles import assert_projector, assert_unitary, bloch_gram_volume, hermitian_from_traceless
+from oracles import (
+    assert_projector,
+    assert_unitary,
+    bloch_gram_volume,
+    haar_random_unitaries,
+    hermitian_from_traceless,
+)
 
 
 def test_haar_unitary_deterministic_under_seed():
@@ -42,6 +48,18 @@ def test_haar_first_entry_moment():
     # Haar moment oracle: E|U_00|^2 = 1/d.
     u = haar_random_unitaries(2, 100_000, np.random.default_rng(1))
     assert abs(np.mean(np.abs(u[:, 0, 0]) ** 2) - 0.5) < 0.01
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_haar_row_moduli_and_random_eigenvalues_share_their_first_two_moments(d):
+    # Both are uniform on the simplex, Dirichlet(1, ..., 1): each entry x of a
+    # Haar row's |U_ki|^2, and of a draw, has E x = 1/d and E x^2 = 2/(d(d+1)).
+    n = 100_000
+    haar = np.abs(haar_random_unitaries(d, n, np.random.default_rng(2))) ** 2
+    simplex = random_eigenvalues(d, n, np.random.default_rng(3))
+    for x in (haar.reshape(n, d * d), simplex):
+        assert np.max(np.abs(x.mean(axis=0) - 1.0 / d)) < 0.005
+        assert np.max(np.abs(np.mean(x**2, axis=0) - 2.0 / (d * (d + 1)))) < 0.005
 
 
 def test_random_density_valid_and_reproducible():

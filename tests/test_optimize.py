@@ -101,6 +101,23 @@ def test_lbfgs_stops_where_a_free_gradient_would_overflow_a_step():
     x, fx, trajectory, pg = _run_lbfgs(lambda x: (-1e200 * float(x[0]), np.array([-1e200])),
                                        np.zeros(1), FREE, 200)
     assert (x.tolist(), fx, trajectory, pg) == ([0.0], 0.0, [], 1e200)
+    # an infinite gradient is past the cap too: harmless where it is held at its bound ...
+    fg = lambda x: (float(x[0] + x[1] ** 2), np.array([np.inf, 2.0 * x[1]]))
+    x, _, _, pg = _run_lbfgs(fg, np.array([0.0, 1.0]), box, 200)
+    assert x[0] == 0.0 and abs(x[1]) < 1e-6 and pg < 1e-6
+
+    # ... and where it is free, here past x[0] = 0.5, the step that reached it is kept
+    # and the run stops there, with an infinite projected gradient
+    def bowl(x):
+        return float(np.sum((x - [1.0, 0.0]) ** 2)), 2.0 * (x - [1.0, 0.0])
+
+    def inf_gradient(x):
+        return (bowl(x)[0], np.full(2, np.inf)) if x[0] > 0.5 else bowl(x)
+
+    box = (np.array([0.0, -1.0]), np.array([2.0, 1.0]))
+    x, fx, trajectory, pg = _run_lbfgs(inf_gradient, np.array([0.4, 0.0]), box, 200)
+    assert x[0] > 0.5 and fx == bowl(x)[0]
+    assert [f for _, f in trajectory] == [fx] and pg == np.inf
 
 
 @st.composite
