@@ -20,16 +20,17 @@ if not {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"} & os.envir
 
 import numpy as np
 
-from . import optimize as opt
-from . import tomography as tomo
-from .gates import ENTANGLERS, HEISENBERG, INTERACTIONS, QuorumParams, standard_mub_params
-from .noise import CHANNELS, DEPOLARIZING, NoiseModel, average_gate_fidelity
-from .quality import (
-    estimate_log_coefficient,
-    quality_report,
-    single_qubit_optimal_angle,
-    single_qubit_quality,
+# optimize, quality and tomography are imported by the subcommands that use
+# them, so that a launch compiles and loads only what its command runs.
+from .gates import (
+    ENTANGLERS,
+    HEISENBERG,
+    INTERACTIONS,
+    STRATEGIES,
+    QuorumParams,
+    standard_mub_params,
 )
+from .noise import CHANNELS, DEPOLARIZING, NoiseModel, average_gate_fidelity
 
 # Outputs echo every parsed flag except the subcommand's name and handler
 # and --out and --config, so the result does not depend on where it is written.
@@ -94,6 +95,8 @@ def _emit(args, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_quality(args) -> int:
+    from .quality import quality_report
+
     noise = _noise_from_args(args)
     if args.quorum:
         try:
@@ -116,6 +119,8 @@ def cmd_quality(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    from . import optimize as opt
+
     if min(args.max_iters, args.starts, args.threshold_pairs) < 1:
         raise SystemExit2("--max-iters, --starts and --threshold-pairs must be >= 1")
     noise = _noise_from_args(args)
@@ -153,6 +158,8 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
+    from . import tomography as tomo
+
     if args.states < 1 or args.shots < 1:
         raise SystemExit2("--states and --shots must be >= 1")
     grid = _parse_grid(args.grid)
@@ -181,6 +188,8 @@ def cmd_sweep(args) -> int:
             if name == "mub":
                 schemes.append(tomo.mub_scheme(noise))
             else:
+                from . import optimize as opt
+
                 best = opt.optimize_quorum(noise, strategy="mub-seeded", max_iters=SWEEP_MAX_ITERS,
                                            seed=args.seed)[0]
                 schemes.append(tomo.quorum_scheme(best.params, noise, "optimized"))
@@ -208,6 +217,8 @@ def cmd_gate_fidelity(args) -> int:
 
 
 def cmd_coeff(args) -> int:
+    from .quality import estimate_log_coefficient
+
     rng = np.random.default_rng(args.seed)
     try:
         slope = estimate_log_coefficient(args.dim, args.samples, rng)
@@ -220,6 +231,8 @@ def cmd_coeff(args) -> int:
 
 
 def cmd_single_qubit(args) -> int:
+    from .quality import single_qubit_optimal_angle, single_qubit_quality
+
     r = _noise_from_args(args).strength
     theta = single_qubit_optimal_angle(r)
     doc = {
@@ -267,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("optimize", help="optimize a quorum for a noise model")
     _add_common(p)
-    p.add_argument("--strategy", choices=opt.STRATEGIES, default="mub-seeded")
+    p.add_argument("--strategy", choices=STRATEGIES, default="mub-seeded")
     p.add_argument("--starts", type=int, default=1)
     p.add_argument("--max-iters", dest="max_iters", type=int, default=200)
     p.add_argument("--threshold-pairs", dest="threshold_pairs", type=int, default=10_000,
@@ -361,6 +374,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(_with_config(parser, argv))
         if args.threads < 1:
             raise SystemExit2("--threads must be >= 1")
+        if args.seed < 0:
+            raise SystemExit2("--seed must be >= 0")
         return args.func(args)
     except SystemExit2 as exc:
         return int(exc.code)

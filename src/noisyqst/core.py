@@ -97,14 +97,15 @@ def _gap_spectra(uniforms: np.ndarray) -> np.ndarray:
 
 
 def random_densities(d: int, rngs) -> np.ndarray:
-    """One random density matrix U D U' per generator, shape (len(rngs), d, d).
+    """One random density matrix U D U' per generator that ``rngs`` yields, shape (n, d, d).
 
     U is Haar and D gap-of-uniforms.  Each state's numbers come from its own
     generator in the order d-1 uniforms, then the real and imaginary parts
     of a d x d Ginibre matrix; the sort, QR and products then run on the
     whole stack.  Each state is bit-identical to the stack of one drawn from
-    the same generator, ``random_densities(d, [rng])[0]``, and one generator
-    listed n times draws n states in turn.
+    the same generator, ``random_densities(d, [rng])[0]``.  A state's draws
+    are made before the next generator is taken, so one generator listed n
+    times, or yielded n times, draws n states in turn.
     """
     _check_dim(d)
     draws = [(rng.uniform(size=d - 1), rng.standard_normal((d, d)), rng.standard_normal((d, d)))
@@ -117,24 +118,37 @@ def random_densities(d: int, rngs) -> np.ndarray:
     return (rho + rho.conj().mT) / 2
 
 
-def state_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:
+def _sqrt_clipped(w: np.ndarray) -> np.ndarray:
+    # zero out eigenvalue noise so sqrt does not amplify it to ~1e-8
+    floor = np.maximum(w.max(axis=-1, keepdims=True), 0.0) * 1e-12
+    return np.sqrt(np.where(w > floor, w, 0.0))
+
+
+def density_sqrt(rho: np.ndarray) -> np.ndarray:
+    """Square roots of a density matrix (d, d) or a stack (n, d, d).
+
+    They are taken by Hermitian eigendecomposition with eigenvalues below
+    1e-12 of each matrix's largest set to zero, since inputs are only
+    guaranteed PSD within tolerance.
+    """
+    w, v = np.linalg.eigh((rho + rho.conj().mT) / 2)
+    return (v * _sqrt_clipped(w)[..., None, :]) @ v.conj().mT
+
+
+def state_fidelity(
+    rho: np.ndarray, sigma: np.ndarray, sqrt_rho: np.ndarray | None = None
+) -> float | np.ndarray:
     """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, clamped to [0, 1].
 
-    Square roots are taken by Hermitian eigendecomposition with eigenvalues
-    clamped at zero, since inputs are only guaranteed PSD within tolerance.
+    Square roots are those of :func:`density_sqrt`; a caller that scores
+    many sigma against one rho passes ``sqrt_rho = density_sqrt(rho)``.
     Two stacks (n, d, d) give the n fidelities of their pairs, each computed
     as one pair alone would be.
     """
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-
-    def _sqrt_clipped(w):
-        # zero out eigenvalue noise so sqrt does not amplify it to ~1e-8
-        floor = np.maximum(w.max(axis=-1, keepdims=True), 0.0) * 1e-12
-        return np.sqrt(np.where(w > floor, w, 0.0))
-
-    w, v = np.linalg.eigh((rho + rho.conj().mT) / 2)
-    sqrt_rho = (v * _sqrt_clipped(w)[..., None, :]) @ v.conj().mT
+    if sqrt_rho is None:
+        sqrt_rho = density_sqrt(rho)
     inner = sqrt_rho @ sigma @ sqrt_rho
     lam = np.linalg.eigvalsh((inner + inner.conj().mT) / 2)
     sums = np.sum(_sqrt_clipped(lam), axis=-1)

@@ -334,6 +334,12 @@ def standard_mub_params(interaction: str) -> QuorumParams:
     return QuorumParams(interaction, params)
 
 
+# The starts of optimize.optimize_quorum's search: this MUB quorum, or
+# random quorums in the entanglers' parameter boxes.  Kept here so that
+# the command line can offer them without importing the optimizer.
+STRATEGIES = ("mub-seeded", "multistart")
+
+
 # Basis-change rotations: rows are the bras of the x/y/z eigenstates, so a
 # standard-basis readout after the rotation measures that Pauli basis.
 _X_ROTATION, _Y_ROTATION = single_qubit_gates([[_Q, 0.0, 0.0], [_Q, 0.0, -_H]])

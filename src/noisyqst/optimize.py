@@ -23,6 +23,7 @@ import numpy as np
 from .gates import (
     ENTANGLER_SLOTS,
     ENTANGLERS,
+    STRATEGIES,
     QuorumParams,
     entangling_times,
     standard_mub_params,
@@ -31,8 +32,6 @@ from .noise import DegeneratePovmError, NoiseModel
 from .quality import QN_FLOOR, neg_log_qn_and_grad, quality_report
 
 logger = logging.getLogger(__name__)
-
-STRATEGIES = ("mub-seeded", "multistart")
 
 # _lbfgs_steps runs until a step gains at most LBFGS_F_TOL relative, or its
 # line search fails: at the rounding floor of -ln Q_N.  The refinement has

@@ -2,7 +2,10 @@
 
 Outcome counts are multinomial draws from the noisy effect probabilities
 Tr(F_jk rho), which are computed for a whole stack of states at once; each
-state then draws its counts on its own random stream.  Reconstruction
+state then draws its counts on its own random stream.  The streams are
+those of numpy's SeedSequence spawn keys; the generator states of all of
+a scheme's streams are derived in one vectorized pass, identical to
+SeedSequence's, and set in turn on one generator.  Reconstruction
 maximizes the multinomial log-likelihood by accelerated projected gradient
 ascent over density matrices, on a whole stack of states at once, from each
 state's maximum over unit-trace Hermitian matrices (linear inversion
@@ -18,11 +21,18 @@ likelihood, and its noise-free effects (strength 0) a noise-ignorant one.
 from __future__ import annotations
 
 import logging
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TRACELESS_BASIS, assert_density, random_densities, state_fidelity
+from .core import (
+    TRACELESS_BASIS,
+    assert_density,
+    density_sqrt,
+    random_densities,
+    state_fidelity,
+)
 from .gates import QuorumParams, nine_pauli_bases, standard_mub_params
 from .noise import NoiseModel, _require_interaction, ideal_effects, povm_stack
 
@@ -178,7 +188,7 @@ def _project_density(h: np.ndarray) -> np.ndarray:
 
 def _fisher_scoring_start(
     n: np.ndarray, total: np.ndarray, flat: np.ndarray, gap: float
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Each state's unconstrained likelihood estimate projected onto density matrices, (s, 4, 4).
 
     The estimate 1/4 + sum_b c_b B_b over the traceless basis starts at
@@ -193,7 +203,9 @@ def _fisher_scoring_start(
     probability, or if the maximally mixed state has the smaller
     certificate.  The last case catches an observed outcome left with a
     probability that rounding puts just above 0: R is then huge, and so is
-    the number of iterations.
+    the number of iterations.  Returned with the start are its
+    probabilities Tr(F_k rho), its R operator and its certificate, as the
+    iteration of :func:`ml_reconstruct` would compute them there.
     """
     basis = TRACELESS_BASIS[4]
     a = _probabilities(basis, flat).T
@@ -210,10 +222,15 @@ def _fisher_scoring_start(
     p = _probabilities(rho, flat)
     fallback = empty | ((n > 0) & (p <= 0.0)).any(axis=1)
     p[fallback] = p_mixed[fallback]
-    fallback |= _certificate(_r_operator(n, total, p, flat), total) > _certificate(
-        _r_operator(n, total, p_mixed, flat), total)
+    r = _r_operator(n, total, p, flat)
+    bound = _certificate(r, total)
+    fallback |= bound > _certificate(_r_operator(n, total, p_mixed, flat), total)
     rho[fallback] = np.eye(4) / 4.0
-    return rho
+    # Tr F_k / 4 above is rounded unlike Tr(F_k rho) at rho = 1/4, which the iteration uses
+    p[fallback] = _probabilities(rho[fallback], flat)
+    r[fallback] = _r_operator(n[fallback], total[fallback], p[fallback], flat)
+    bound[fallback] = _certificate(r[fallback], total[fallback])
+    return rho, p, r, bound
 
 
 def _fisher_scoring(c, n, shots, a, p_mixed, gap) -> np.ndarray:
@@ -308,15 +325,12 @@ def ml_reconstruct(
     total = n.sum(axis=1)
     estimates = np.empty((len(n), 4, 4), dtype=complex)
     active = np.arange(len(n))
-    rho = _fisher_scoring_start(n, total, flat, gap)
-    p = _probabilities(rho, flat)
-    r = _r_operator(n, total, p, flat)
+    rho, p, r, bound = _fisher_scoring_start(n, total, flat, gap)
     # the extrapolated point y, where each step starts
     y, p_y, r_y = rho, p, r
     theta = np.ones(len(n))
     step = np.full(len(n), _FIRST_STEP)
     for it in range(max_iter + 1):
-        bound = _certificate(r, total)
         done = bound < gap
         if done.any():
             estimates[active[done]] = rho[done]
@@ -347,6 +361,7 @@ def ml_reconstruct(
         rho, theta = new, theta_next
         p = _probabilities(rho, flat)
         r = _r_operator(n, total, p, flat)
+        bound = _certificate(r, total)
         p_y = _probabilities(y, flat)
         # an extrapolation that leaves an observed outcome no probability restarts too
         outside = ((n > 0) & (p_y <= 0.0)).any(axis=1)
@@ -361,6 +376,82 @@ def ml_reconstruct(
             len(active), len(estimates), max_iter, bound.max(), gap,
         )
     return estimates
+
+
+# ---------------------------------------------------------------------------
+# sampling streams
+# ---------------------------------------------------------------------------
+
+# The hash constants of numpy's SeedSequence (numpy/random/bit_generator.pyx)
+# and the multiplier of PCG64's 128-bit LCG (pcg64.h).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _uint32_words(x: int) -> int:
+    """How many uint32 words SeedSequence splits a non-negative integer into."""
+    return max(1, -(-x.bit_length() // 32))
+
+
+def _hash_constants(init: int, mult: int, first: int, count: int) -> np.ndarray:
+    """init mult^c mod 2^32 for c = first, ..., first + count, as a uint32 column."""
+    return np.array([init * pow(mult, c, 2**32) % 2**32 for c in range(first, first + count + 1)],
+                    dtype=np.uint32)[:, None]
+
+
+def _hashmix(values: np.ndarray, constants: np.ndarray) -> np.ndarray:
+    """SeedSequence's hash of row j of uint32 ``values``, by hash constants j and j + 1."""
+    v = (values ^ constants[:-1]) * constants[1:]
+    return v ^ v >> 16
+
+
+def _stream_states(seed: int, stream: int, n: int) -> Iterator[dict]:
+    """The states of PCG64(SeedSequence(seed, spawn_key=(stream, i))) for i < n, in turn.
+
+    SeedSequence hashes the words of its entropy, here the seed padded to
+    four words, the stream's words and i's single word, into a pool of four
+    words, one word after another.  So the n pools differ from that of
+    SeedSequence(seed, spawn_key=(stream,)), taken from numpy, only by
+    mixing in i, with the hash constants that follow the parent's
+    4 + 12 + 4 (words - 4) hashes.  As in ``generate_state(4, np.uint64)``,
+    each pool then gives the seed and increment from which PCG64 sets its
+    128-bit state.  The words of all n states are derived in one pass, and
+    each state's dictionary is made only when it is taken.  A negative seed
+    or stream raises ValueError, as SeedSequence does, when the first state
+    is taken.
+    """
+    parent = np.random.SeedSequence(seed, spawn_key=(stream,))
+    if n > 2**32:
+        raise ValueError(f"at most 2**32 streams, got {n}")
+    entropy_words = max(_uint32_words(int(seed)), 4) + _uint32_words(int(stream))
+    hashed = _hashmix(np.arange(n, dtype=np.uint32), _hash_constants(
+        _INIT_A, _MULT_A, 4 + 12 + 4 * (entropy_words - 4), 4))
+    pool = _MIX_MULT_L * parent.pool[:, None] - _MIX_MULT_R * hashed
+    pool ^= pool >> 16
+    out = _hashmix(np.tile(pool, (2, 1)), _hash_constants(_INIT_B, _MULT_B, 0, 8))
+    out = out.astype(np.uint64)
+    # uint64 j is out[2j] + 2^32 out[2j + 1]; PCG64 reads them as the high and
+    # low words of its seed s, then of its sequence c, and sets the increment
+    # 2c + 1 and the state (inc + s) mult + inc
+    for s_hi, s_lo, c_hi, c_lo in (out[0::2] | out[1::2] << 32).T.tolist():
+        inc = (c_hi << 65 | c_lo << 1 | 1) % 2**128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) % 2**128
+        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+               "has_uint32": 0, "uinteger": 0}
+
+
+def _stream_generators(seed: int, stream: int, n: int) -> Iterator[np.random.Generator]:
+    """default_rng(SeedSequence(seed, spawn_key=(stream, i))) for i < n, in turn.
+
+    One Generator is set to each stream's state in turn, so each must be
+    used up before the next is taken.
+    """
+    rng = np.random.Generator(np.random.PCG64())
+    for state in _stream_states(seed, stream, n):
+        rng.bit_generator.state = state
+        yield rng
 
 
 # ---------------------------------------------------------------------------
@@ -381,33 +472,39 @@ def run_experiment(
     states, and per-state sampling streams depend only on the master seed,
     the scheme's stream index, and the state index, so reports are
     reproducible.  A scheme's stream index is its position in ``schemes``
-    unless ``streams`` gives one per scheme.  The states are drawn, and each
+    unless ``streams`` gives one per scheme.  State i is drawn from
+    ``default_rng(SeedSequence(rng_seed, spawn_key=(0, i)))``, and its counts
+    under the scheme of stream index k from ``spawn_key=(1 + k, i)``; the
+    states of one stream index's generators are derived for every i in one
+    pass (:func:`_stream_states`), equal to SeedSequence's.  A negative seed
+    or stream index raises ValueError.  The states are drawn, and each
     scheme's outcome probabilities computed, as one stack; only the
     multinomial draw runs per state, on that state's stream.  Each scheme's
-    states are reconstructed and scored as one stack.
+    states are reconstructed and scored as one stack, against the states'
+    square roots, which are taken once.
     """
     if n_states < 1:
         raise ValueError("n_states must be >= 1")
     streams = range(len(schemes)) if streams is None else streams
     if len(streams) != len(schemes):
         raise ValueError("streams must give one index per scheme")
-    states = random_densities(4, [
-        np.random.default_rng(np.random.SeedSequence(entropy=rng_seed, spawn_key=(0, i)))
-        for i in range(n_states)
-    ])
+    if min(streams, default=0) < 0:  # -1 would share the states' stream
+        raise ValueError(f"stream indices must be non-negative, got {list(streams)}")
+    states = random_densities(4, _stream_generators(rng_seed, 0, n_states))
+    roots = density_sqrt(states)
     reports = []
     for s_idx, scheme in zip(streams, schemes):
         shots = total_shots // len(scheme.effects)
         if shots < 1:
             raise ValueError(f"budget {total_shots} too small for scheme {scheme.label!r}")
         counts = np.array([
-            np.random.default_rng(np.random.SeedSequence(
-                entropy=rng_seed, spawn_key=(1 + s_idx, i))).multinomial(shots, p)
-            for i, p in enumerate(outcome_probabilities(states, scheme.effects))
+            rng.multinomial(shots, p) for rng, p in zip(
+                _stream_generators(rng_seed, 1 + s_idx, n_states),
+                outcome_probabilities(states, scheme.effects))
         ])
         estimates = ml_reconstruct(counts, scheme.effects)
         assert_density(estimates, tol=1e-8)
-        infids = 1.0 - state_fidelity(states, estimates)
+        infids = 1.0 - state_fidelity(states, estimates, sqrt_rho=roots)
         reports.append(
             ExperimentReport(
                 scheme_label=scheme.label,

@@ -351,6 +351,33 @@ def test_importing_the_cli_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("argv, loaded", [
+    (None, []),
+    (["sweep", "--grid", "0", "--schemes", "mub,pauli9", "--states", "2", "--shots", "2304"],
+     ["noisyqst.tomography"]),
+    (["optimize", "--zeta", "0.02", "--max-iters", "2"],
+     ["noisyqst.optimize", "noisyqst.quality"]),
+], ids=["import", "sweep", "optimize"])
+def test_a_command_loads_only_the_modules_it_runs(argv, loaded, tmp_path):
+    out = ["--out", str(tmp_path / "out")]
+    run = "" if argv is None else f"assert noisyqst.cli.main({argv + out!r}) == 0; "
+    code = (f"import sys, noisyqst.cli; {run}"
+            "print(sorted(m for m in sys.modules if m in "
+            "('noisyqst.optimize', 'noisyqst.quality', 'noisyqst.tomography')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout == f"{loaded!r}\n"
+
+
+def test_the_strategy_names_are_one_tuple():
+    import noisyqst.gates as gates
+    import noisyqst.optimize as optimize
+    from noisyqst.cli import build_parser
+
+    actions = build_parser().subcommand_parsers["optimize"]._actions
+    (choices,) = [a.choices for a in actions if a.dest == "strategy"]
+    assert choices is gates.STRATEGIES and optimize.STRATEGIES is gates.STRATEGIES
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
 def test_the_cli_runs_one_blas_thread_unless_the_caller_sets_one():
     env = {k: v for k, v in os.environ.items()
@@ -431,8 +458,8 @@ def test_sweep_rejects_fewer_shots_than_measurements_before_any_work(schemes, le
     def fail(*args, **kwargs):
         raise AssertionError("sweep started work")
 
-    monkeypatch.setattr(cli.opt, "optimize_quorum", fail)
-    monkeypatch.setattr(cli.tomo, "run_experiment", fail)
+    monkeypatch.setattr("noisyqst.optimize.optimize_quorum", fail)
+    monkeypatch.setattr("noisyqst.tomography.run_experiment", fail)
     argv = ["sweep", "--grid", "0,0.05", "--schemes", schemes, "--states", "2", "--shots"]
     assert cli.main(argv + [str(least - 1)]) == 2
     assert capsys.readouterr().err.startswith(f"error: --shots {least - 1} is below the {least}")
@@ -552,6 +579,29 @@ def test_threads_below_one_is_usage_error(command, capsys, tmp_path):
     cfg.write_text(json.dumps({"threads": -3}))
     assert main(command + ["--config", str(cfg)]) == 2
     assert capsys.readouterr().err == "error: --threads must be >= 1\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["quality", "--mub", "heisenberg", "--zeta", "0"],
+    ["optimize", "--zeta", "0.02"],
+    ["optimize", "--zeta", "0.02", "--strategy", "multistart"],
+    ["sweep", "--grid", "0", "--states", "1", "--shots", "2304"],
+    ["gate-fidelity", "--zeta", "0"],
+    ["coeff", "--samples", "100000"],
+    ["single-qubit", "-r", "0"],
+], ids=["quality", "optimize-mub-seeded", "optimize-multistart", "sweep", "gate-fidelity", "coeff",
+        "single-qubit"])
+def test_negative_seed_is_usage_error(command, capsys, tmp_path):
+    from noisyqst.cli import main
+
+    for value in ("-1", "-7"):
+        assert main(command + ["--seed", value]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: --seed must be >= 0\n"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -1}))
+    assert main(command + ["--config", str(cfg)]) == 2
+    assert capsys.readouterr() == ("", "error: --seed must be >= 0\n")
 
 
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from noisyqst.core import (
     TRACELESS_BASIS,
     assert_density,
+    density_sqrt,
     gram_volume,
     random_densities,
     random_eigenvalues,
@@ -141,6 +142,11 @@ def test_state_fidelity_of_a_stack_equals_single_calls_bit_for_bit(d, n, seed):
     assert all(type(f) is float for f in singles)
     assert stacked.shape == (n,)
     assert stacked.tobytes() == np.array(singles).tobytes()
+    # with the square roots taken beforehand, of the stack or of each state
+    roots = density_sqrt(rho)
+    assert state_fidelity(rho, sigma, sqrt_rho=roots).tobytes() == stacked.tobytes()
+    assert np.array([state_fidelity(a, b, sqrt_rho=density_sqrt(a))
+                     for a, b in zip(rho, sigma)]).tobytes() == stacked.tobytes()
 
 
 def test_state_fidelity_dimension_mismatch():

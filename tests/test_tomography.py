@@ -19,6 +19,8 @@ from noisyqst.quality import quality_report
 from noisyqst.tomography import (
     ExperimentReport,
     Scheme,
+    _stream_generators,
+    _stream_states,
     ml_reconstruct,
     mub_scheme,
     outcome_probabilities,
@@ -195,6 +197,37 @@ def test_run_experiment_pinned_reports(monkeypatch):
     assert (mub.mean_infidelity, mub.sem) == (0.015820711291706147, 0.003926433765398418)
     assert (pauli.mean_infidelity, pauli.sem) == (0.018028537137732004, 0.004230152807559235)
     assert (mub.total_shots, pauli.total_shots) == (2300, 2304)
+
+
+@pytest.mark.parametrize("seed", [0, 2**40 + 7, 2**128 - 1, 2**200 + 3],
+                         ids=["seed-1-word", "seed-2-words", "seed-4-words", "seed-7-words"])
+@pytest.mark.parametrize("stream", [0, 1, 2**33], ids=["stream-0", "stream-1", "stream-2-words"])
+def test_stream_states_are_those_of_seed_sequence(seed, stream):
+    assert list(_stream_states(seed, stream, 300)) == [
+        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream, i))).state
+        for i in range(300)
+    ]
+
+
+def test_stream_generators_draw_as_default_rng_does():
+    p = np.array([0.1, 0.2, 0.3, 0.4])
+    draws = [(rng.multinomial(2304, p).tolist(), rng.standard_normal(3).tolist())
+             for rng in _stream_generators(11, 2, 20)]
+    assert draws == [
+        (rng.multinomial(2304, p).tolist(), rng.standard_normal(3).tolist())
+        for rng in (np.random.default_rng(np.random.SeedSequence(11, spawn_key=(2, i)))
+                    for i in range(20))
+    ]
+    assert list(_stream_states(11, 2, 0)) == []
+
+
+def test_run_experiment_rejects_a_negative_seed_or_stream():
+    with pytest.raises(ValueError, match="non-negative"):
+        run_experiment([pauli9_scheme()], 2, 2304, rng_seed=-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        run_experiment([pauli9_scheme()], 2, 2304, rng_seed=0, streams=[-1])
+    with pytest.raises(ValueError, match="non-negative"):
+        run_experiment([pauli9_scheme()] * 2, 2, 2304, rng_seed=2**70, streams=[2, -5])
 
 
 def test_run_experiment_rejects_an_empty_state_set():
