@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 import tempfile
 
@@ -69,9 +70,22 @@ def _effective_config(args) -> dict:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it to ``path``.
+
+    The file gets the mode that ``open(path, "w")`` would leave: an existing
+    file's own, or 0666 less the umask, not mkstemp's 0600.  The temporary
+    file is removed if the write fails.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-noisyqst-")
     try:
+        try:
+            mode = stat.S_IMODE(os.stat(path).st_mode)
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        os.fchmod(fd, mode)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)

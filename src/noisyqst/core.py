@@ -104,8 +104,8 @@ def random_densities(d: int, rngs) -> np.ndarray:
     of a d x d Ginibre matrix; the sort, QR and products then run on the
     whole stack.  Each state is bit-identical to the stack of one drawn from
     the same generator, ``random_densities(d, [rng])[0]``.  A state's draws
-    are made before the next generator is taken, so one generator listed n
-    times, or yielded n times, draws n states in turn.
+    are made before the next state's, so one generator listed n times,
+    ``[rng] * n``, draws n states in turn.
     """
     _check_dim(d)
     draws = [(rng.uniform(size=d - 1), rng.standard_normal((d, d)), rng.standard_normal((d, d)))

@@ -14,7 +14,6 @@ each round evaluates their points as one stack.
 
 from __future__ import annotations
 
-import logging
 from collections import deque
 from dataclasses import dataclass
 
@@ -31,7 +30,13 @@ from .gates import (
 from .noise import DegeneratePovmError, NoiseModel
 from .quality import QN_FLOOR, neg_log_qn_and_grad, quality_report
 
-logger = logging.getLogger(__name__)
+
+def _warn(msg: str, *args) -> None:
+    """A warning on this module's logger; logging is imported only when one is logged."""
+    import logging
+
+    logging.getLogger(__name__).warning(msg, *args)
+
 
 # _lbfgs_steps runs until a step gains at most LBFGS_F_TOL relative, or its
 # line search fails: at the rounding floor of -ln Q_N.  The refinement has
@@ -336,15 +341,15 @@ def optimize_quorum(
     results = [r for r in outcomes if isinstance(r, OptimizationResult)]
     for r in results:
         if r.q_noisy <= QN_FLOOR:  # -ln Q_N is capped there, with a zero gradient
-            logger.warning("start %s stopped at the Q_N floor: Q_N %.3g <= %.0e after %d "
-                           "iterations", r.start_label, r.q_noisy, QN_FLOOR, r.iterations)
+            _warn("start %s stopped at the Q_N floor: Q_N %.3g <= %.0e after %d iterations",
+                  r.start_label, r.q_noisy, QN_FLOOR, r.iterations)
         elif r.projected_gradient > G_TOL:
-            logger.warning("start %s did not converge: projected gradient %.2e > %.0e after %d "
-                           "iterations", r.start_label, r.projected_gradient, G_TOL, r.iterations)
+            _warn("start %s did not converge: projected gradient %.2e > %.0e after %d "
+                  "iterations", r.start_label, r.projected_gradient, G_TOL, r.iterations)
     failures = [(label, exc) for (label, _), exc in zip(starts, outcomes)
                 if not isinstance(exc, OptimizationResult)]
     for label, exc in failures:
-        logger.warning("start %s failed: %s", label, exc)
+        _warn("start %s failed: %s", label, exc)
     if not results:
         raise RuntimeError("all optimization starts failed: "
                            + "; ".join(f"{label}: {exc}" for label, exc in failures))

@@ -194,6 +194,30 @@ def test_sweep_csv_shape_and_determinism(tmp_path):
     assert out.read_bytes() == first  # atomic overwrite, byte-identical
 
 
+def test_out_files_get_the_mode_that_open_would_give(tmp_path):
+    # mkstemp makes its file 0600, and the rename would keep that mode
+    out = tmp_path / "cnot.txt"
+    opt = tmp_path / "quorum.csv"
+    for argv in (["gate-fidelity", "--zeta", "0.1", "--out", out],
+                 ["optimize", "--zeta", "0.02", "--out", opt]):
+        subprocess.run(BASE + [str(a) for a in argv], check=True, umask=0o022)
+    modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
+    assert modes == {"cnot.txt": 0o644, "quorum.csv": 0o644, "quorum.csv.json": 0o644}
+    # an existing file keeps its own mode, as it would under open(path, "w")
+    out.chmod(0o640)
+    subprocess.run(BASE + ["gate-fidelity", "--zeta", "0.2", "--out", str(out)], check=True,
+                   umask=0o022)
+    assert out.stat().st_mode & 0o777 == 0o640 and out.read_text() != ""
+
+
+def test_a_failed_write_leaves_no_temporary_file(tmp_path):
+    from noisyqst.cli import _atomic_write
+
+    with pytest.raises(UnicodeEncodeError):
+        _atomic_write(str(tmp_path / "out.txt"), "\ud800")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_pauli_rows_do_not_depend_on_noise(tmp_path):
     out = tmp_path / "sweep.csv"
     run_cli(
@@ -355,15 +379,17 @@ def test_importing_the_cli_leaves_scipy_unloaded():
     (None, []),
     (["sweep", "--grid", "0", "--schemes", "mub,pauli9", "--states", "2", "--shots", "2304"],
      ["noisyqst.tomography"]),
+    (["optimize", "--zeta", "0.02"], ["noisyqst.optimize", "noisyqst.quality"]),
+    # logging is loaded only to report a start that did not converge
     (["optimize", "--zeta", "0.02", "--max-iters", "2"],
-     ["noisyqst.optimize", "noisyqst.quality"]),
-], ids=["import", "sweep", "optimize"])
+     ["logging", "noisyqst.optimize", "noisyqst.quality"]),
+], ids=["import", "sweep", "optimize", "optimize-warns"])
 def test_a_command_loads_only_the_modules_it_runs(argv, loaded, tmp_path):
     out = ["--out", str(tmp_path / "out")]
     run = "" if argv is None else f"assert noisyqst.cli.main({argv + out!r}) == 0; "
     code = (f"import sys, noisyqst.cli; {run}"
             "print(sorted(m for m in sys.modules if m in "
-            "('noisyqst.optimize', 'noisyqst.quality', 'noisyqst.tomography')))")
+            "('logging', 'noisyqst.optimize', 'noisyqst.quality', 'noisyqst.tomography')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout == f"{loaded!r}\n"
 

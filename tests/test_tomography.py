@@ -19,8 +19,6 @@ from noisyqst.quality import quality_report
 from noisyqst.tomography import (
     ExperimentReport,
     Scheme,
-    _stream_generators,
-    _stream_states,
     ml_reconstruct,
     mub_scheme,
     outcome_probabilities,
@@ -172,53 +170,75 @@ def test_run_experiment_reproducible():
     assert a == b
 
 
-def test_run_experiment_pinned_reports(monkeypatch):
-    # The counts are the RNG stream: recorded before sampling drew all of a
-    # state's measurements in one multinomial call, and before the
-    # projected-gradient reconstruction and its linear-inversion start,
-    # which moved only the reports.  Stacked sampling left them unchanged;
-    # the Fisher-scoring start moved only the pauli9 report, in its low digits,
-    # and the Bell-frame layers only the MUB report, in its low digits.
+def _spy_counts(monkeypatch):
+    """The counts run_experiment hands to each ml_reconstruct call, in call order."""
     import noisyqst.tomography as tomography
 
     counts = []
 
     def spy(c, effects, *args, **kwargs):
-        counts.append(hashlib.sha256(np.asarray(c, dtype=np.int64).tobytes()).hexdigest())
+        counts.append(c)
         return ml_reconstruct(c, effects, *args, **kwargs)
 
     monkeypatch.setattr(tomography, "ml_reconstruct", spy)
+    return counts
+
+
+def test_run_experiment_pinned_reports(monkeypatch):
+    # The counts are the RNG stream: recorded when each stream index became
+    # one generator drawing its states or counts in state order, in place of
+    # one SeedSequence spawn key per state, which moved the counts and the
+    # reports.  A change to the reconstruction alone moves only the reports.
+    counts = _spy_counts(monkeypatch)
     schemes = [mub_scheme(NoiseModel("ou", "heisenberg", 0.1)), pauli9_scheme()]
     mub, pauli = run_experiment(schemes, 6, 2304, rng_seed=3)
-    assert counts == [
-        "8a05dc3beb5737d4767d49a03519bab07695b4549acd31f9f376ed15d55b8886",
-        "5c7cb91a19bf64ff7251a16c1e56070a053963179e3ef9316eb280f18df9b49e",
+    assert [hashlib.sha256(np.asarray(c, dtype=np.int64).tobytes()).hexdigest()
+            for c in counts] == [
+        "0d322fdd4d51dfcf142fdb70e77c566859bf0cfa695c506901e21ae0a375055b",
+        "9a9d039211f277df2271b044026f53e5b48025f1a743815ccf0e47f5b0fbb355",
     ]
-    assert (mub.mean_infidelity, mub.sem) == (0.015820711291706147, 0.003926433765398418)
-    assert (pauli.mean_infidelity, pauli.sem) == (0.018028537137732004, 0.004230152807559235)
+    assert (mub.mean_infidelity, mub.sem) == (0.01576563593305565, 0.0035692770585342816)
+    assert (pauli.mean_infidelity, pauli.sem) == (0.01713518296219496, 0.003292474741440891)
     assert (mub.total_shots, pauli.total_shots) == (2300, 2304)
 
 
-@pytest.mark.parametrize("seed", [0, 2**40 + 7, 2**128 - 1, 2**200 + 3],
-                         ids=["seed-1-word", "seed-2-words", "seed-4-words", "seed-7-words"])
-@pytest.mark.parametrize("stream", [0, 1, 2**33], ids=["stream-0", "stream-1", "stream-2-words"])
-def test_stream_states_are_those_of_seed_sequence(seed, stream):
-    assert list(_stream_states(seed, stream, 300)) == [
-        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream, i))).state
-        for i in range(300)
-    ]
+@pytest.mark.parametrize("seed", [0, 2**70 + 5], ids=["seed-1-word", "seed-3-words"])
+def test_run_experiment_draws_each_stream_from_one_generator(seed, monkeypatch):
+    import noisyqst.tomography as tomography
+
+    truths = []
+    real_fidelity = tomography.state_fidelity
+
+    def spy_fidelity(rho, sigma, **kwargs):
+        truths.append(rho)
+        return real_fidelity(rho, sigma, **kwargs)
+
+    monkeypatch.setattr(tomography, "state_fidelity", spy_fidelity)
+    counts = _spy_counts(monkeypatch)
+    schemes = [mub_scheme(NoiseModel("depolarizing", "heisenberg", 0.1)), pauli9_scheme()]
+    run_experiment(schemes, 7, 2304, rng_seed=seed, streams=[3, 0])
+
+    def stream(k):
+        return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+
+    states = random_densities(4, [stream(0)] * 7)
+    assert len(truths) == len(counts) == 2
+    assert all(np.array_equal(rho, states) for rho in truths)
+    for c, k, scheme in zip(counts, [3, 0], schemes):
+        r = stream(1 + k)
+        expected = [r.multinomial(2304 // len(scheme.effects), p)
+                    for p in outcome_probabilities(states, scheme.effects)]
+        assert np.array_equal(c, expected)
 
 
-def test_stream_generators_draw_as_default_rng_does():
-    p = np.array([0.1, 0.2, 0.3, 0.4])
-    draws = [(rng.multinomial(2304, p).tolist(), rng.standard_normal(3).tolist())
-             for rng in _stream_generators(11, 2, 20)]
-    assert draws == [
-        (rng.multinomial(2304, p).tolist(), rng.standard_normal(3).tolist())
-        for rng in (np.random.default_rng(np.random.SeedSequence(11, spawn_key=(2, i)))
-                    for i in range(20))
-    ]
-    assert list(_stream_states(11, 2, 0)) == []
+def test_run_experiment_first_states_do_not_depend_on_the_state_count(monkeypatch):
+    counts = _spy_counts(monkeypatch)
+    schemes = [mub_scheme(NoiseModel("ou", "ising", 0.2)), pauli9_scheme()]
+    run_experiment(schemes, 3, 2304, rng_seed=4)
+    run_experiment(schemes, 8, 2304, rng_seed=4)
+    assert len(counts) == 4
+    for a, b in zip(counts[:2], counts[2:]):
+        assert np.array_equal(a, b[:3])
 
 
 def test_run_experiment_rejects_a_negative_seed_or_stream():
